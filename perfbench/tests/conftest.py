@@ -1,0 +1,6 @@
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+import common  # noqa: E402  pins the BLAS thread pools before numpy loads
