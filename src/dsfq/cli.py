@@ -14,9 +14,11 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -79,6 +81,51 @@ def _require_keys(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+MAX_PHASE_CHARS = 200
+_PHASE_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+}
+
+
+def _phase_value(text: str) -> float:
+    """Value of a phase expression such as "0.997*pi".
+
+    Numbers, ``pi``, ``+ - * /``, unary minus and parentheses are
+    allowed; anything else, and a result that is not finite, raises
+    ConfigError. Configs are untrusted, so nothing is passed to ``eval``.
+    """
+
+    def value(node: ast.AST) -> float:
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(node.value)
+        if isinstance(node, ast.Name) and node.id == "pi":
+            return math.pi
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -value(node.operand)
+        if isinstance(node, ast.BinOp) and type(node.op) in _PHASE_OPERATORS:
+            return _PHASE_OPERATORS[type(node.op)](value(node.left), value(node.right))
+        raise ConfigError(
+            f"phase {text!r}: only numbers, pi, + - * / and unary minus are allowed"
+        )
+
+    if len(text) > MAX_PHASE_CHARS:  # bounds the parser's nesting depth
+        raise ConfigError(f"phase expression longer than {MAX_PHASE_CHARS} characters")
+    try:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError) as ex:  # ValueError: null bytes
+        raise ConfigError(f"phase {text!r} cannot be parsed: {ex}") from ex
+    try:
+        result = value(tree.body)
+    except ZeroDivisionError as ex:
+        raise ConfigError(f"phase {text!r} divides by zero") from ex
+    if not math.isfinite(result):
+        raise ConfigError(f"phase {text!r} is not finite")
+    return result
+
+
 def _circuit_from(cfg: dict) -> CircuitSpec:
     block = dict(cfg.get("circuit", {}))
     _require_keys(block, _CIRCUIT_KEYS, "circuit")
@@ -86,8 +133,7 @@ def _circuit_from(cfg: dict) -> CircuitSpec:
         block["variant"] = Variant(block["variant"])
     for key in ("phi_ext", "phi_ext1", "phi_ext2"):
         if key in block and isinstance(block[key], str):
-            # phases may be given as expressions like "0.997*pi"
-            block[key] = float(eval(block[key], {"pi": math.pi, "__builtins__": {}}))
+            block[key] = _phase_value(block[key])
     return CircuitSpec(**block)
 
 
@@ -248,8 +294,8 @@ def _exp_single_qubit_gate(cfg, spec, pool):
         settings=settings, gamma1=gamma1,
     )
     report = run_single_qubit_gate(spec, profile, pulse, target, settings, gamma1=gamma1)
-    traj = report.extras["trajectories"][0]
-    weights = traj.spectral_weights
+    traj = report.extras["trajectory"]
+    weights = traj.spectral_weights[:, :, 0]  # the |0> column
     series = [
         (traj.times[i], *weights[i]) for i in range(len(traj.times))
     ]

@@ -202,6 +202,16 @@ def _matrix_element(sol: EigenSolution, op: np.ndarray, i: int, j: int) -> compl
     return complex(sol.state(i).conj() @ (op @ sol.state(j)))
 
 
+# channel kind -> operator kind whose matrix is dH/dlambda
+_NOISE_OPERATOR_KIND = {
+    "flux_1f": "dH_dphi_ext",
+    "charge_1f_phi": "dH_dng_phi",
+    "charge_ohmic_phi": "dH_dng_phi",
+    "charge_1f_theta": "dH_dng_theta",
+    "charge_ohmic_theta": "dH_dng_theta",
+}
+
+
 def _noise_operator(channel: NoiseChannel, spec: CircuitSpec) -> tuple[np.ndarray, float]:
     """Return (dH/dlambda in GHz per unit lambda, amplitude placeholder).
 
@@ -209,13 +219,13 @@ def _noise_operator(channel: NoiseChannel, spec: CircuitSpec) -> tuple[np.ndarra
     2*pi. Charge derivatives are per Cooper pair, matching the default
     amplitude units.
     """
+    kind = _NOISE_OPERATOR_KIND.get(channel.kind)
+    if kind is None:
+        raise CoherenceError(f"channel {channel.kind} has no dH/dlambda operator")
+    matrix = build_operator(kind, spec).matrix
     if channel.kind == "flux_1f":
-        return 2.0 * math.pi * build_operator("dH_dphi_ext", spec).matrix, channel.amplitude
-    if channel.kind in ("charge_1f_phi", "charge_ohmic_phi"):
-        return build_operator("dH_dng_phi", spec).matrix, channel.amplitude
-    if channel.kind in ("charge_1f_theta", "charge_ohmic_theta"):
-        return build_operator("dH_dng_theta", spec).matrix, channel.amplitude
-    raise CoherenceError(f"channel {channel.kind} has no dH/dlambda operator")
+        return 2.0 * math.pi * matrix, channel.amplitude
+    return matrix, channel.amplitude
 
 
 def relaxation_rates(
@@ -229,7 +239,9 @@ def relaxation_rates(
     """Golden-rule relaxation rates, per channel, at omega = omega_q.
 
     Gamma_1^lambda = scale/hbar^2 |<1|dH/dlambda|0>|^2 S_lambda(omega);
-    Gamma_1^diel = scale*hbar |<1|phi|0>|^2 S_diel(omega).
+    Gamma_1^diel = scale*hbar |<1|phi|0>|^2 S_diel(omega). Each operator
+    is built once per call, also where the 1/f and ohmic channels of one
+    charge share it; only its matrix element is kept.
     """
     if not channels:
         raise CoherenceError("channel list is empty")
@@ -244,6 +256,7 @@ def relaxation_rates(
         )
     omega = 2.0 * math.pi * omega_q_ghz * GHZ  # angular, rad/s
     report = CoherenceReport()
+    elements: dict[str, complex] = {}  # operator kind -> <j|dH/dlambda|i>
     for ch in channels:
         if ch.kind == "dielectric":
             phi_op = build_operator("phi_grid", spec).matrix
@@ -251,10 +264,14 @@ def relaxation_rates(
             s = _spectral_dielectric(ch.amplitude, omega, spec.ec, env, conv)
             rate_si = HBAR * m2 * s
         else:
-            op, amp = _noise_operator(ch, spec)
+            kind = _NOISE_OPERATOR_KIND[ch.kind]
+            if kind not in elements:
+                op, _ = _noise_operator(ch, spec)
+                elements[kind] = _matrix_element(sol, op, j, i)
+            amp = ch.amplitude
             if ch.kind.startswith("charge"):
                 amp = conv.charge_amp(amp)
-            m = _matrix_element(sol, op, j, i) * H_PLANCK * GHZ  # J per unit lambda
+            m = elements[kind] * H_PLANCK * GHZ  # J per unit lambda
             if ch.kind.endswith("1f") or "1f" in ch.kind:
                 s = _spectral_1f(amp, omega)
             else:

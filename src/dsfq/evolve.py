@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .circuit import (
     CircuitSpec,
@@ -26,7 +27,14 @@ from .circuit import (
     hamiltonian_decomposition,
     physical_sector_indices,
 )
-from .spectrum import EigenSolution, _check_pair_continuity, align_gauge
+from .spectrum import (
+    PAIR_MIN_OVERLAP,
+    RESIDUAL_RTOL,
+    EigenSolution,
+    _check_pair_continuity,
+    _pair_overlap,
+    align_gauge,
+)
 
 __all__ = [
     "AlphaProfile",
@@ -42,6 +50,9 @@ __all__ = [
 ALPHA_MIN_ALLOWED = 0.4
 ALPHA_MAX_ALLOWED = 1.0
 FULL_LOWERING_NS = 35.0  # time to ramp alpha from 1 to 0.5 in a two-qubit gate
+# Shift-invert sample solves shift this fraction of the previous sample's
+# tracked-level spread below its ground level.
+SHIFT_MARGIN = 0.25
 
 
 class PropagationError(RuntimeError):
@@ -204,10 +215,15 @@ class PropagationSettings:
 
 @dataclass
 class Trajectory:
-    """Sampled evolution: states or subspace unitaries over time."""
+    """Sampled evolution: states or subspace unitaries over time.
+
+    When ``propagate_state`` evolves a (dim, m) block of states, each
+    recorded state is (dim, m), ``spectral_weights`` is (n_samples, k, m)
+    and ``norms`` is (n_samples, m): the trailing axis is the column.
+    """
 
     times: np.ndarray
-    states: list = field(default_factory=list)  # state vectors or k x k unitaries
+    states: list = field(default_factory=list)  # state vectors or blocks, or k x k unitaries
     spectral_weights: np.ndarray | None = None
     frame_phases: np.ndarray | None = None  # accumulated 2*pi int E_i dt per state
     frame_energies: np.ndarray | None = None
@@ -225,9 +241,10 @@ class Trajectory:
 class _CircuitEngine:
     """Cached alpha-linear Hamiltonian pieces, sector-restricted if possible.
 
-    Dense pieces serve the eigensolvers; the propagators use CSR copies
-    on the common sparsity pattern of h0, h1, n1 and the diagonal, so any
-    H(alpha, drive) is one linear combination of three data vectors.
+    Dense h0 and h1 serve the dense eigensolvers; the propagators and
+    the shift-invert sample solves use CSR copies on the common sparsity
+    pattern of h0, h1, n1 and the diagonal, so any H(alpha, drive) is one
+    linear combination of three data vectors.
     """
 
     def __init__(self, spec: CircuitSpec, charging_scale: float = 1.0):
@@ -242,23 +259,21 @@ class _CircuitEngine:
         ix = np.ix_(self.indices, self.indices)
         self.h0 = h0[ix]
         self.h1 = h1[ix]
-        self.n1 = n1[ix]
+        n1 = n1[ix]
         self.dim = self.indices.size
         pattern = scipy.sparse.csr_matrix(
-            (self.h0 != 0) | (self.h1 != 0) | (self.n1 != 0) | np.eye(self.dim, dtype=bool)
+            (self.h0 != 0) | (self.h1 != 0) | (n1 != 0) | np.eye(self.dim, dtype=bool)
         )
         self._indptr, self._indices = pattern.indptr, pattern.indices
         rows = np.repeat(np.arange(self.dim), np.diff(self._indptr))
         self._diag = np.flatnonzero(rows == self._indices)
-        self._data = [m[rows, self._indices].astype(complex) for m in (self.h0, self.h1, self.n1)]
+        self._data = [m[rows, self._indices].astype(complex) for m in (self.h0, self.h1, n1)]
         # diagonal means of the three pieces; that of H(alpha, drive) is linear in them
         self._diag_means = [float(d[self._diag].real.mean()) for d in self._data]
 
-    def hamiltonian(self, alpha: float, drive: float = 0.0) -> np.ndarray:
-        h = self.h0 + alpha * self.h1
-        if drive != 0.0:
-            h = h + drive * self.n1
-        return h
+    def hamiltonian(self, alpha: float) -> np.ndarray:
+        """Dense drive-free H(alpha) for the eigensolvers."""
+        return self.h0 + alpha * self.h1
 
     def sparse_hamiltonian(self, alpha: float, drive: float = 0.0,
                            shift: float = 0.0) -> scipy.sparse.csr_matrix:
@@ -276,9 +291,10 @@ class _CircuitEngine:
                    psi: np.ndarray) -> np.ndarray:
         """exp(-i*2*pi*H(alpha, drive)*dt) @ psi by scaled fixed-order Taylor.
 
-        The diagonal mean is split off analytically; the remainder is
-        scaled to generator 1-norm <= 2 and summed to order 20 (error per
-        substep below 1e-13 at that norm).
+        ``psi`` is a vector or a block of columns. The diagonal mean is
+        split off analytically; the remainder is scaled to generator
+        1-norm <= 2 and summed to order 20 (error per substep below 1e-13
+        at that norm).
         """
         m0, m1, mn = self._diag_means
         shift = m0 + alpha * m1 + drive * mn
@@ -292,24 +308,48 @@ class _CircuitEngine:
             term = psi
             acc = psi.copy()
             for k in range(1, 21):
-                term = (a @ term) / k
+                term = a @ term
+                term /= k
                 acc += term
             psi = acc
         return np.exp(-2j * math.pi * shift * dt) * psi
 
+    def lowest_below(self, alpha: float, k: int, shift: float,
+                     start: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """Lowest k eigenpairs of H(alpha) by shift-invert Lanczos at ``shift``.
+
+        ``shift`` must lie below the lowest level; ``start`` is the
+        Lanczos start vector, which makes the result deterministic.
+        Returns None when ARPACK or the factorization fails, when an
+        energy falls below the shift (the k levels nearest the shift are
+        then not known to be the lowest k), or when a residual exceeds
+        ``RESIDUAL_RTOL * ||H||_inf``.
+        """
+        if k >= self.dim - 1:  # beyond ARPACK; only a dense solve finds them
+            return None
+        h = self.sparse_hamiltonian(alpha)
+        try:
+            energies, states = scipy.sparse.linalg.eigsh(h, k=k, sigma=shift, which="LM", v0=start)
+        except RuntimeError:  # ArpackError, or a singular factor of H - shift
+            return None
+        order = np.argsort(energies)
+        energies, states = energies[order], states[:, order]
+        if energies[0] <= shift:
+            return None
+        residual = np.linalg.norm(h @ states - states * energies, axis=0).max()
+        if residual > RESIDUAL_RTOL * abs(h).sum(axis=1).max():
+            return None
+        return energies, states
+
     def restrict(self, psi: np.ndarray) -> np.ndarray:
+        """Sector part of a (full_dim, m) block; each column must lie in the sector."""
         sub = psi[self.indices]
-        lost = 1.0 - float(np.vdot(sub, sub).real) / float(np.vdot(psi, psi).real)
-        if lost > 1e-10:
+        lost = 1.0 - np.sum(np.abs(sub) ** 2, axis=0) / np.sum(np.abs(psi) ** 2, axis=0)
+        if lost.max() > 1e-10:
             raise PropagationError(
-                f"initial state has weight {lost:.2e} outside the physical sector"
+                f"initial state has weight {lost.max():.2e} outside the physical sector"
             )
         return sub.astype(complex)
-
-    def embed(self, sub: np.ndarray) -> np.ndarray:
-        psi = np.zeros(self.full_dim, dtype=complex)
-        psi[self.indices] = sub
-        return psi
 
 
 # Fourth-order commutator-free Magnus step (Blanes et al., Phys. Rep. 470,
@@ -339,7 +379,13 @@ def propagate_state(
     settings: PropagationSettings | None = None,
     charging_scale: float = 1.0,
 ) -> Trajectory:
-    """Evolve a state through H(t) = H_C + H_J(alpha(t)) + H_d(t).
+    """Evolve a state, or a block of states, through H(t) = H_C + H_J(alpha(t)) + H_d(t).
+
+    ``psi0`` is one state vector or a (dim, m) block of m states. The
+    columns of a block are propagated together: every step acts on the
+    whole block and every sample eigensolution serves all columns. For a
+    block, the recorded states, ``spectral_weights`` and ``norms`` carry
+    a trailing column axis (see ``Trajectory``); for a vector they do not.
 
     The default method takes fourth-order commutator-free Magnus (CF4)
     steps through the sparse sector Hamiltonian; a drive-free step at
@@ -348,41 +394,70 @@ def propagate_state(
     E_ref the lowest level at ``t_start`` and its phase restored in
     closed form. Spectral weights against gauge-aligned instantaneous
     eigenstates are recorded on the sample grid, along with accumulated
-    eigenphases.
+    eigenphases. Each sample after the first is solved by shift-invert
+    Lanczos below the previous sample's ground level; a result that
+    fails its residual bound or the qubit-pair continuity check is
+    replaced by a dense solve.
     """
     settings = settings or PropagationSettings()
     engine = _CircuitEngine(spec, charging_scale)
-    psi = engine.restrict(np.asarray(psi0, dtype=complex))
-    norm0 = np.linalg.norm(psi)
-    if abs(norm0 - 1.0) > 1e-8:
+    psi0 = np.asarray(psi0, dtype=complex)
+    block = psi0.ndim == 2
+    psi = engine.restrict(psi0 if block else psi0[:, None])
+    norm0 = np.linalg.norm(psi, axis=0)
+    if np.abs(norm0 - 1.0).max() > 1e-8:
         raise PropagationError(f"initial state norm {norm0} is not 1")
 
     total = profile.duration
     n_steps = max(1, int(round(total * settings.steps_per_ns)))
     dt = total / n_steps
     sample_stride = max(1, int(round(settings.sample_interval_ns / dt)))
+    k_spec = settings.spectral_k
 
-    # The last eigensolution of each kind (full for exact steps, lowest
-    # k_spec for samples) is reused while alpha stays put, as on the
-    # plateau; ramp alphas are never revisited, so nothing older is kept.
-    last_eigs: dict[int | None, tuple[float, tuple[np.ndarray, np.ndarray]]] = {}
+    # The full eigensolution for exact steps is reused while alpha stays
+    # put, as on the plateau; ramp alphas are never revisited, so nothing
+    # older is kept.
+    exact: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-    def eigs(alpha: float, k: int | None) -> tuple[np.ndarray, np.ndarray]:
-        if k not in last_eigs or last_eigs[k][0] != alpha:
-            h = engine.hamiltonian(alpha)
-            last_eigs[k] = (alpha, np.linalg.eigh(h) if k is None else
-                            scipy.linalg.eigh(h, subset_by_index=(0, k - 1)))
-        return last_eigs[k][1]
+    def exact_eigs(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        if alpha not in exact:
+            exact.clear()
+            exact[alpha] = np.linalg.eigh(engine.hamiltonian(alpha))
+        return exact[alpha]
+
+    def dense_sample(alpha: float) -> EigenSolution:
+        e, v = scipy.linalg.eigh(engine.hamiltonian(alpha), subset_by_index=(0, k_spec - 1))
+        return EigenSolution(e, v, None, k_spec)
+
+    def sample_solution(alpha: float, ref: EigenSolution, where: str) -> EigenSolution:
+        """Lowest k_spec eigenstates at alpha, gauge-aligned to ``ref``.
+
+        Upper tracked states may legitimately cross between samples;
+        phase continuity is only required for the qubit pair.
+        """
+        spread = ref.energies[-1] - ref.energies[0]
+        found = engine.lowest_below(alpha, k_spec, ref.energies[0] - SHIFT_MARGIN * spread,
+                                    ref.states.sum(axis=1))
+        if found is not None:
+            sol = align_gauge(ref, EigenSolution(*found, None, k_spec), min_overlap=0.0)
+            if _pair_overlap(ref, sol) >= PAIR_MIN_OVERLAP:
+                return sol
+        sol = align_gauge(ref, dense_sample(alpha), min_overlap=0.0)
+        _check_pair_continuity(ref, sol, where)
+        return sol
 
     times = [profile.t_start]
-    states = [engine.embed(psi)]
+    # Every recorded state goes into one buffer in the full basis; many
+    # small long-lived arrays fragmented the heap and raised peak RSS
+    # from one gate to the next.
+    states = np.zeros((1 + -(-n_steps // sample_stride), engine.full_dim, psi.shape[1]), dtype=complex)
+    states[0, engine.indices] = psi
     weights = []
-    norms = [1.0]
-    k_spec = settings.spectral_k
-    ref = EigenSolution(*eigs(profile.alpha(profile.t_start), k_spec), None, k_spec)
+    norms = [np.ones(psi.shape[1])]
+    ref_alpha = profile.alpha(profile.t_start)
+    ref = dense_sample(ref_alpha)
     weights.append(np.abs(ref.states.conj().T @ psi) ** 2)
     sampled_energies = [ref.energies.copy()]
-    sample_times = [profile.t_start]
     e_ref = float(ref.energies[0])
 
     def drive_at(t: float) -> float:
@@ -398,8 +473,8 @@ def propagate_state(
             a1, a2 = profile.alpha(t1), profile.alpha(t2)
             d1, d2 = drive_at(t1), drive_at(t2)
             if d1 == 0.0 and d2 == 0.0 and profile.alpha(t) == profile.alpha(t + dt):
-                e, v = eigs(profile.alpha(t), None)
-                psi = v @ (np.exp(-2j * math.pi * e * dt) * (v.conj().T @ psi))
+                e, v = exact_eigs(profile.alpha(t))
+                psi = v @ (np.exp(-2j * math.pi * e * dt)[:, None] * (v.conj().T @ psi))
             else:
                 # each factor is exp(-i*2*pi*(dt/2)*H(alpha_eff, drive_eff))
                 # since the two weights of a factor sum to 1/2
@@ -410,39 +485,40 @@ def propagate_state(
             psi = _rk4_step(shifted_h, psi, t, dt) * np.exp(-2j * math.pi * e_ref * dt)
         t += dt
         if (step + 1) % sample_stride == 0 or step == n_steps - 1:
-            norm = float(np.linalg.norm(psi))
-            if abs(norm - 1.0) > settings.norm_tolerance:
+            norm = np.linalg.norm(psi, axis=0)
+            drift = float(np.abs(norm - 1.0).max())
+            if drift > settings.norm_tolerance:
                 raise PropagationError(
-                    f"norm drift {abs(norm - 1.0):.2e} at t = {t:.3f} ns; "
+                    f"norm drift {drift:.2e} at t = {t:.3f} ns; "
                     "increase steps_per_ns"
                 )
-            sol = EigenSolution(*eigs(profile.alpha(t), k_spec), None, k_spec)
-            # Upper tracked states may legitimately cross between samples;
-            # phase continuity is only required for the qubit pair.
-            sol = align_gauge(ref, sol, min_overlap=0.0)
-            _check_pair_continuity(ref, sol, f"t = {t:.2f} ns")
-            ref = sol
-            weights.append(np.abs(sol.states.conj().T @ psi) ** 2)
-            sampled_energies.append(sol.energies.copy())
+            alpha = profile.alpha(t)
+            if alpha != ref_alpha:  # on a plateau the last sample still holds
+                ref, ref_alpha = sample_solution(alpha, ref, f"t = {t:.2f} ns"), alpha
+            weights.append(np.abs(ref.states.conj().T @ psi) ** 2)
+            sampled_energies.append(ref.energies.copy())
             times.append(t)
-            sample_times.append(t)
-            states.append(engine.embed(psi))
+            states[len(times) - 1, engine.indices] = psi
             norms.append(norm)
 
-    sample_times = np.array(sample_times)
+    times = np.array(times)
     energies = np.array(sampled_energies)  # (n_samples, k)
     phases = 2.0 * math.pi * np.concatenate(
         ([np.zeros(k_spec)],
          np.cumsum(0.5 * (energies[1:] + energies[:-1])
-                   * np.diff(sample_times)[:, None], axis=0))
+                   * np.diff(times)[:, None], axis=0))
     )
+    weights, norms = np.array(weights), np.array(norms)
+    if not block:
+        states = states[..., 0]
+        weights, norms = weights[..., 0], norms[:, 0]
     return Trajectory(
-        times=np.array(times),
-        states=states,
-        spectral_weights=np.array(weights),
+        times=times,
+        states=list(states),
+        spectral_weights=weights,
         frame_phases=phases,
         frame_energies=energies,
-        norms=np.array(norms),
+        norms=norms,
     )
 
 

@@ -162,7 +162,7 @@ def fsim_decompose(u: np.ndarray) -> tuple[float, float, float, dict]:
     theta = arctan2(|U_01,10|, |U_01,01|); phi_cphase is the gauge-
     invariant combination -(arg U_00 + arg U_11 - arg U_01 - arg U_10)
     wrapped to (-pi, pi]. The residual is the up-to-z infidelity against
-    fSim(theta, phi).
+    fSim(theta, phi); ``info["fidelity_up_to_z"]`` is that fidelity.
     """
     u = np.asarray(u)
     if u.shape != (4, 4):
@@ -178,12 +178,13 @@ def fsim_decompose(u: np.ndarray) -> tuple[float, float, float, dict]:
     phi = -(np.angle(u[0, 0]) + np.angle(u[3, 3])
             - np.angle(u[1, 1]) - np.angle(u[2, 2]))
     if a01 < 1e-8:
-        # conditional phase of a full swap lives in the anti-diagonal block
+        # conditional phase of a full swap lives in the anti-diagonal block,
+        # whose fSim entries -i*sin(theta) multiply to a phase of pi
         phi = -(np.angle(u[0, 0]) + np.angle(u[3, 3])
-                - np.angle(u[1, 2]) - np.angle(u[2, 1]))
+                - np.angle(u[1, 2]) - np.angle(u[2, 1])) - math.pi
     phi = math.remainder(phi, 2.0 * math.pi)
-    residual = 1.0 - gate_fidelity(u, fsim_unitary(theta, phi), "up_to_z")
-    return theta, phi, float(residual), info
+    info["fidelity_up_to_z"] = gate_fidelity(u, fsim_unitary(theta, phi), "up_to_z")
+    return theta, phi, float(1.0 - info["fidelity_up_to_z"]), info
 
 
 _PAULI_EIGENSTATES = [
@@ -271,14 +272,14 @@ class Gamma1Interpolator:
 
 
 def _assemble_two_level_map(
-    sol, traj0: Trajectory, traj1: Trajectory
+    sol, traj: Trajectory
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """2x2 map in the final eigenbasis, frame phases removed."""
-    basis = sol.states[:, :2]
-    raw = np.empty((2, 2), dtype=complex)
-    for j, traj in enumerate((traj0, traj1)):
-        raw[:, j] = basis.conj().T @ traj.final
-    phases = traj0.frame_phases[-1][:2]
+    """2x2 map in the final eigenbasis, frame phases removed.
+
+    Column j of ``traj.final`` is the propagated |j>.
+    """
+    raw = sol.states[:, :2].conj().T @ traj.final
+    phases = traj.frame_phases[-1][:2]
     u_frame = np.diag(np.exp(1j * phases)) @ raw
     leakage = 1.0 - 0.5 * float(np.sum(np.abs(raw) ** 2))
     return u_frame, raw, leakage
@@ -295,10 +296,13 @@ def run_single_qubit_gate(
 ) -> GateReport:
     """Propagate |0> and |1> through the schedule and score the 2x2 map.
 
-    The map is assembled in the final (alpha = 1) eigenbasis with the
-    accumulated instantaneous eigenphases removed; the coherent score is
-    the plain average gate fidelity against ``target`` after dropping a
-    global phase.
+    Both states go through one ``propagate_state`` call as the columns of
+    a (dim, 2) block, so they share its steps and sample eigensolutions;
+    ``extras["trajectory"]`` holds that block trajectory, column 0 being
+    |0>. The map is assembled in the final (alpha = 1) eigenbasis with
+    the accumulated instantaneous eigenphases removed; the coherent score
+    is the plain average gate fidelity against ``target`` after dropping
+    a global phase.
     """
     if not profile.is_gate_schedule():
         raise GateError("gate schedules must start and end at alpha = 1")
@@ -306,11 +310,8 @@ def run_single_qubit_gate(
         raise GateError("drive amplitude unset; run calibrate_drive first")
     settings = settings or PropagationSettings()
     sol = qubit_eigensolution(spec, max(2, settings.spectral_k))
-    trajs = [
-        propagate_state(spec, profile, pulse, sol.state(j), settings)
-        for j in (0, 1)
-    ]
-    u_frame, raw, leakage = _assemble_two_level_map(sol, trajs[0], trajs[1])
+    traj = propagate_state(spec, profile, pulse, sol.states[:, :2], settings)
+    u_frame, raw, leakage = _assemble_two_level_map(sol, traj)
     if leakage > 0.05:
         raise GateError(f"leakage {leakage:.3f} exceeds 5%: not a gate")
     fidelity = gate_fidelity(u_frame, target, "plain")
@@ -327,7 +328,7 @@ def run_single_qubit_gate(
             "fidelity_up_to_z": gate_fidelity(u_frame, target, "up_to_z"),
             "state_transfer": float(abs(raw[1, 0]) ** 2),
             "raw_map": raw,
-            "trajectories": trajs,
+            "trajectory": traj,
         },
     )
     return report
@@ -457,8 +458,10 @@ def run_two_qubit_gate(
     if leakage > 0.05:
         raise GateError(f"leakage {leakage:.3f} exceeds 5%: not a gate")
     theta, phi, residual, info = fsim_decompose(u_comp)
-    score_target = target if target is not None else fsim_unitary(theta, phi)
-    fidelity = gate_fidelity(u_comp, score_target, "up_to_z")
+    if target is None:
+        fidelity = info["fidelity_up_to_z"]
+    else:
+        fidelity = gate_fidelity(u_comp, target, "up_to_z")
     if gamma1 is None:
         gamma1 = Gamma1Interpolator(
             coupled.qubit1,

@@ -34,6 +34,7 @@ __all__ = [
 DENSE_DIM_LIMIT = 2000
 RESIDUAL_RTOL = 1e-9
 DEGENERACY_TOL = 1e-9
+PAIR_MIN_OVERLAP = 0.5  # below it the qubit pair has crossed another level
 
 
 class SpectrumError(RuntimeError):
@@ -211,15 +212,20 @@ def align_gauge(reference: EigenSolution, current: EigenSolution,
                          basis=current.basis, k=current.k)
 
 
-def _check_pair_continuity(reference: EigenSolution, aligned: EigenSolution,
-                           where: str, min_overlap: float = 0.5) -> None:
-    """Raise GaugeAlignmentError when the qubit pair (levels 0, 1) crosses."""
-    overlap = np.abs(
+def _pair_overlap(reference: EigenSolution, aligned: EigenSolution) -> float:
+    """Smaller of |<ref_i|cur_i>| over the qubit pair (levels 0, 1)."""
+    return float(np.abs(
         np.sum(reference.states[:, :2].conj() * aligned.states[:, :2], axis=0)
-    ).min()
-    if overlap < min_overlap:
+    ).min())
+
+
+def _check_pair_continuity(reference: EigenSolution, aligned: EigenSolution,
+                           where: str) -> None:
+    """Raise GaugeAlignmentError when the qubit pair (levels 0, 1) crosses."""
+    overlap = _pair_overlap(reference, aligned)
+    if overlap < PAIR_MIN_OVERLAP:
         raise GaugeAlignmentError(
-            f"computational-state overlap {overlap:.3f} < {min_overlap} at "
+            f"computational-state overlap {overlap:.3f} < {PAIR_MIN_OVERLAP} at "
             f"{where} (level crossing); refine the step"
         )
 

@@ -55,6 +55,27 @@ def test_gamma1_gauge_invariance():
         assert a[kind] == pytest.approx(b[kind], rel=1e-12)
 
 
+def test_each_noise_operator_built_once_per_call(monkeypatch):
+    # the 1/f and ohmic channels of one charge share dH/dng; sharing must
+    # leave every rate bit-identical to a call that builds it alone
+    from dsfq import coherence
+
+    built = []
+
+    def counting(kind, spec, *args, **kwargs):
+        built.append(kind)
+        return build_operator(kind, spec, *args, **kwargs)
+
+    monkeypatch.setattr(coherence, "build_operator", counting)
+    sol = qubit_eigensolution(OPERATING, 3)
+    channels = default_channels()
+    together = relaxation_rates(OPERATING, channels, solution=sol).gamma1_by_channel
+    assert sorted(built) == ["dH_dng_phi", "dH_dng_theta", "dH_dphi_ext", "phi_grid"]
+    for ch in channels:
+        alone = relaxation_rates(OPERATING, [ch], solution=sol).gamma1_by_channel
+        assert alone[ch.kind] == together[ch.kind]
+
+
 def test_hellmann_feynman_matches_finite_difference():
     step = 1e-6
     slope = hellmann_feynman_slope(OPERATING, "flux_1f")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dsfq import evolve
 from dsfq.circuit import CircuitSpec, CoupledSpec, Variant
 from dsfq.evolve import (
     AlphaProfile,
@@ -143,6 +144,46 @@ def test_norm_is_preserved():
     pulse = DrivePulse(amplitude=0.17, carrier_freq=0.387)
     traj = propagate_state(SPEC, AlphaProfile.single_qubit(), pulse, sol.state(1), FAST)
     assert np.abs(traj.norms - 1.0).max() < 1e-8
+
+
+@pytest.mark.parametrize("method, steps_per_ns", [("per_step_exponential", 64), ("integrator", 512)])
+def test_block_matches_column_by_column(method, steps_per_ns):
+    sol = qubit_eigensolution(SPEC, 3)
+    prof = AlphaProfile(((0.0, 1.0, 1.0, 0.9), (1.0, 2.0, 0.9, 0.9), (2.0, 3.0, 0.9, 1.0)))
+    pulse = DrivePulse(amplitude=0.05, carrier_freq=0.38, ramp_ns=0.2, flat_ns=0.4, t_start=1.1)
+    settings = PropagationSettings(steps_per_ns=steps_per_ns, sample_interval_ns=0.25, method=method)
+    both = propagate_state(SPEC, prof, pulse, sol.states[:, :2], settings)
+    assert both.spectral_weights.shape == (len(both.times), settings.spectral_k, 2)
+    assert both.norms.shape == (len(both.times), 2)
+    for j in (0, 1):
+        one = propagate_state(SPEC, prof, pulse, sol.state(j), settings)
+        assert one.spectral_weights.shape == (len(one.times), settings.spectral_k)
+        np.testing.assert_array_equal(one.times, both.times)
+        np.testing.assert_array_equal(one.frame_phases, both.frame_phases)
+        assert max(np.abs(a - b[:, j]).max() for a, b in zip(one.states, both.states)) < 1e-12
+        assert np.abs(one.spectral_weights - both.spectral_weights[:, :, j]).max() < 1e-12
+        assert np.abs(one.norms - both.norms[:, j]).max() < 1e-12
+
+
+def test_sample_solves_fall_back_to_dense(monkeypatch):
+    # A shift-invert result that fails its residual bound is replaced by the
+    # dense solve, so the trajectory does not change.
+    sol = qubit_eigensolution(SPEC, 3)
+    prof = AlphaProfile(((0.0, 2.0, 1.0, 0.9),))
+    reference = propagate_state(SPEC, prof, None, sol.state(0), FAST)
+    eigsh = evolve.scipy.sparse.linalg.eigsh
+    solves = []
+
+    def off_by_a_little(*args, **kwargs):
+        energies, states = eigsh(*args, **kwargs)
+        solves.append(energies)
+        return energies + 1e-3, states
+
+    monkeypatch.setattr(evolve.scipy.sparse.linalg, "eigsh", off_by_a_little)
+    fallback = propagate_state(SPEC, prof, None, sol.state(0), FAST)
+    assert len(solves) == len(reference.times) - 1
+    np.testing.assert_allclose(fallback.frame_energies, reference.frame_energies, rtol=0, atol=1e-12)
+    assert np.abs(fallback.spectral_weights - reference.spectral_weights).max() < 1e-12
 
 
 def test_initial_state_validation():

@@ -1,0 +1,79 @@
+import math
+
+import numpy as np
+import pytest
+
+from dsfq import gates
+from dsfq.circuit import CircuitSpec, CoupledSpec, Variant
+from dsfq.evolve import PropagationSettings
+from dsfq.gates import (
+    _z_dressing,
+    fsim_decompose,
+    fsim_unitary,
+    gate_fidelity,
+    run_two_qubit_gate,
+    zz_strength,
+)
+
+
+def q_node(cutoff=6):
+    return CircuitSpec(variant=Variant.NODE_BASIS, ej=10.0, ec=0.1, alpha=1.0,
+                       phi_ext=0.99 * math.pi, cutoff=cutoff)
+
+
+def random_unitary(d, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("theta, phi", [(0.3, 0.7), (1.2, -2.5), (0.0, 0.4), (0.5 * math.pi, 1.0)])
+def test_fsim_decompose_recovers_angles(theta, phi):
+    got_theta, got_phi, residual, info = fsim_decompose(fsim_unitary(theta, phi))
+    assert got_theta == pytest.approx(theta, abs=1e-12)
+    assert got_phi == pytest.approx(phi, abs=1e-12)
+    assert residual < 1e-10
+    assert info["fidelity_up_to_z"] == 1.0 - residual
+
+
+def test_up_to_z_fidelity_invariant_under_z_dressing():
+    u = random_unitary(4, 3)
+    target = fsim_unitary(0.3, 0.7)
+    base = gate_fidelity(u, target, "up_to_z")
+    assert base > gate_fidelity(u, target, "plain")
+    for seed in range(3):
+        pre, post = _z_dressing(4, np.random.default_rng(seed).uniform(0, 2 * math.pi, 4))
+        assert gate_fidelity(post @ u @ pre, target, "up_to_z") == pytest.approx(base, abs=1e-9)
+
+
+def test_zz_vanishes_without_coupling():
+    q = q_node()
+    detuned = CircuitSpec(variant=Variant.NODE_BASIS, ej=10.5, ec=0.1, alpha=1.0,
+                          phi_ext=0.99 * math.pi, cutoff=6)
+    zeta, info = zz_strength(CoupledSpec(q, detuned, cg_ratio=0.0), 0.8, 0.9)
+    assert abs(zeta) < 1e-10
+    assert info["min_overlap"] == pytest.approx(1.0, abs=1e-12)
+    coupled, _ = zz_strength(CoupledSpec(q, detuned, cg_ratio=0.3), 0.8, 0.9)
+    assert abs(coupled) > 1e3 * abs(zeta)
+
+
+def test_two_qubit_gate_scores_with_the_decomposition_fit(monkeypatch):
+    # without a target, the score is the up-to-z fit fsim_decompose already
+    # ran, bit for bit, and that fit runs once per gate
+    calls = []
+    original = gates.gate_fidelity
+
+    def counting(u, target, mode="plain"):
+        calls.append(mode)
+        return original(u, target, mode)
+
+    monkeypatch.setattr(gates, "gate_fidelity", counting)
+    coupled = CoupledSpec(q_node(), q_node(), cg_ratio=0.3)
+    settings = PropagationSettings(steps_per_ns=50, alpha_grid=5e-3, sample_interval_ns=5.0)
+    rep = run_two_qubit_gate(coupled, 20.0, 5.0, settings)
+    assert calls == ["up_to_z"]
+    assert rep.coherent_fidelity == original(rep.unitary, fsim_unitary(*rep.fsim), "up_to_z")
+    assert rep.coherent_fidelity == 1.0 - rep.extras["fsim_residual"]
+    target = fsim_unitary(0.0, 0.0)
+    scored = run_two_qubit_gate(coupled, 20.0, 5.0, settings, target=target)
+    assert scored.coherent_fidelity == original(scored.unitary, target, "up_to_z")
