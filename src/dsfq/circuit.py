@@ -18,6 +18,15 @@ Three circuit variants are supported:
 * ``NODE_BASIS``   -- a single qubit in node variables with the charging
   energy of the coupled-circuit analysis: the coupled node carries
   4*EC*(C + Cg)/(C + 2*Cg), the other node 4*EC.
+
+Every operator comes from one assembly path. Diagonal operators (H_C,
+the charge operators and the offset-charge derivatives) are vectors over
+the basis charges. Every Josephson term is a cosine
+-w*EJ*cos(k_a*x_a + k_b*x_b + p) over the mode phases, written straight
+into a dense matrix by one builder. ``build_hamiltonian`` sums all of
+them; ``hamiltonian_decomposition`` sums the fixed ones and the
+unit-alpha barrier terms apart; a flux derivative is its barrier term
+at p + pi/2.
 """
 
 from __future__ import annotations
@@ -36,7 +45,6 @@ __all__ = [
     "HermitianOperator",
     "build_hamiltonian",
     "build_operator",
-    "coupling_operator",
     "to_phase_grid",
     "phase_grid_points",
 ]
@@ -158,6 +166,17 @@ class CoupledSpec:
         """
         return 8.0 * self.qubit1.ec * self.cg_ratio / (1.0 + 2.0 * self.cg_ratio)
 
+    def product_hamiltonian(self, energies, n1) -> np.ndarray:
+        """Coupled Hamiltonian in a product of per-qubit eigenbases.
+
+        ``energies[q]`` are the kept levels of qubit q and ``n1[q]`` its
+        coupled-node charge in those levels:
+        kron(E1, 1) + kron(1, E2) + coupling_energy * kron(n1_1, n1_2).
+        """
+        h = self.coupling_energy * np.kron(n1[0], n1[1])
+        h[np.diag_indices_from(h)] += np.add.outer(energies[0], energies[1]).ravel()
+        return h
+
 
 @dataclass
 class HermitianOperator:
@@ -173,9 +192,12 @@ class HermitianOperator:
             raise CircuitError(
                 f"matrix shape {m.shape} does not match basis dimension {self.basis.dim}"
             )
-        scale = np.abs(m).max()
-        if scale > 0 and np.abs(m - m.conj().T).max() > HERMITICITY_RTOL * scale:
-            raise CircuitError(f"operator {self.label!r} is not Hermitian")
+        bound = HERMITICITY_RTOL * np.abs(m).max()
+        # row blocks against the matching column blocks: a transposed copy
+        # of the whole matrix would double the memory of a large basis
+        for i in range(0, m.shape[0], 128):
+            if np.abs(m[i:i + 128] - m[:, i:i + 128].conj().T).max() > bound:
+                raise CircuitError(f"operator {self.label!r} is not Hermitian")
         self.matrix = m
 
     @property
@@ -183,91 +205,93 @@ class HermitianOperator:
         return self.basis.dim
 
 
-def _shift(dim: int, k: int) -> np.ndarray:
-    """Matrix of exp(i*k*phi) in the charge basis: |n> -> |n + k>."""
-    return np.eye(dim, k=-k)
-
-
-def _mode_ops(cutoff: int) -> dict[str, np.ndarray]:
-    d = 2 * cutoff + 1
-    n = np.arange(-cutoff, cutoff + 1).astype(float)
-    return {
-        "n": np.diag(n),
-        "s1": _shift(d, 1),
-        "s2": _shift(d, 2),
-        "eye": np.eye(d),
-    }
-
-
-def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
-
-
-def _single_loop_josephson(spec: CircuitSpec) -> np.ndarray:
-    """H_J = -2*EJ*cos(phi)*cos(theta) - alpha*EJ*cos(2*phi + phi_ext)."""
-    ops = _mode_ops(spec.cutoff)
-    cos1 = 0.5 * (ops["s1"] + ops["s1"].T)
-    hj = -2.0 * spec.ej * _kron2(cos1, cos1)
-    phase = np.exp(1j * spec.phi_ext)
-    barrier = -0.5 * spec.alpha * spec.ej * (phase * ops["s2"] + np.conj(phase) * ops["s2"].T)
-    return hj + _kron2(barrier, ops["eye"])
-
-
-def _single_loop_dflux(spec: CircuitSpec) -> np.ndarray:
-    """dH/dphi_ext = alpha*EJ*sin(2*phi + phi_ext) for the single loop."""
-    ops = _mode_ops(spec.cutoff)
-    phase = np.exp(1j * spec.phi_ext)
-    # sin(x) = (e^{ix} - e^{-ix}) / (2i)
-    term = spec.alpha * spec.ej * (phase * ops["s2"] - np.conj(phase) * ops["s2"].T) / 2j
-    return _kron2(term, ops["eye"])
-
-
-def _node_josephson(
-    spec: CircuitSpec, alphas: tuple[float, ...], phases: tuple[float, ...]
-) -> np.ndarray:
-    """Two-cosine node potential plus tunable-junction terms.
-
-    Each (alpha_k, phase_k) pair contributes
-    -w_k*EJ*cos(phi1 - phi2 + phase_k), where w_k = alpha_k for the
-    node-basis single qubit and alpha_k/2 for the gradiometric loops.
-    """
-    ops = _mode_ops(spec.cutoff)
-    cos1 = 0.5 * (ops["s1"] + ops["s1"].T)
-    hj = -spec.ej * (_kron2(cos1, ops["eye"]) + _kron2(ops["eye"], cos1))
-    hj = hj.astype(complex)
-    s_rel = _kron2(ops["s1"], ops["s1"].T)  # exp(i*(phi1 - phi2))
-    for weight, phase in zip(alphas, phases):
-        ph = np.exp(1j * phase)
-        hj -= 0.5 * weight * spec.ej * (ph * s_rel + np.conj(ph) * s_rel.conj().T)
-    return hj
-
-
-def _node_dflux(spec: CircuitSpec, weight: float, phase: float) -> np.ndarray:
-    """d/dphase of -weight*EJ*cos(phi1 - phi2 + phase)."""
-    ops = _mode_ops(spec.cutoff)
-    s_rel = _kron2(ops["s1"], ops["s1"].T)
-    ph = np.exp(1j * phase)
-    return weight * spec.ej * (ph * s_rel - np.conj(ph) * s_rel.conj().T) / 2j
-
-
-def _charging_diagonal(spec: CircuitSpec, charging_scale: float = 1.0) -> np.ndarray:
-    """Diagonal of H_C for the requested variant, as a 1-D array."""
-    n = np.arange(-spec.cutoff, spec.cutoff + 1).astype(float)
+def _mode_charges(basis: ChargeBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Charges (n_a, n_b) of the two modes in each basis state, n_a slowest."""
+    n = basis.charges()
     n_a, n_b = np.meshgrid(n, n, indexing="ij")
-    n_a, n_b = n_a.ravel(), n_b.ravel()
+    return n_a.ravel(), n_b.ravel()
+
+
+def _charge_numbers(spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(n_phi, n_theta) of each basis state; in node variables
+    n_phi = n1 - n2 and n_theta = n1 + n2."""
+    n_a, n_b = _mode_charges(spec.basis)
     if spec.variant is Variant.SINGLE_LOOP:
-        return 2.0 * spec.ec * ((n_a - spec.ng_phi) ** 2 + (n_b - spec.ng_theta) ** 2)
-    # Node variables: n_phi = n1 - n2, n_theta = n1 + n2. Offsets are
-    # carried over from the (phi, theta) description.
+        return n_a, n_b
+    return n_a - n_b, n_a + n_b
+
+
+def _charging_diagonal(spec: CircuitSpec, charging_scale: float) -> np.ndarray:
+    """Diagonal of H_C for the requested variant, as a 1-D array."""
+    n_phi, n_theta = _charge_numbers(spec)
+    if spec.variant is not Variant.NODE_BASIS:
+        return 2.0 * spec.ec * ((n_phi - spec.ng_phi) ** 2 + (n_theta - spec.ng_theta) ** 2)
+    # Offsets are carried over from the (phi, theta) description.
+    n1, n2 = 0.5 * (n_theta + n_phi), 0.5 * (n_theta - n_phi)
     ng1 = 0.5 * (spec.ng_theta + spec.ng_phi)
     ng2 = 0.5 * (spec.ng_theta - spec.ng_phi)
+    return 4.0 * spec.ec * (charging_scale * (n1 - ng1) ** 2 + (n2 - ng2) ** 2)
+
+
+def _diagonal_operator(kind: str, spec: CircuitSpec) -> np.ndarray:
+    """Diagonal of a charge operator or offset-charge derivative."""
+    n_phi, n_theta = _charge_numbers(spec)
+    if kind == "n_phi":
+        return n_phi.astype(float)
+    if kind == "n_theta":
+        return n_theta.astype(float)
+    if kind == "n1":
+        return 0.5 * (n_theta + n_phi)
+    if kind == "dH_dng_phi":
+        return -4.0 * spec.ec * (n_phi - spec.ng_phi)
+    return -4.0 * spec.ec * (n_theta - spec.ng_theta)  # dH_dng_theta
+
+
+# A cosine term (w, (k_a, k_b), p) is -w*EJ*cos(k_a*x_a + k_b*x_b + p), with
+# x_a, x_b the phases of the two modes. exp(i*(k_a*x_a + k_b*x_b)) raises
+# the charges (n_a, n_b) by (k_a, k_b).
+_Cosine = tuple[float, tuple[int, int], float]
+
+
+def _cosine_terms(spec: CircuitSpec) -> tuple[list[_Cosine], list[_Cosine]]:
+    """The fixed cosines of H_J and its tunable-barrier terms, in that order.
+
+    The barrier weight is alpha (alpha_k/2 per gradiometric loop), so
+    the barrier terms are linear in the alphas.
+    """
+    if spec.variant is Variant.SINGLE_LOOP:
+        # 2*cos(phi)*cos(theta) = cos(phi + theta) + cos(phi - theta)
+        return ([(1.0, (1, 1), 0.0), (1.0, (1, -1), 0.0)],
+                [(spec.alpha, (2, 0), spec.phi_ext)])
+    fixed = [(1.0, (1, 0), 0.0), (1.0, (0, 1), 0.0)]
     if spec.variant is Variant.GRADIOMETRIC:
-        return 2.0 * spec.ec * (
-            (n_a - n_b - spec.ng_phi) ** 2 + (n_a + n_b - spec.ng_theta) ** 2
-        )
-    return 4.0 * spec.ec * (
-        charging_scale * (n_a - ng1) ** 2 + (n_b - ng2) ** 2
-    )
+        return fixed, [(0.5 * spec.alpha1, (1, -1), spec.phi_ext1),
+                       (0.5 * spec.alpha2, (1, -1), spec.phi_ext2)]
+    return fixed, [(spec.alpha, (1, -1), spec.phi_ext)]
+
+
+def _assemble(spec: CircuitSpec, terms: list[_Cosine],
+              diagonal: np.ndarray | None = None) -> np.ndarray:
+    """Dense sum of cosine terms, plus ``diagonal`` on the diagonal."""
+    basis = spec.basis
+    m = np.zeros((basis.dim, basis.dim), dtype=complex)
+    if diagonal is not None:
+        m[np.diag_indices(basis.dim)] = diagonal
+    n_a, n_b = _mode_charges(basis)
+    for weight, (k_a, k_b), phase in terms:
+        src = np.flatnonzero((np.abs(n_a + k_a) <= basis.cutoff)
+                             & (np.abs(n_b + k_b) <= basis.cutoff))
+        dst = src + k_a * basis.dim_per_mode + k_b
+        amp = -0.5 * weight * spec.ej * np.exp(1j * phase)
+        m[dst, src] += amp
+        m[src, dst] += np.conj(amp)
+    return m
+
+
+def _flux_derivative(spec: CircuitSpec, term: _Cosine) -> np.ndarray:
+    """d/dp of the term -w*EJ*cos(X + p), which is the term at p + pi/2."""
+    weight, k, phase = term
+    return _assemble(spec, [(weight, k, phase + 0.5 * math.pi)])
 
 
 def build_hamiltonian(spec: CircuitSpec, charging_scale: float = 1.0) -> HermitianOperator:
@@ -277,20 +301,9 @@ def build_hamiltonian(spec: CircuitSpec, charging_scale: float = 1.0) -> Hermiti
     of the NODE_BASIS variant ((C + Cg)/(C + 2*Cg) when part of a
     coupled pair); it is ignored for the other variants.
     """
-    hc = np.diag(_charging_diagonal(spec, charging_scale))
-    if spec.variant is Variant.SINGLE_LOOP:
-        hj = _single_loop_josephson(spec)
-    elif spec.variant is Variant.GRADIOMETRIC:
-        hj = _node_josephson(
-            spec,
-            (0.5 * spec.alpha1, 0.5 * spec.alpha2),
-            (spec.phi_ext1, spec.phi_ext2),
-        )
-    elif spec.variant is Variant.NODE_BASIS:
-        hj = _node_josephson(spec, (spec.alpha,), (spec.phi_ext,))
-    else:  # pragma: no cover - guarded in __post_init__
-        raise CircuitError(f"unknown variant {spec.variant!r}")
-    return HermitianOperator(f"H[{spec.variant.value}]", spec.basis, hc + hj)
+    fixed, barrier = _cosine_terms(spec)
+    m = _assemble(spec, fixed + barrier, _charging_diagonal(spec, charging_scale))
+    return HermitianOperator(f"H[{spec.variant.value}]", spec.basis, m)
 
 
 _OPERATOR_KINDS = (
@@ -319,44 +332,19 @@ def build_operator(
     """
     if kind not in _OPERATOR_KINDS:
         raise CircuitError(f"unknown operator kind {kind!r}")
-    basis = spec.basis
-    node = spec.variant is not Variant.SINGLE_LOOP
-    ops = _mode_ops(spec.cutoff)
-    eye = ops["eye"]
-    n_a = _kron2(ops["n"], eye)
-    n_b = _kron2(eye, ops["n"])
-    # In node variables, n_phi = n1 - n2 and n_theta = n1 + n2.
-    n_phi = (n_a - n_b) if node else n_a
-    n_theta = (n_a + n_b) if node else n_b
-
-    if kind == "n_phi":
-        return HermitianOperator("n_phi", basis, n_phi)
-    if kind == "n_theta":
-        return HermitianOperator("n_theta", basis, n_theta)
-    if kind == "n1":
-        return HermitianOperator("n1", basis, 0.5 * (n_theta + n_phi))
-    if kind == "dH_dng_phi":
-        m = -4.0 * spec.ec * (n_phi - spec.ng_phi * np.eye(basis.dim))
-        return HermitianOperator("dH_dng_phi", basis, m)
-    if kind == "dH_dng_theta":
-        m = -4.0 * spec.ec * (n_theta - spec.ng_theta * np.eye(basis.dim))
-        return HermitianOperator("dH_dng_theta", basis, m)
     if kind == "dH_dphi_ext":
-        if spec.variant is Variant.SINGLE_LOOP:
-            m = _single_loop_dflux(spec)
-        elif spec.variant is Variant.NODE_BASIS:
-            m = _node_dflux(spec, spec.alpha, spec.phi_ext)
-        else:
+        if spec.variant is Variant.GRADIOMETRIC:
             raise CircuitError(
                 "dH_dphi_ext is single-flux only; use per-loop derivatives "
                 "for the gradiometric variant"
             )
-        return HermitianOperator("dH_dphi_ext", basis, m)
-    # phi_grid
-    if grid_points < 2 or grid_points & (grid_points - 1) != 0:
-        raise CircuitError(f"grid size {grid_points} is not a power of two")
-    m = _phi_operator(spec, grid_points)
-    return HermitianOperator("phi", basis, m)
+        (term,) = _cosine_terms(spec)[1]
+        return HermitianOperator(kind, spec.basis, _flux_derivative(spec, term))
+    if kind == "phi_grid":
+        if grid_points < 2 or grid_points & (grid_points - 1) != 0:
+            raise CircuitError(f"grid size {grid_points} is not a power of two")
+        return HermitianOperator("phi", spec.basis, _phi_operator(spec, grid_points))
+    return HermitianOperator(kind, spec.basis, np.diag(_diagonal_operator(kind, spec)))
 
 
 def hamiltonian_decomposition(
@@ -364,40 +352,25 @@ def hamiltonian_decomposition(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split H(alpha) = H_const + alpha * H_barrier.
 
-    The tunable-junction term is linear in alpha (for the gradiometric
+    The tunable-junction terms are linear in alpha (for the gradiometric
     variant both alphas are scaled together), so time-varying barrier
     schedules only rescale ``H_barrier``.
     """
-    unit = spec.with_alpha(1.0)
-    h1 = build_hamiltonian(unit, charging_scale).matrix
-    h0 = build_hamiltonian(unit.with_alpha(0.0), charging_scale).matrix
-    return h0, h1 - h0
+    fixed, _ = _cosine_terms(spec)
+    _, unit_barrier = _cosine_terms(spec.with_alpha(1.0))
+    h_const = _assemble(spec, fixed, _charging_diagonal(spec, charging_scale))
+    return (HermitianOperator("H_const", spec.basis, h_const).matrix,
+            HermitianOperator("H_barrier", spec.basis, _assemble(spec, unit_barrier)).matrix)
 
 
 def gradiometric_loop_dflux(spec: CircuitSpec, loop: int) -> HermitianOperator:
     """dH/dphi_ext_loop for one loop of the gradiometric variant."""
     if spec.variant is not Variant.GRADIOMETRIC:
         raise CircuitError("per-loop flux derivatives require the gradiometric variant")
-    if loop == 1:
-        m = _node_dflux(spec, 0.5 * spec.alpha1, spec.phi_ext1)
-    elif loop == 2:
-        m = _node_dflux(spec, 0.5 * spec.alpha2, spec.phi_ext2)
-    else:
+    if loop not in (1, 2):
         raise CircuitError(f"loop must be 1 or 2, got {loop}")
-    return HermitianOperator(f"dH_dphi_ext{loop}", spec.basis, m)
-
-
-def coupling_operator(coupled: CoupledSpec) -> np.ndarray:
-    """n1 (x) n3 coupling matrix in the product charge basis.
-
-    Returned as the pair of per-qubit node-charge matrices' Kronecker
-    product; the energy prefactor is ``coupled.coupling_energy``.
-    """
-    ops1 = _mode_ops(coupled.qubit1.cutoff)
-    ops2 = _mode_ops(coupled.qubit2.cutoff)
-    n1 = _kron2(ops1["n"], ops1["eye"])
-    n3 = _kron2(ops2["n"], ops2["eye"])
-    return np.kron(n1, n3)
+    term = _cosine_terms(spec)[1][loop - 1]
+    return HermitianOperator(f"dH_dphi_ext{loop}", spec.basis, _flux_derivative(spec, term))
 
 
 def physical_sector_indices(basis: ChargeBasis, parity: int = 0) -> np.ndarray:
@@ -411,9 +384,8 @@ def physical_sector_indices(basis: ChargeBasis, parity: int = 0) -> np.ndarray:
     """
     if basis.modes != ("phi", "theta"):
         raise CircuitError("sector restriction applies to (phi, theta) bases only")
-    n = basis.charges()
-    n_a, n_b = np.meshgrid(n, n, indexing="ij")
-    return np.where(((n_a + n_b) % 2).ravel() == parity % 2)[0]
+    n_a, n_b = _mode_charges(basis)
+    return np.flatnonzero((n_a + n_b) % 2 == parity % 2)
 
 
 def parity_permutation(basis: ChargeBasis) -> np.ndarray:

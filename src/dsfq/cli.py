@@ -129,12 +129,15 @@ def _phase_value(text: str) -> float:
 def _circuit_from(cfg: dict) -> CircuitSpec:
     block = dict(cfg.get("circuit", {}))
     _require_keys(block, _CIRCUIT_KEYS, "circuit")
-    if "variant" in block:
-        block["variant"] = Variant(block["variant"])
     for key in ("phi_ext", "phi_ext1", "phi_ext2"):
         if key in block and isinstance(block[key], str):
             block[key] = _phase_value(block[key])
-    return CircuitSpec(**block)
+    try:
+        if "variant" in block:
+            block["variant"] = Variant(block["variant"])
+        return CircuitSpec(**block)
+    except (TypeError, ValueError) as ex:  # a bad variant, type or range
+        raise ConfigError(f"invalid circuit block: {ex}") from ex
 
 
 _PARAM_KEYS = {

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.constants as const
 
-from .circuit import CircuitSpec, Variant, build_operator
+from .circuit import CircuitSpec, build_operator
 from .spectrum import EigenSolution, qubit_eigensolution
 
 __all__ = [
@@ -212,20 +212,22 @@ _NOISE_OPERATOR_KIND = {
 }
 
 
-def _noise_operator(channel: NoiseChannel, spec: CircuitSpec) -> tuple[np.ndarray, float]:
-    """Return (dH/dlambda in GHz per unit lambda, amplitude placeholder).
+def _noise_elements(spec: CircuitSpec, kind: str, sol: EigenSolution,
+                    levels: tuple[int, int], elements: dict) -> tuple[complex, ...]:
+    """(<j|O|i>, <i|O|i>, <j|O|j>) of the dH/dlambda operator O of ``kind``.
 
-    For flux, lambda is Phi/Phi_0, so the phi_ext derivative picks up
-    2*pi. Charge derivatives are per Cooper pair, matching the default
-    amplitude units.
+    ``elements`` maps operator kinds to these elements: O is built only
+    for a kind it lacks, and only the elements are kept. For flux,
+    lambda is Phi/Phi_0, so the phi_ext derivative picks up 2*pi. Charge
+    derivatives are per Cooper pair, matching the default amplitude units.
     """
-    kind = _NOISE_OPERATOR_KIND.get(channel.kind)
-    if kind is None:
-        raise CoherenceError(f"channel {channel.kind} has no dH/dlambda operator")
-    matrix = build_operator(kind, spec).matrix
-    if channel.kind == "flux_1f":
-        return 2.0 * math.pi * matrix, channel.amplitude
-    return matrix, channel.amplitude
+    if kind not in elements:
+        op = build_operator(kind, spec).matrix
+        if kind == "dH_dphi_ext":
+            op = 2.0 * math.pi * op
+        i, j = levels
+        elements[kind] = tuple(_matrix_element(sol, op, a, b) for a, b in ((j, i), (i, i), (j, j)))
+    return elements[kind]
 
 
 def relaxation_rates(
@@ -235,13 +237,16 @@ def relaxation_rates(
     conventions: RateConventions | None = None,
     solution: EigenSolution | None = None,
     levels: tuple[int, int] = (0, 1),
+    *,
+    _elements: dict | None = None,
 ) -> CoherenceReport:
     """Golden-rule relaxation rates, per channel, at omega = omega_q.
 
     Gamma_1^lambda = scale/hbar^2 |<1|dH/dlambda|0>|^2 S_lambda(omega);
     Gamma_1^diel = scale*hbar |<1|phi|0>|^2 S_diel(omega). Each operator
     is built once per call, also where the 1/f and ohmic channels of one
-    charge share it; only its matrix element is kept.
+    charge share it; only its matrix elements are kept, in ``_elements``
+    when given (see ``coherence_report``).
     """
     if not channels:
         raise CoherenceError("channel list is empty")
@@ -256,7 +261,7 @@ def relaxation_rates(
         )
     omega = 2.0 * math.pi * omega_q_ghz * GHZ  # angular, rad/s
     report = CoherenceReport()
-    elements: dict[str, complex] = {}  # operator kind -> <j|dH/dlambda|i>
+    elements = {} if _elements is None else _elements
     for ch in channels:
         if ch.kind == "dielectric":
             phi_op = build_operator("phi_grid", spec).matrix
@@ -264,14 +269,12 @@ def relaxation_rates(
             s = _spectral_dielectric(ch.amplitude, omega, spec.ec, env, conv)
             rate_si = HBAR * m2 * s
         else:
-            kind = _NOISE_OPERATOR_KIND[ch.kind]
-            if kind not in elements:
-                op, _ = _noise_operator(ch, spec)
-                elements[kind] = _matrix_element(sol, op, j, i)
+            element = _noise_elements(spec, _NOISE_OPERATOR_KIND[ch.kind], sol, levels,
+                                      elements)[0]
             amp = ch.amplitude
             if ch.kind.startswith("charge"):
                 amp = conv.charge_amp(amp)
-            m = elements[kind] * H_PLANCK * GHZ  # J per unit lambda
+            m = element * H_PLANCK * GHZ  # J per unit lambda
             if ch.kind.endswith("1f") or "1f" in ch.kind:
                 s = _spectral_1f(amp, omega)
             else:
@@ -292,13 +295,12 @@ def hellmann_feynman_slope(
     lambda is Phi/Phi_0 for flux and the offset charge (Cooper pairs)
     for charge channels.
     """
-    probe = NoiseChannel(channel_kind, 1.0)
-    op, _ = _noise_operator(probe, spec)
+    kind = _NOISE_OPERATOR_KIND.get(channel_kind)
+    if kind is None:
+        raise CoherenceError(f"channel {channel_kind} has no dH/dlambda operator")
     sol = solution if solution is not None else qubit_eigensolution(spec, max(levels) + 2)
-    i, j = levels
-    return float(
-        (_matrix_element(sol, op, j, j) - _matrix_element(sol, op, i, i)).real
-    )
+    _, e_i, e_j = _noise_elements(spec, kind, sol, levels, {})
+    return float((e_j - e_i).real)
 
 
 def dephasing_rate_from_slope(
@@ -325,11 +327,14 @@ def dephasing_rates(
     conventions: RateConventions | None = None,
     solution: EigenSolution | None = None,
     levels: tuple[int, int] = (0, 1),
+    *,
+    _elements: dict | None = None,
 ) -> CoherenceReport:
     """First-order 1/f dephasing rates per channel.
 
     Only the 1/f channels dephase at first order; ohmic and dielectric
-    channels contribute zero here.
+    channels contribute zero here. Matrix elements are taken from, and
+    added to, ``_elements`` when given (see ``coherence_report``).
     """
     if not channels:
         raise CoherenceError("channel list is empty")
@@ -340,6 +345,7 @@ def dephasing_rates(
     if abs(omega_q) < 1e-12:
         raise CoherenceError("qubit splitting is zero; dephasing slope ill-defined")
     report = CoherenceReport()
+    elements = {} if _elements is None else _elements
     for ch in channels:
         if ch.kind not in ("flux_1f", "charge_1f_phi", "charge_1f_theta"):
             report.gammaphi_by_channel[ch.kind] = 0.0
@@ -347,7 +353,8 @@ def dephasing_rates(
         amp = ch.amplitude
         if ch.kind.startswith("charge"):
             amp = conv.charge_amp(amp)
-        slope = hellmann_feynman_slope(spec, ch.kind, solution=sol, levels=levels)
+        _, e_i, e_j = _noise_elements(spec, _NOISE_OPERATOR_KIND[ch.kind], sol, levels, elements)
+        slope = float((e_j - e_i).real)
         report.gammaphi_by_channel[ch.kind] = dephasing_rate_from_slope(slope, amp, env)
     return report
 
@@ -359,11 +366,18 @@ def coherence_report(
     conventions: RateConventions | None = None,
     levels: tuple[int, int] = (0, 1),
 ) -> CoherenceReport:
-    """Combined T1/Tphi/T2 report over the default or given channels."""
+    """Combined T1/Tphi/T2 report over the default or given channels.
+
+    Relaxation and dephasing share one eigensolution and one set of
+    noise-operator matrix elements, so each operator is built once.
+    """
     channels = channels if channels is not None else default_channels()
     sol = qubit_eigensolution(spec, max(levels) + 2)
-    g1 = relaxation_rates(spec, channels, env, conventions, solution=sol, levels=levels)
-    gphi = dephasing_rates(spec, channels, env, conventions, solution=sol, levels=levels)
+    elements: dict = {}
+    g1 = relaxation_rates(spec, channels, env, conventions, solution=sol, levels=levels,
+                          _elements=elements)
+    gphi = dephasing_rates(spec, channels, env, conventions, solution=sol, levels=levels,
+                           _elements=elements)
     g1.gammaphi_by_channel = gphi.gammaphi_by_channel
     return g1
 

@@ -201,7 +201,7 @@ class PropagationSettings:
     method: str = "per_step_exponential"
     subspace_k: int = 24
     per_qubit_m: int = 12
-    alpha_grid: float | None = 1e-3  # None: diagonalize every step (exact frame)
+    alpha_grid: float = 1e-3  # spacing of the two-qubit frame nodes
     sample_interval_ns: float = 0.1
     spectral_k: int = 8
     norm_tolerance: float = 1e-6
@@ -211,6 +211,8 @@ class PropagationSettings:
             raise PropagationError("steps_per_ns must be >= 50")
         if self.method not in ("per_step_exponential", "integrator"):
             raise PropagationError(f"unknown method {self.method!r}")
+        if not (isinstance(self.alpha_grid, (int, float)) and 0.0 < self.alpha_grid < math.inf):
+            raise PropagationError(f"alpha_grid must be positive, got {self.alpha_grid!r}")
 
 
 @dataclass
@@ -241,10 +243,11 @@ class Trajectory:
 class _CircuitEngine:
     """Cached alpha-linear Hamiltonian pieces, sector-restricted if possible.
 
-    Dense h0 and h1 serve the dense eigensolvers; the propagators and
-    the shift-invert sample solves use CSR copies on the common sparsity
-    pattern of h0, h1, n1 and the diagonal, so any H(alpha, drive) is one
-    linear combination of three data vectors.
+    Dense h0, h1 and the drive operator n1 serve the dense eigensolvers
+    and the two-qubit frames; the propagators and the shift-invert sample
+    solves use CSR copies on the common sparsity pattern of h0, h1, n1
+    and the diagonal, so any H(alpha, drive) is one linear combination of
+    three data vectors.
     """
 
     def __init__(self, spec: CircuitSpec, charging_scale: float = 1.0):
@@ -259,15 +262,15 @@ class _CircuitEngine:
         ix = np.ix_(self.indices, self.indices)
         self.h0 = h0[ix]
         self.h1 = h1[ix]
-        n1 = n1[ix]
+        self.n1 = n1[ix]
         self.dim = self.indices.size
         pattern = scipy.sparse.csr_matrix(
-            (self.h0 != 0) | (self.h1 != 0) | (n1 != 0) | np.eye(self.dim, dtype=bool)
+            (self.h0 != 0) | (self.h1 != 0) | (self.n1 != 0) | np.eye(self.dim, dtype=bool)
         )
         self._indptr, self._indices = pattern.indptr, pattern.indices
         rows = np.repeat(np.arange(self.dim), np.diff(self._indptr))
         self._diag = np.flatnonzero(rows == self._indices)
-        self._data = [m[rows, self._indices].astype(complex) for m in (self.h0, self.h1, n1)]
+        self._data = [m[rows, self._indices].astype(complex) for m in (self.h0, self.h1, self.n1)]
         # diagonal means of the three pieces; that of H(alpha, drive) is linear in them
         self._diag_means = [float(d[self._diag].real.mean()) for d in self._data]
 
@@ -548,19 +551,10 @@ class TwoQubitFrame:
         ]
         if not self.identical:
             self._q_engines.append(_CircuitEngine(coupled.qubit2, coupled.charging_scale))
-        c1 = coupled.qubit1.cutoff
-        n_diag = np.arange(-c1, c1 + 1).astype(float)
-        d1 = 2 * c1 + 1
-        self._n1_full = np.kron(np.diag(n_diag), np.eye(d1))
         self._nodes: dict[int, dict] = {}
 
     def _node_key(self, alpha: float) -> int:
-        if self.grid is None:
-            raise PropagationError("grid-free frames have no node keys")
         return int(round(alpha / self.grid))
-
-    def node_alpha(self, alpha: float) -> float:
-        return self._node_key(alpha) * self.grid if self.grid is not None else alpha
 
     def _qubit_eigs(self, engine: _CircuitEngine, alpha: float,
                     prev: dict | None) -> tuple[np.ndarray, np.ndarray]:
@@ -582,18 +576,14 @@ class TwoQubitFrame:
             e, b = self._qubit_eigs(engine, alpha, prev_q)
             eps.append(e)
             bs.append(b)
-            n1p.append(b.conj().T @ (self._n1_full @ b))
+            n1p.append(b.conj().T @ (engine.n1 @ b))
         if self.identical:  # second qubit shares the first one's eigenframe
             eps.append(eps[0])
             bs.append(bs[0])
             n1p.append(n1p[0])
         node["eps"] = [eps[0], eps[1]]
         node["b"] = [bs[0], bs[1]]
-        h = (
-            np.kron(np.diag(eps[0]), np.eye(self.m))
-            + np.kron(np.eye(self.m), np.diag(eps[1]))
-            + self.coupled.coupling_energy * np.kron(n1p[0], n1p[1])
-        )
+        h = self.coupled.product_hamiltonian(eps, n1p)
         e_c, w = scipy.linalg.eigh(h, subset_by_index=(0, self.k - 1))
         if prev is not None:
             # Align W in the shared product label space after correcting
@@ -613,8 +603,6 @@ class TwoQubitFrame:
 
     def ensure_range(self, alpha_lo: float) -> None:
         """Build grid nodes from alpha = 1 down to alpha_lo, aligned."""
-        if self.grid is None:
-            return
         key_top = self._node_key(1.0)
         key_lo = self._node_key(alpha_lo)
         prev = self._nodes.get(key_top)
@@ -636,8 +624,6 @@ class TwoQubitFrame:
 
     def energies(self, alpha: float) -> np.ndarray:
         """Linear interpolation of the coupled energies between nodes."""
-        if self.grid is None:
-            raise PropagationError("exact frames interpolate nothing")
         lo = math.floor(alpha / self.grid)
         hi = lo + 1
         a_lo, a_hi = lo * self.grid, hi * self.grid
@@ -705,15 +691,13 @@ def propagate_subspace_unitary(
 ) -> Trajectory:
     """Accumulate the k x k unitary in the moving eigenframe.
 
-    On an alpha grid the frame is that of the nearest node. It switches
+    The frame is that of the nearest node of the alpha grid. It switches
     at the exact time alpha(t) passes the midpoint between two nodes,
     where U <- R U with R the unitary part of V(new)^dag V(old). Between
     switches the generator is diagonal, 2*pi*E(alpha(t)) with E
     interpolated linearly between nodes, and its phases are integrated
     in closed form; U therefore does not depend on the step grid, which
-    only places the samples. With ``alpha_grid=None`` the frame is
-    diagonalized at every step and U <- exp(-i*(2*pi*diag(E) - i*K)*dt) U
-    with K = antihermitian part of (V^dag(t) V(t+dt) - 1)/dt.
+    only places the samples.
     """
     settings = settings or PropagationSettings(steps_per_ns=286)
     frame = frame or TwoQubitFrame(coupled, settings)
@@ -738,24 +722,6 @@ def propagate_subspace_unitary(
         times.append(t)
         unitaries.append(u.copy())
         phase_log.append(phases.copy())
-
-    if frame.grid is None:
-        exact_prev = frame._build_node(profile.alpha(profile.t_start), None)
-        t = profile.t_start
-        for step in range(1, n_steps + 1):
-            t_next = t + dt
-            node_next = frame._build_node(profile.alpha(t_next), exact_prev)
-            e_mid = 0.5 * (exact_prev["e"] + node_next["e"])
-            a_fd = (frame.frame_overlap(exact_prev, node_next) - np.eye(k)) / dt
-            gen = 2.0 * math.pi * np.diag(e_mid) - 0.5j * (a_fd - a_fd.conj().T)
-            evals, evecs = np.linalg.eigh(gen)
-            u = (evecs * np.exp(-1j * evals * dt)) @ evecs.conj().T @ u
-            phases = phases + 2.0 * math.pi * e_mid * dt
-            exact_prev = node_next
-            t = t_next
-            if step in sample_steps:
-                record(t)
-        return _subspace_trajectory(times, unitaries, phase_log)
 
     frame.ensure_range(profile.alpha_min)
     sample_at = {profile.t_start + s * dt for s in sample_steps if s < n_steps}
@@ -785,10 +751,6 @@ def propagate_subspace_unitary(
             u = np.exp(-1j * pending)[:, None] * u
             pending[:] = 0.0
             record(t_next)
-    return _subspace_trajectory(times, unitaries, phase_log)
-
-
-def _subspace_trajectory(times, unitaries, phase_log) -> Trajectory:
     return Trajectory(
         times=np.array(times),
         states=unitaries,

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .circuit import CircuitSpec, CoupledSpec, Variant, build_operator
+from .circuit import CircuitSpec, CoupledSpec, build_operator, hamiltonian_decomposition
 from .coherence import (
     Environment,
     NoiseChannel,
@@ -416,11 +416,7 @@ def calibrate_drive(
 def _computational_block(frame: TwoQubitFrame, final: np.ndarray) -> tuple[np.ndarray, float]:
     """4 x 4 block of a frame-coordinate map on the dressed computational
     basis at alpha = 1, and its leakage 1 - |U_comp|_F^2 / 4."""
-    if frame.grid is not None:
-        top = frame.node(1.0)
-    else:
-        top = frame._build_node(1.0, None)
-    proj = frame.computational_projector(top)  # k x 4
+    proj = frame.computational_projector(frame.node(1.0))  # k x 4
     u_comp = proj.conj().T @ final @ proj
     return u_comp, 1.0 - 0.25 * float(np.sum(np.abs(u_comp) ** 2))
 
@@ -503,22 +499,18 @@ def run_two_qubit_gate(
 def _coupled_hamiltonian(
     coupled: CoupledSpec, alpha1: float, alpha2: float, m: int = 12
 ) -> np.ndarray:
-    """m^2-dimensional coupled Hamiltonian in the bare-product basis."""
-    from .evolve import _CircuitEngine
+    """m^2-dimensional coupled Hamiltonian in the bare-product basis.
 
-    e_list, n1p = [], []
+    Each qubit's H(alpha) = H_const + alpha * H_barrier is the split the
+    two-qubit frames diagonalize.
+    """
+    energies, n1p = [], []
     for q, a in ((coupled.qubit1, alpha1), (coupled.qubit2, alpha2)):
-        engine = _CircuitEngine(q.with_alpha(a), coupled.charging_scale)
-        e, b = scipy.linalg.eigh(engine.hamiltonian(a), subset_by_index=(0, m - 1))
-        c = q.cutoff
-        n1 = np.kron(np.diag(np.arange(-c, c + 1).astype(float)), np.eye(2 * c + 1))
-        e_list.append(e)
-        n1p.append(b.conj().T @ (n1 @ b))
-    return (
-        np.kron(np.diag(e_list[0]), np.eye(m)).astype(complex)
-        + np.kron(np.eye(m), np.diag(e_list[1]))
-        + coupled.coupling_energy * np.kron(n1p[0], n1p[1])
-    )
+        h0, h1 = hamiltonian_decomposition(q, coupled.charging_scale)
+        e, b = scipy.linalg.eigh(h0 + a * h1, subset_by_index=(0, m - 1))
+        energies.append(e)
+        n1p.append(b.conj().T @ (build_operator("n1", q).matrix @ b))
+    return coupled.product_hamiltonian(energies, n1p)
 
 
 def zz_strength(

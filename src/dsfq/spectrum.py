@@ -255,7 +255,6 @@ def sweep(spec: CircuitSpec, parameter: str, values, quantity: str = "energies",
         raise SpectrumError("sweep values must be finite")
     k_eff = max(k, 3)
     rows = []
-    solutions: list[EigenSolution] = []
     previous: EigenSolution | None = None
     for value in values:
         sol = qubit_eigensolution(_spec_with(spec, parameter, value), k_eff)
@@ -263,7 +262,6 @@ def sweep(spec: CircuitSpec, parameter: str, values, quantity: str = "energies",
             sol = align_gauge(previous, sol, min_overlap=0.0)
             _check_pair_continuity(previous, sol, f"{parameter} = {value}")
         previous = sol
-        solutions.append(sol)
         qp = qubit_params(sol)
         rows.append((sol.energies.copy(), qp.omega_q, qp.anharmonicity))
     out: dict[str, np.ndarray] = {parameter: values}
@@ -273,5 +271,4 @@ def sweep(spec: CircuitSpec, parameter: str, values, quantity: str = "energies",
         out["omega_q"] = np.array([r[1] for r in rows])
     else:
         out["anharmonicity"] = np.array([r[2] for r in rows])
-    out["_solutions"] = solutions  # kept for callers that stitch further
     return out

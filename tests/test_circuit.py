@@ -12,6 +12,7 @@ from dsfq.circuit import (
     Variant,
     build_hamiltonian,
     build_operator,
+    gradiometric_loop_dflux,
     hamiltonian_decomposition,
     phase_grid_points,
     physical_sector_indices,
@@ -85,14 +86,22 @@ def test_parity_symmetry_at_half_flux():
     assert np.abs(e1 - e2).max() < 1e-10
 
 
-@pytest.mark.parametrize("kind", ["dH_dphi_ext", "dH_dng_phi", "dH_dng_theta"])
-@pytest.mark.parametrize("variant", [Variant.SINGLE_LOOP, Variant.NODE_BASIS])
-def test_derivative_operators_match_finite_differences(kind, variant):
+@pytest.mark.parametrize("variant, kind", [
+    (variant, kind)
+    for variant in (Variant.SINGLE_LOOP, Variant.NODE_BASIS)
+    for kind in ("dH_dphi_ext", "dH_dng_phi", "dH_dng_theta")
+] + [
+    (Variant.GRADIOMETRIC, kind)
+    for kind in ("dH_dng_phi", "dH_dng_theta", "dH_dphi_ext1", "dH_dphi_ext2")
+])
+def test_derivative_operators_match_finite_differences(variant, kind):
     import dataclasses
-    spec = CircuitSpec(variant=variant, ej=10, ec=0.1, alpha=1.0,
-                       phi_ext=0.98 * math.pi, ng_phi=0.1, ng_theta=-0.2, cutoff=4)
+    spec = CircuitSpec(variant=variant, ej=10, ec=0.1, alpha=1.0, alpha1=0.8, alpha2=0.9,
+                       phi_ext=0.98 * math.pi, phi_ext1=0.97 * math.pi,
+                       phi_ext2=-1.02 * math.pi, ng_phi=0.1, ng_theta=-0.2, cutoff=4)
     field = {"dH_dphi_ext": "phi_ext", "dH_dng_phi": "ng_phi",
-             "dH_dng_theta": "ng_theta"}[kind]
+             "dH_dng_theta": "ng_theta", "dH_dphi_ext1": "phi_ext1",
+             "dH_dphi_ext2": "phi_ext2"}[kind]
     step = 1e-6
     hp = build_hamiltonian(
         dataclasses.replace(spec, **{field: getattr(spec, field) + step})
@@ -101,7 +110,10 @@ def test_derivative_operators_match_finite_differences(kind, variant):
         dataclasses.replace(spec, **{field: getattr(spec, field) - step})
     ).matrix
     fd = (hp - hm) / (2 * step)
-    analytic = build_operator(kind, spec).matrix
+    if field in ("phi_ext1", "phi_ext2"):
+        analytic = gradiometric_loop_dflux(spec, int(field[-1])).matrix
+    else:
+        analytic = build_operator(kind, spec).matrix
     scale = np.abs(analytic).max()
     assert np.abs(analytic - fd).max() <= 1e-6 * max(scale, 1.0)
 
@@ -211,9 +223,15 @@ def test_cutoff_convergence_lowest_five():
 
 
 def test_hamiltonian_decomposition_linearity():
-    h0, h1 = hamiltonian_decomposition(DEFAULT)
-    direct = build_hamiltonian(DEFAULT.with_alpha(0.73)).matrix
-    assert np.abs(h0 + 0.73 * h1 - direct).max() < 1e-12 * np.abs(direct).max()
+    # one test over the three variants; the charging scale enters H_const only
+    for variant in Variant:
+        spec = CircuitSpec(variant=variant, alpha1=0.6, alpha2=0.9, phi_ext=0.997 * math.pi,
+                           phi_ext1=0.99 * math.pi, phi_ext2=-1.01 * math.pi, ng_phi=0.1,
+                           cutoff=6)
+        h0, h1 = hamiltonian_decomposition(spec, charging_scale=0.8)
+        direct = build_hamiltonian(spec.with_alpha(0.73), charging_scale=0.8).matrix
+        assert np.abs(h0 + 0.73 * h1 - direct).max() < 1e-12 * np.abs(direct).max()
+        assert np.abs(h0 - build_hamiltonian(spec.with_alpha(0.0), 0.8).matrix).max() == 0.0
 
 
 def test_sector_indices_partition():

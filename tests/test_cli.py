@@ -1,8 +1,9 @@
+import json
 import math
 
 import pytest
 
-from dsfq.cli import ConfigError, _circuit_from, run, validate_config
+from dsfq.cli import ConfigError, _circuit_from, main, run, validate_config
 
 
 def _gate_config(**circuit):
@@ -32,7 +33,7 @@ def test_phase_expression_outside_whitelist_is_rejected(phase):
         validate_config(_gate_config(phi_ext=phase))
 
 
-def test_validate_config_rejects_bad_structure():
+def test_validate_config_rejects_bad_structure(tmp_path):
     good = _gate_config()
     validate_config(good)
     with pytest.raises(ConfigError, match="schema_version"):
@@ -43,6 +44,14 @@ def test_validate_config_rejects_bad_structure():
         validate_config(_gate_config(colour="blue"))
     with pytest.raises(ConfigError, match="unknown keys in params"):
         validate_config({**good, "params": {"points": 3}})
+    # a bad variant, a wrongly typed field and an out-of-range value
+    for bad in ({"variant": "nonsense"}, {"cutoff": "twelve"}, {"ej": -1.0}):
+        with pytest.raises(ConfigError, match="invalid circuit block"):
+            validate_config(_gate_config(**bad))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_gate_config(**bad)))
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
 
 
 def test_rerun_writes_byte_identical_csvs(tmp_path):

@@ -74,6 +74,14 @@ def test_each_noise_operator_built_once_per_call(monkeypatch):
     for ch in channels:
         alone = relaxation_rates(OPERATING, [ch], solution=sol).gamma1_by_channel
         assert alone[ch.kind] == together[ch.kind]
+    # coherence_report shares them between relaxation and dephasing, and
+    # its rates stay bit-identical to the two calls made on their own
+    built.clear()
+    report = coherence_report(OPERATING, channels)
+    assert sorted(built) == ["dH_dng_phi", "dH_dng_theta", "dH_dphi_ext", "phi_grid"]
+    assert report.gamma1_by_channel == together
+    assert report.gammaphi_by_channel == dephasing_rates(
+        OPERATING, channels, solution=sol).gammaphi_by_channel
 
 
 def test_hellmann_feynman_matches_finite_difference():

@@ -70,6 +70,9 @@ def test_settings_validation():
         PropagationSettings(steps_per_ns=20)
     with pytest.raises(PropagationError):
         PropagationSettings(method="magic")
+    for grid in (None, 0.0, -1e-3, float("nan")):
+        with pytest.raises(PropagationError, match="alpha_grid"):
+            PropagationSettings(alpha_grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +247,20 @@ def test_two_qubit_step_doubling(coupled_frame):
     s2 = dataclasses.replace(settings, steps_per_ns=572)
     t2 = propagate_subspace_unitary(cpl, prof, s2, frame=frame)
     assert np.abs(t1.final - t2.final).max() < 1e-5
+
+
+def test_frame_grid_refinement(coupled_frame):
+    # Halving the alpha grid moved the round-trip populations by 1.2e-5
+    # when the node-midpoint frame switches came in, 3.0e-6 now.
+    import dataclasses
+    cpl, settings, frame = coupled_frame
+    profile = AlphaProfile.two_qubit(20.0, 0.0)
+    fine_settings = dataclasses.replace(settings, alpha_grid=5e-4)
+    populations = []
+    for s, f in ((settings, frame), (fine_settings, TwoQubitFrame(cpl, fine_settings))):
+        traj = propagate_subspace_unitary(cpl, profile, s, frame=f)
+        populations.append(np.abs(_computational_block(f, traj.final)[0]) ** 2)
+    assert np.abs(populations[0] - populations[1]).max() < 3e-5
 
 
 def test_computational_projector_is_dressed_basis():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from dsfq import gates
 from dsfq.circuit import CircuitSpec, CoupledSpec, Variant
 from dsfq.evolve import PropagationSettings
+from dsfq.spectrum import qubit_eigensolution
 from dsfq.gates import (
     _z_dressing,
+    effective_couplings,
     fsim_decompose,
     fsim_unitary,
     gate_fidelity,
@@ -55,6 +58,23 @@ def test_zz_vanishes_without_coupling():
     assert info["min_overlap"] == pytest.approx(1.0, abs=1e-12)
     coupled, _ = zz_strength(CoupledSpec(q, detuned, cg_ratio=0.3), 0.8, 0.9)
     assert abs(coupled) > 1e3 * abs(zeta)
+
+
+def test_effective_couplings_vanish_without_coupling():
+    # Uncoupled, the product levels are the bare qubit levels: no exchange,
+    # no ZZ, and each qubit's frequency is its own E1 - E0.
+    q = q_node()
+    detuned = replace(q, ej=10.5)
+    uncoupled = CoupledSpec(q, detuned, cg_ratio=0.0)
+    omega1, omega2, g_xy, g_z, info = effective_couplings(uncoupled, 0.8, m=6)
+    assert g_xy == 0.0
+    assert abs(g_z) < 1e-12
+    assert info["model_valid"] and info["residual"] == 0.0
+    for omega, spec in ((omega1, q), (omega2, detuned)):
+        e = qubit_eigensolution(spec.with_alpha(0.8), 2,
+                                charging_scale=uncoupled.charging_scale).energies
+        assert omega == pytest.approx(e[1] - e[0], abs=1e-10)
+    assert effective_couplings(CoupledSpec(q, detuned, cg_ratio=0.3), 0.8, m=6)[2] > 1e-3
 
 
 def test_two_qubit_gate_scores_with_the_decomposition_fit(monkeypatch):
