@@ -64,6 +64,10 @@ class ConfigError(ValueError):
 
 _CIRCUIT_KEYS = {f.name for f in dc_fields(CircuitSpec)}
 
+# Largest charge cutoff a config may ask for: (2*23 + 1)^2 = 2209 basis
+# states, 78 MB per dense complex operator (cutoff 60: 3.4 GB).
+MAX_CUTOFF = 23
+
 _COMMON_KEYS = {
     "schema_version",
     "experiment",
@@ -132,6 +136,10 @@ def _circuit_from(cfg: dict) -> CircuitSpec:
     for key in ("phi_ext", "phi_ext1", "phi_ext2"):
         if key in block and isinstance(block[key], str):
             block[key] = _phase_value(block[key])
+    cutoff = block.get("cutoff", 12)
+    if type(cutoff) is not int or not 1 <= cutoff <= MAX_CUTOFF:
+        raise ConfigError(f"invalid circuit block: cutoff {cutoff!r} is not an "
+                          f"integer in [1, {MAX_CUTOFF}]")
     try:
         if "variant" in block:
             block["variant"] = Variant(block["variant"])

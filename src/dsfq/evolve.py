@@ -2,6 +2,11 @@
 state evolution, and truncated moving-eigenframe propagation for two
 coupled qubits.
 
+Both propagators use one object per qubit, ``_CircuitEngine``: H(alpha)
+= h0 + alpha*h1 (+ drive*n1) in CSR form only, with one dense solve for
+the lowest levels. Every ``propagate_state`` step is one fourth-order
+commutator-free Magnus step.
+
 Phases follow the h GHz / ns unit system: a step propagator is
 exp(-i * 2*pi * H * dt) with H in h GHz and dt in ns. The moving-frame
 generator adds the frame term -i V^dag dV/dt, which carries 1/ns
@@ -241,42 +246,35 @@ class Trajectory:
 
 
 class _CircuitEngine:
-    """Cached alpha-linear Hamiltonian pieces, sector-restricted if possible.
+    """H(alpha, drive) = h0 + alpha*h1 + drive*n1 of one circuit, in its
+    physical sector where it has one, held only in CSR form.
 
-    Dense h0, h1 and the drive operator n1 serve the dense eigensolvers
-    and the two-qubit frames; the propagators and the shift-invert sample
-    solves use CSR copies on the common sparsity pattern of h0, h1, n1
-    and the diagonal, so any H(alpha, drive) is one linear combination of
-    three data vectors.
+    The three pieces share one sparsity pattern, that of h0 and h1 plus
+    the diagonal, so any H(alpha, drive) is one linear combination of
+    three data vectors. ``n1`` is diagonal in the charge basis and kept
+    as a vector. A dense H exists only inside ``lowest``.
     """
 
     def __init__(self, spec: CircuitSpec, charging_scale: float = 1.0):
-        self.spec = spec
         h0, h1 = hamiltonian_decomposition(spec, charging_scale)
-        n1 = build_operator("n1", spec).matrix
         self.full_dim = h0.shape[0]
         if spec.variant is Variant.SINGLE_LOOP:
             self.indices = physical_sector_indices(spec.basis, 0)
         else:
             self.indices = np.arange(self.full_dim)
-        ix = np.ix_(self.indices, self.indices)
-        self.h0 = h0[ix]
-        self.h1 = h1[ix]
-        self.n1 = n1[ix]
+        self.n1 = np.diag(build_operator("n1", spec).matrix)[self.indices]
         self.dim = self.indices.size
-        pattern = scipy.sparse.csr_matrix(
-            (self.h0 != 0) | (self.h1 != 0) | (self.n1 != 0) | np.eye(self.dim, dtype=bool)
-        )
+        ix = np.ix_(self.indices, self.indices)
+        h0, h1 = h0[ix], h1[ix]
+        pattern = scipy.sparse.csr_matrix((h0 != 0) | (h1 != 0) | np.eye(self.dim, dtype=bool))
         self._indptr, self._indices = pattern.indptr, pattern.indices
         rows = np.repeat(np.arange(self.dim), np.diff(self._indptr))
         self._diag = np.flatnonzero(rows == self._indices)
-        self._data = [m[rows, self._indices].astype(complex) for m in (self.h0, self.h1, self.n1)]
+        dn = np.zeros(self._indices.size, dtype=complex)
+        dn[self._diag] = self.n1
+        self._data = [h0[rows, self._indices], h1[rows, self._indices], dn]
         # diagonal means of the three pieces; that of H(alpha, drive) is linear in them
         self._diag_means = [float(d[self._diag].real.mean()) for d in self._data]
-
-    def hamiltonian(self, alpha: float) -> np.ndarray:
-        """Dense drive-free H(alpha) for the eigensolvers."""
-        return self.h0 + alpha * self.h1
 
     def sparse_hamiltonian(self, alpha: float, drive: float = 0.0,
                            shift: float = 0.0) -> scipy.sparse.csr_matrix:
@@ -316,6 +314,11 @@ class _CircuitEngine:
                 acc += term
             psi = acc
         return np.exp(-2j * math.pi * shift * dt) * psi
+
+    def lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Lowest k eigenpairs of the drive-free H(alpha), by a dense solve."""
+        return scipy.linalg.eigh(self.sparse_hamiltonian(alpha).toarray(),
+                                 subset_by_index=(0, k - 1))
 
     def lowest_below(self, alpha: float, k: int, shift: float,
                      start: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -363,6 +366,14 @@ _CF4_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _CF4_WEIGHTS = ((3.0 + 2.0 * math.sqrt(3.0)) / 12.0, (3.0 - 2.0 * math.sqrt(3.0)) / 12.0)
 
 
+def _step_grid(profile: AlphaProfile, settings: PropagationSettings) -> tuple[int, float, int]:
+    """(n_steps, dt, sample stride in steps) of a schedule: the number of
+    steps per ns the settings ask for, rounded to whole steps."""
+    n_steps = max(1, int(round(profile.duration * settings.steps_per_ns)))
+    dt = profile.duration / n_steps
+    return n_steps, dt, max(1, int(round(settings.sample_interval_ns / dt)))
+
+
 def _rk4_step(h_of_t, psi: np.ndarray, t: float, dt: float) -> np.ndarray:
     def deriv(tt, y):
         return -2j * math.pi * (h_of_t(tt) @ y)
@@ -391,8 +402,7 @@ def propagate_state(
     a trailing column axis (see ``Trajectory``); for a vector they do not.
 
     The default method takes fourth-order commutator-free Magnus (CF4)
-    steps through the sparse sector Hamiltonian; a drive-free step at
-    constant alpha uses the exact propagator of that alpha, cached.
+    steps through the sparse sector Hamiltonian, every step alike.
     ``method="integrator"`` takes classic RK4 steps of H - E_ref, with
     E_ref the lowest level at ``t_start`` and its phase restored in
     closed form. Spectral weights against gauge-aligned instantaneous
@@ -400,7 +410,7 @@ def propagate_state(
     eigenphases. Each sample after the first is solved by shift-invert
     Lanczos below the previous sample's ground level; a result that
     fails its residual bound or the qubit-pair continuity check is
-    replaced by a dense solve.
+    replaced by a dense solve, as is the first sample.
     """
     settings = settings or PropagationSettings()
     engine = _CircuitEngine(spec, charging_scale)
@@ -411,26 +421,11 @@ def propagate_state(
     if np.abs(norm0 - 1.0).max() > 1e-8:
         raise PropagationError(f"initial state norm {norm0} is not 1")
 
-    total = profile.duration
-    n_steps = max(1, int(round(total * settings.steps_per_ns)))
-    dt = total / n_steps
-    sample_stride = max(1, int(round(settings.sample_interval_ns / dt)))
+    n_steps, dt, sample_stride = _step_grid(profile, settings)
     k_spec = settings.spectral_k
 
-    # The full eigensolution for exact steps is reused while alpha stays
-    # put, as on the plateau; ramp alphas are never revisited, so nothing
-    # older is kept.
-    exact: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    def exact_eigs(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        if alpha not in exact:
-            exact.clear()
-            exact[alpha] = np.linalg.eigh(engine.hamiltonian(alpha))
-        return exact[alpha]
-
     def dense_sample(alpha: float) -> EigenSolution:
-        e, v = scipy.linalg.eigh(engine.hamiltonian(alpha), subset_by_index=(0, k_spec - 1))
-        return EigenSolution(e, v, None, k_spec)
+        return EigenSolution(*engine.lowest(alpha, k_spec), None, k_spec)
 
     def sample_solution(alpha: float, ref: EigenSolution, where: str) -> EigenSolution:
         """Lowest k_spec eigenstates at alpha, gauge-aligned to ``ref``.
@@ -475,15 +470,11 @@ def propagate_state(
             t1, t2 = t + _CF4_NODES[0] * dt, t + _CF4_NODES[1] * dt
             a1, a2 = profile.alpha(t1), profile.alpha(t2)
             d1, d2 = drive_at(t1), drive_at(t2)
-            if d1 == 0.0 and d2 == 0.0 and profile.alpha(t) == profile.alpha(t + dt):
-                e, v = exact_eigs(profile.alpha(t))
-                psi = v @ (np.exp(-2j * math.pi * e * dt)[:, None] * (v.conj().T @ psi))
-            else:
-                # each factor is exp(-i*2*pi*(dt/2)*H(alpha_eff, drive_eff))
-                # since the two weights of a factor sum to 1/2
-                for w_1, w_2 in (_CF4_WEIGHTS, _CF4_WEIGHTS[::-1]):
-                    psi = engine.expi_apply(2.0 * (w_1 * a1 + w_2 * a2),
-                                            2.0 * (w_1 * d1 + w_2 * d2), 0.5 * dt, psi)
+            # each factor is exp(-i*2*pi*(dt/2)*H(alpha_eff, drive_eff))
+            # since the two weights of a factor sum to 1/2
+            for w_1, w_2 in (_CF4_WEIGHTS, _CF4_WEIGHTS[::-1]):
+                psi = engine.expi_apply(2.0 * (w_1 * a1 + w_2 * a2),
+                                        2.0 * (w_1 * d1 + w_2 * d2), 0.5 * dt, psi)
         else:
             psi = _rk4_step(shifted_h, psi, t, dt) * np.exp(-2j * math.pi * e_ref * dt)
         t += dt
@@ -557,32 +548,26 @@ class TwoQubitFrame:
         return int(round(alpha / self.grid))
 
     def _qubit_eigs(self, engine: _CircuitEngine, alpha: float,
-                    prev: dict | None) -> tuple[np.ndarray, np.ndarray]:
-        e, b = scipy.linalg.eigh(engine.hamiltonian(alpha), subset_by_index=(0, self.m - 1))
+                    prev: tuple | None) -> tuple[np.ndarray, np.ndarray]:
+        """Lowest m levels of one qubit, gauge-aligned to ``prev`` = (eps, b)."""
+        e, b = engine.lowest(alpha, self.m)
         if prev is not None:
-            sol = align_gauge(
-                EigenSolution(prev["eps"], prev["b"], None, self.m),
-                EigenSolution(e, b, None, self.m),
-                min_overlap=0.0,
-            )
-            b = sol.states
+            b = align_gauge(EigenSolution(*prev, None, self.m),
+                            EigenSolution(e, b, None, self.m), min_overlap=0.0).states
         return e, b
 
     def _build_node(self, alpha: float, prev: dict | None) -> dict:
-        node: dict = {"alpha": alpha}
         eps, bs, n1p = [], [], []
         for iq, engine in enumerate(self._q_engines):
-            prev_q = None if prev is None else {"eps": prev["eps"][iq], "b": prev["b"][iq]}
+            prev_q = None if prev is None else (prev["eps"][iq], prev["b"][iq])
             e, b = self._qubit_eigs(engine, alpha, prev_q)
             eps.append(e)
             bs.append(b)
-            n1p.append(b.conj().T @ (engine.n1 @ b))
+            n1p.append(b.conj().T @ (engine.n1[:, None] * b))
         if self.identical:  # second qubit shares the first one's eigenframe
             eps.append(eps[0])
             bs.append(bs[0])
             n1p.append(n1p[0])
-        node["eps"] = [eps[0], eps[1]]
-        node["b"] = [bs[0], bs[1]]
         h = self.coupled.product_hamiltonian(eps, n1p)
         e_c, w = scipy.linalg.eigh(h, subset_by_index=(0, self.k - 1))
         if prev is not None:
@@ -591,15 +576,9 @@ class TwoQubitFrame:
             o1 = prev["b"][0].conj().T @ bs[0]
             o2 = prev["b"][1].conj().T @ bs[1]
             w_prev_here = np.kron(o1, o2).conj().T @ prev["w"]
-            sol = align_gauge(
-                EigenSolution(prev["e"], w_prev_here, None, self.k),
-                EigenSolution(e_c, w, None, self.k),
-                min_overlap=0.0,
-            )
-            w = sol.states
-        node["e"] = e_c
-        node["w"] = w
-        return node
+            w = align_gauge(EigenSolution(prev["e"], w_prev_here, None, self.k),
+                            EigenSolution(e_c, w, None, self.k), min_overlap=0.0).states
+        return {"eps": eps, "b": bs, "e": e_c, "w": w}
 
     def ensure_range(self, alpha_lo: float) -> None:
         """Build grid nodes from alpha = 1 down to alpha_lo, aligned."""
@@ -651,12 +630,23 @@ class TwoQubitFrame:
         near-degenerate 01/10 doublet. The columns are orthonormal, and
         without coupling they are the product states themselves.
         """
-        labels = [a * self.m + b for a in (0, 1) for b in (0, 1)]
-        overlaps = node["w"][labels]  # <ab|coupled state>, 4 x k
-        _, picked = scipy.optimize.linear_sum_assignment(-np.abs(overlaps) ** 2)
+        picked, overlaps = _computational_levels(node["w"], self.m)
         proj = np.zeros((self.k, 4), dtype=complex)
         proj[picked] = _unitary_part(overlaps[:, picked]).conj().T
         return proj
+
+
+def _computational_levels(states: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of ``states`` that carry |00>, |01>, |10> and |11>.
+
+    ``states`` is given in a product basis of m levels per qubit, label
+    a*m + b. The four columns are picked, in that order, by maximal total
+    weight |<ab|state>|^2 (Hungarian assignment). Returns the picked
+    column indices and the 4 x n overlaps <ab|state>.
+    """
+    overlaps = states[[a * m + b for a in (0, 1) for b in (0, 1)]]
+    _, picked = scipy.optimize.linear_sum_assignment(-np.abs(overlaps) ** 2)
+    return picked, overlaps
 
 
 def _unitary_part(m: np.ndarray) -> np.ndarray:
@@ -702,10 +692,7 @@ def propagate_subspace_unitary(
     settings = settings or PropagationSettings(steps_per_ns=286)
     frame = frame or TwoQubitFrame(coupled, settings)
 
-    total = profile.duration
-    n_steps = max(1, int(round(total * settings.steps_per_ns)))
-    dt = total / n_steps
-    sample_stride = max(1, int(round(settings.sample_interval_ns / dt)))
+    n_steps, dt, sample_stride = _step_grid(profile, settings)
     sample_steps = {s for s in range(1, n_steps + 1) if s % sample_stride == 0 or s == n_steps}
     k = settings.subspace_k
 

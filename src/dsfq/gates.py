@@ -27,6 +27,7 @@ from .evolve import (
     PropagationSettings,
     Trajectory,
     TwoQubitFrame,
+    _computational_levels,
     propagate_state,
     propagate_subspace_unitary,
 )
@@ -439,7 +440,9 @@ def run_two_qubit_gate(
     ``TwoQubitFrame.computational_projector``), so that leakage counts
     only weight that leaves those states, and scores against ``target``
     (or the idealized fSim at the decomposed angles when no target is
-    given) up to single-qubit z rotations.
+    given) up to single-qubit z rotations. The T1-limited fidelity
+    integrates Gamma_1 of both qubits along the schedule with the default
+    noise channels; ``gamma1``, when given, serves qubit 1.
     """
     if t_a > 70.0:
         raise GateError("T_a > 70 ns lowers alpha below 0.5")
@@ -458,24 +461,18 @@ def run_two_qubit_gate(
         fidelity = info["fidelity_up_to_z"]
     else:
         fidelity = gate_fidelity(u_comp, target, "up_to_z")
+
+    def decay_rates(qubit: CircuitSpec) -> Gamma1Interpolator:
+        return Gamma1Interpolator(qubit, profile.alpha_min, conventions=conventions,
+                                  charging_scale=coupled.charging_scale)
+
     if gamma1 is None:
-        gamma1 = Gamma1Interpolator(
-            coupled.qubit1,
-            profile.alpha_min,
-            channels=[c for c in default_channels() if c.kind != "charge_ohmic_phi"
-                      and c.kind != "charge_ohmic_theta"],
-            conventions=conventions,
-            charging_scale=coupled.charging_scale,
-        )
+        gamma1 = decay_rates(coupled.qubit1)
     decay = gamma1.integrate(profile)
     if coupled.qubit1 == coupled.qubit2:
         decay *= 2.0
     else:
-        gamma2 = Gamma1Interpolator(
-            coupled.qubit2, profile.alpha_min,
-            conventions=conventions, charging_scale=coupled.charging_scale,
-        )
-        decay += gamma2.integrate(profile)
+        decay += decay_rates(coupled.qubit2).integrate(profile)
     return GateReport(
         unitary=u_comp,
         coherent_fidelity=fidelity,
@@ -524,16 +521,11 @@ def zz_strength(
     """
     h = _coupled_hamiltonian(coupled, alpha1, alpha2, m=m)
     energies, states = scipy.linalg.eigh(h, subset_by_index=(0, 7))
-    overlaps = np.zeros((4, energies.size))
-    for idx, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        overlaps[idx] = np.abs(states[a * m + b, :]) ** 2
-    row, col = scipy.optimize.linear_sum_assignment(-overlaps)
-    assignment = dict(zip(row.tolist(), col.tolist()))
-    picked = [assignment[i] for i in range(4)]
-    quality = float(min(overlaps[i, assignment[i]] for i in range(4)))
-    e00, e01, e10, e11 = (energies[picked[i]] for i in range(4))
+    picked, overlaps = _computational_levels(states, m)
+    quality = float((np.abs(overlaps[range(4), picked]) ** 2).min())
+    e00, e01, e10, e11 = energies[picked]
     zeta = float(e00 - e01 - e10 + e11)
-    return zeta, {"levels": picked, "min_overlap": quality}
+    return zeta, {"levels": picked.tolist(), "min_overlap": quality}
 
 
 _HEFF_DESIGN = np.array(

@@ -80,11 +80,15 @@ def test_settings_validation():
 
 
 def test_stationary_state_is_stationary():
+    # CF4 steps at constant alpha reproduce the exact evolution
+    # exp(-2*pi*i*E0*t)|0>, phase included.
     sol = qubit_eigensolution(SPEC, 3)
     traj = propagate_state(SPEC, AlphaProfile.constant(1.0, 4.0), None,
                            sol.state(0), FAST)
-    for state in traj.states:
+    for t, state in zip(traj.times, traj.states):
         assert abs(abs(np.vdot(sol.state(0), state)) - 1.0) < 1e-8
+        exact = np.exp(-2j * math.pi * sol.energies[0] * t) * sol.state(0)
+        assert np.linalg.norm(state - exact) < 1e-10
 
 
 def test_ramp_leakage_and_transition_scales():

@@ -6,7 +6,7 @@ import pytest
 
 from dsfq import gates
 from dsfq.circuit import CircuitSpec, CoupledSpec, Variant
-from dsfq.evolve import PropagationSettings
+from dsfq.evolve import PropagationSettings, TwoQubitFrame, _computational_levels
 from dsfq.spectrum import qubit_eigensolution
 from dsfq.gates import (
     _z_dressing,
@@ -97,3 +97,34 @@ def test_two_qubit_gate_scores_with_the_decomposition_fit(monkeypatch):
     target = fsim_unitary(0.0, 0.0)
     scored = run_two_qubit_gate(coupled, 20.0, 5.0, settings, target=target)
     assert scored.coherent_fidelity == original(scored.unitary, target, "up_to_z")
+
+
+def test_detuned_pair_decays_like_the_identical_pair():
+    # Both qubits of a pair are scored with the same noise channels, so
+    # detuning one by a hair leaves the integrated decay where it was.
+    settings = PropagationSettings(steps_per_ns=50, alpha_grid=5e-3, sample_interval_ns=5.0)
+    q = q_node()
+    decay = [
+        -math.log(run_two_qubit_gate(CoupledSpec(q, q2, cg_ratio=0.3), 20.0, 5.0,
+                                     settings).t1_limited_fidelity)
+        for q2 in (q, replace(q, ej=q.ej * (1.0 + 1e-9)))
+    ]
+    assert decay[1] == pytest.approx(decay[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("ej2", [10.0, 10.5])
+def test_zz_strength_matches_the_frame_spectrum(ej2):
+    # zz_strength and the two-qubit frame diagonalize the same coupled pair
+    # by separate code; with the same level assignment they agree.
+    q = q_node()
+    coupled = CoupledSpec(q, replace(q, ej=ej2), cg_ratio=0.3)
+    m = 6
+    frame = TwoQubitFrame(coupled, PropagationSettings(per_qubit_m=m, subspace_k=12))
+    for alpha in (1.0, 0.9, 0.8):
+        zeta, info = zz_strength(coupled, alpha, alpha, m=m)
+        node = frame.node(alpha)
+        picked, _ = _computational_levels(node["w"], m)
+        # an identical pair's 01/10 doublet may come out in either order
+        assert sorted(info["levels"]) == sorted(picked.tolist())
+        e00, e01, e10, e11 = node["e"][picked]
+        assert zeta == pytest.approx(e00 - e01 - e10 + e11, abs=1e-12)
