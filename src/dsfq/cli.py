@@ -5,6 +5,13 @@ manifest with checksums and timings. Configs are strict JSON: unknown
 keys are rejected, and a fixed config + seed reproduces byte-identical
 outputs.
 
+Every parameter is declared once, in ``_ROOT_PARAMS`` (output, seed,
+workers) or in its experiment's entry of ``_PARAMS``, with its default
+and the type, range or names it may take; the ``MAX_*`` and ``MIN_*``
+constants bound the sizes. ``validate_config`` checks each value and
+fills the defaults, and the runners read the filled values. A bad
+config exits with status 2, a numerical failure with status 3.
+
 Usage:
     dsfq run <config.json> [--output DIR] [--workers N] [--dry-run]
     dsfq validate <config.json>
@@ -31,7 +38,13 @@ import numpy as np
 from . import __version__
 from .circuit import CircuitSpec, CoupledSpec, Variant
 from .coherence import RateConventions, coherence_report
-from .evolve import AlphaProfile, DrivePulse, PropagationSettings, TwoQubitFrame
+from .evolve import (
+    MIN_STEPS_PER_NS,
+    AlphaProfile,
+    DrivePulse,
+    PropagationSettings,
+    TwoQubitFrame,
+)
 from .gates import (
     Gamma1Interpolator,
     calibrate_drive,
@@ -41,7 +54,7 @@ from .gates import (
     zz_strength,
 )
 from .gradiometric import LoopGeometry, compensation_delta, global_dispersion
-from .readout import ResonatorSpec, dispersive_shift
+from .readout import MIN_LEVELS, ResonatorSpec, dispersive_shift
 from .spectrum import qubit_eigensolution, qubit_params
 
 EXPERIMENTS = (
@@ -68,19 +81,9 @@ _CIRCUIT_KEYS = {f.name for f in dc_fields(CircuitSpec)}
 # states, 78 MB per dense complex operator (cutoff 60: 3.4 GB).
 MAX_CUTOFF = 23
 
-_COMMON_KEYS = {
-    "schema_version",
-    "experiment",
-    "circuit",
-    "output",
-    "seed",
-    "workers",
-    "params",
-}
 
-
-def _require_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
+def _require_keys(obj: dict, allowed, where: str) -> None:
+    unknown = set(obj).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
@@ -130,8 +133,14 @@ def _phase_value(text: str) -> float:
     return result
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    return dict(value)
+
+
 def _circuit_from(cfg: dict) -> CircuitSpec:
-    block = dict(cfg.get("circuit", {}))
+    block = _object(cfg.get("circuit", {}), "circuit")
     _require_keys(block, _CIRCUIT_KEYS, "circuit")
     for key in ("phi_ext", "phi_ext1", "phi_ext2"):
         if key in block and isinstance(block[key], str):
@@ -148,28 +157,156 @@ def _circuit_from(cfg: dict) -> CircuitSpec:
         raise ConfigError(f"invalid circuit block: {ex}") from ex
 
 
-_PARAM_KEYS = {
-    "spectrum_vs_alpha": {"alpha_start", "alpha_stop", "points"},
-    "flux_dispersion": {"phi_start_pi", "phi_stop_pi", "points"},
-    "coherence_vs_alpha": {"alpha_start", "alpha_stop", "points", "rate_convention"},
+# Sizes an experiment may ask for. Times are for one worker, measured on a
+# 2-vCPU host with BLAS on one thread.
+# A grid point takes 35-80 ms at cutoff 12 and up to 7 s at MAX_CUTOFF,
+# so 1001 points take at most 80 s at cutoff 12 and 2 h at MAX_CUTOFF.
+MAX_POINTS = 1001
+# Retained eigenstates of a dispersive sum: at MAX_CUTOFF, 100 vectors of
+# 2209 entries take 3.5 MB.
+MAX_LEVELS = 100
+# A step of a driven gate takes about 2 ms at cutoff 12, so the shipped
+# 25 ns gate at 2000 steps/ns takes about 100 s, and 8 times that when it
+# calibrates (857 steps/ns is the shipped value).
+MAX_STEPS_PER_NS = 2000
+# Per-qubit levels of the two-qubit frame: 16 gives a 256-dim product
+# space, and a cutoff-9 frame node then takes 90 ms and up to 1.2 MB.
+MAX_PER_QUBIT_M = 16
+# Frame node spacing: a two-qubit gate keeps alpha in [0.4, 1], so the
+# frame holds at most 600 nodes, 30 s and 80 MB at the default sizes.
+MIN_ALPHA_GRID = 1e-3
+# Values of a t_a, t_w or alpha list: a 32 x 32 two_qubit_map runs 1024
+# gates, about 12 min at 0.7 s a gate.
+MAX_GRID_VALUES = 32
+
+
+# Each helper below declares one parameter as (default, what it must be, check).
+def _is_number(v) -> bool:
+    """An int or a float, not a bool, and finite (json.loads accepts NaN)."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _number(default, lo=None):
+    if lo is None:
+        return default, "a finite number", _is_number
+    return default, f"a finite number >= {lo:g}", lambda v: _is_number(v) and v >= lo
+
+
+def _count(default, lo, hi=None):
+    what = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+    return default, what, lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                                     and lo <= v and (hi is None or v <= hi))
+
+
+def _numbers(default):
+    return (tuple(default), f"a list of 1 to {MAX_GRID_VALUES} finite numbers",
+            lambda v: (isinstance(v, (list, tuple)) and 1 <= len(v) <= MAX_GRID_VALUES
+                       and all(map(_is_number, v))))
+
+
+def _choice(default, choices):
+    return default, f"one of {choices}", lambda v: isinstance(v, str) and v in choices
+
+
+def _names(choices):
+    return (choices, f"a list of distinct names from {choices}",
+            lambda v: (isinstance(v, (list, tuple)) and len(v) > 0
+                       and all(isinstance(c, str) and c in choices for c in v)
+                       and len(set(v)) == len(v)))
+
+
+def _flag(default):
+    return default, "true or false", lambda v: isinstance(v, bool)
+
+
+def _text(default):
+    return default, "a string", lambda v: isinstance(v, str)
+
+
+_ROOT_PARAMS = {
+    "output": _text("results"),
+    "seed": _count(0, 0, 2**32 - 1),  # the seeds np.random.seed takes
+    # no upper bound: a pool starts at most one thread per point
+    "workers": _count(1, 1),
+}
+_COMMON_KEYS = {"schema_version", "experiment", "circuit", "params", *_ROOT_PARAMS}
+
+_PARAMS = {
+    "spectrum_vs_alpha": {
+        "alpha_start": _number(1.0),
+        "alpha_stop": _number(0.5),
+        "points": _count(51, 1, MAX_POINTS),
+    },
+    "flux_dispersion": {
+        "phi_start_pi": _number(0.94),
+        "phi_stop_pi": _number(1.06),
+        "points": _count(61, 1, MAX_POINTS),
+    },
+    "coherence_vs_alpha": {
+        "alpha_start": _number(1.0),
+        "alpha_stop": _number(0.5),
+        "points": _count(26, 1, MAX_POINTS),
+        "rate_convention": _choice("paper", ("paper", "si")),
+    },
     "gradiometric_dispersion": {
-        "asymmetry", "phi_g_start", "phi_g_stop", "points", "cases",
+        "asymmetry": _number(0.01),
+        "phi_g_start": _number(0.99),
+        "phi_g_stop": _number(1.01),
+        "points": _count(41, 1, MAX_POINTS),
+        "cases": _names(("identical", "asymmetric", "compensated")),
     },
     "single_qubit_gate": {
-        "target", "ramp_ns", "plateau_alpha", "pulse_ns", "pulse_ramp_ns",
-        "detuning_ratio", "phase_offset_pi", "steps_per_ns", "calibrate",
+        "target": _choice("x", ("x", "y", "xy")),
+        "ramp_ns": _number(7.0),
+        "plateau_alpha": _number(0.7),
+        "pulse_ns": _number(11.0),
+        "pulse_ramp_ns": _number(1.5),
+        "detuning_ratio": _number(0.979),
+        "phase_offset_pi": _number(0.0),
+        "steps_per_ns": _count(857, MIN_STEPS_PER_NS, MAX_STEPS_PER_NS),
+        "calibrate": _flag(True),
     },
     "two_qubit_map": {
-        "cg_ratio", "detuning", "t_a_values", "t_w_values", "steps_per_ns",
-        "subspace_k", "per_qubit_m", "alpha_grid",
+        "cg_ratio": _number(0.3),
+        "detuning": _number(0.0),
+        "t_a_values": _numbers(np.linspace(20, 65, 12).tolist()),
+        "t_w_values": _numbers(np.linspace(0, 22, 12).tolist()),
+        "steps_per_ns": _count(286, MIN_STEPS_PER_NS, MAX_STEPS_PER_NS),
+        # at least the four computational states; at most per_qubit_m**2
+        "subspace_k": _count(24, 4, MAX_PER_QUBIT_M**2),
+        "per_qubit_m": _count(12, 2, MAX_PER_QUBIT_M),
+        "alpha_grid": _number(1e-3, MIN_ALPHA_GRID),
     },
-    "zz_map": {"cg_ratio", "detuning", "alpha_values"},
-    "dispersive_shift_sweep": {"omega_r", "g", "phi_start_pi", "phi_stop_pi", "points", "levels"},
+    "zz_map": {
+        "cg_ratio": _number(0.3),
+        "detuning": _number(0.0),
+        "alpha_values": _numbers(np.linspace(0.5, 1.0, 11).tolist()),
+    },
+    "dispersive_shift_sweep": {
+        "omega_r": _number(4.8),
+        "g": _number(0.025),
+        "phi_start_pi": _number(1.0),
+        "phi_stop_pi": _number(1.035),
+        "points": _count(36, 1, MAX_POINTS),
+        "levels": _count(25, MIN_LEVELS, MAX_LEVELS),
+    },
 }
 
 
+def _filled(block: dict, table: dict, where: str) -> dict:
+    """The table's keys of ``block``, defaults filled, each value checked."""
+    out = {}
+    for key, (default, what, ok) in table.items():
+        value = block.get(key, default)
+        if not ok(value):
+            raise ConfigError(f"{where}: {key} = {value!r} is not {what}")
+        out[key] = value
+    return out
+
+
 def validate_config(cfg: dict) -> dict:
-    """Check structure and types; returns the config with defaults filled."""
+    """Check structure, types and sizes; returns the config with defaults filled."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     _require_keys(cfg, _COMMON_KEYS, "config root")
@@ -178,13 +315,19 @@ def validate_config(cfg: dict) -> dict:
     exp = cfg.get("experiment")
     if exp not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
-    params = dict(cfg.get("params", {}))
-    _require_keys(params, _PARAM_KEYS[exp], f"params for {exp}")
+    where = f"params for {exp}"
+    params = _object(cfg.get("params", {}), where)
+    _require_keys(params, _PARAMS[exp], where)
+    params = _filled(params, _PARAMS[exp], where)
+    if exp == "two_qubit_map" and params["subspace_k"] > params["per_qubit_m"] ** 2:
+        raise ConfigError(f"{where}: subspace_k = {params['subspace_k']} exceeds "
+                          f"per_qubit_m**2 = {params['per_qubit_m'] ** 2}, the product space")
     _circuit_from(cfg)  # validates the circuit block
     out = dict(cfg)
-    out["params"] = params
-    out.setdefault("seed", 0)
-    out.setdefault("workers", int(os.environ.get("DSFQ_WORKERS", "1")))
+    env_workers = os.environ.get("DSFQ_WORKERS")  # the default for a config that names none
+    if env_workers is not None:
+        out.setdefault("workers", int(env_workers) if env_workers.isdigit() else env_workers)
+    out.update(_filled(out, _ROOT_PARAMS, "config root"), params=params)
     return out
 
 
@@ -214,8 +357,7 @@ def _sha256(path: Path) -> str:
 
 def _exp_spectrum_vs_alpha(cfg, spec, pool):
     p = cfg["params"]
-    alphas = np.linspace(p.get("alpha_start", 1.0), p.get("alpha_stop", 0.5),
-                         int(p.get("points", 51)))
+    alphas = np.linspace(p["alpha_start"], p["alpha_stop"], p["points"])
     def one(a):
         qp = qubit_params(qubit_eigensolution(spec.with_alpha(float(a)), 3))
         return (a, qp.omega_q, qp.anharmonicity)
@@ -226,8 +368,7 @@ def _exp_spectrum_vs_alpha(cfg, spec, pool):
 
 def _exp_flux_dispersion(cfg, spec, pool):
     p = cfg["params"]
-    phis = np.linspace(p.get("phi_start_pi", 0.94), p.get("phi_stop_pi", 1.06),
-                       int(p.get("points", 61)))
+    phis = np.linspace(p["phi_start_pi"], p["phi_stop_pi"], p["points"])
     def one(x):
         from dataclasses import replace
         qp = qubit_params(qubit_eigensolution(replace(spec, phi_ext=x * math.pi), 3))
@@ -239,9 +380,8 @@ def _exp_flux_dispersion(cfg, spec, pool):
 
 def _exp_coherence_vs_alpha(cfg, spec, pool):
     p = cfg["params"]
-    conv = RateConventions(rate_scale=p.get("rate_convention", "paper"))
-    alphas = np.linspace(p.get("alpha_start", 1.0), p.get("alpha_stop", 0.5),
-                         int(p.get("points", 26)))
+    conv = RateConventions(rate_scale=p["rate_convention"])
+    alphas = np.linspace(p["alpha_start"], p["alpha_stop"], p["points"])
     def one(a):
         rep = coherence_report(spec.with_alpha(float(a)), conventions=conv)
         return (a, rep.t1, rep.tphi, rep.t2,
@@ -256,16 +396,15 @@ def _exp_coherence_vs_alpha(cfg, spec, pool):
 def _exp_gradiometric_dispersion(cfg, spec, pool):
     from dataclasses import replace
     p = cfg["params"]
-    r = p.get("asymmetry", 0.01)
-    us = np.linspace(p.get("phi_g_start", 0.99), p.get("phi_g_stop", 1.01),
-                     int(p.get("points", 41)))
+    r = p["asymmetry"]
+    us = np.linspace(p["phi_g_start"], p["phi_g_stop"], p["points"])
     base = replace(spec, variant=Variant.GRADIOMETRIC)
     cases = {
         "identical": (LoopGeometry(), 0.0),
         "asymmetric": (LoopGeometry(a1=1 + r, a2=1 - r), 0.0),
         "compensated": (LoopGeometry(a1=1 + r, a2=1 - r), compensation_delta(r)[0]),
     }
-    wanted = p.get("cases", list(cases))
+    wanted = p["cases"]
     header = ["phi_g_phi0"] + [f"omega_q_GHz_{c}" for c in wanted]
     results = {}
     for c in wanted:
@@ -278,30 +417,26 @@ def _exp_gradiometric_dispersion(cfg, spec, pool):
 
 def _exp_single_qubit_gate(cfg, spec, pool):
     p = cfg["params"]
-    plateau = p.get("plateau_alpha", 0.7)
+    plateau = p["plateau_alpha"]
     profile = AlphaProfile.single_qubit(
-        ramp_ns=p.get("ramp_ns", 7.0),
-        plateau_ns=p.get("pulse_ns", 11.0),
-        alpha_min=plateau,
+        ramp_ns=p["ramp_ns"], plateau_ns=p["pulse_ns"], alpha_min=plateau,
     )
     plateau_sol = qubit_eigensolution(spec.with_alpha(plateau), 3)
     omega_plateau = float(plateau_sol.energies[1] - plateau_sol.energies[0])
     pulse0 = DrivePulse(
         amplitude=0.0,
-        carrier_freq=p.get("detuning_ratio", 0.979) * omega_plateau,
-        phase_offset=p.get("phase_offset_pi", 0.0) * math.pi,
-        ramp_ns=p.get("pulse_ramp_ns", 1.5),
-        flat_ns=p.get("pulse_ns", 11.0) - 2 * p.get("pulse_ramp_ns", 1.5),
-        t_start=p.get("ramp_ns", 7.0),
+        carrier_freq=p["detuning_ratio"] * omega_plateau,
+        phase_offset=p["phase_offset_pi"] * math.pi,
+        ramp_ns=p["pulse_ramp_ns"],
+        flat_ns=p["pulse_ns"] - 2 * p["pulse_ramp_ns"],
+        t_start=p["ramp_ns"],
     )
-    target = pauli_target(p.get("target", "x"))
-    settings = PropagationSettings(
-        steps_per_ns=int(p.get("steps_per_ns", 857)), sample_interval_ns=0.1
-    )
+    target = pauli_target(p["target"])
+    settings = PropagationSettings(steps_per_ns=p["steps_per_ns"], sample_interval_ns=0.1)
     gamma1 = Gamma1Interpolator(spec, plateau)
     pulse = calibrate_drive(
         spec, profile, pulse0, math.pi,
-        target=target if p.get("calibrate", True) else None,
+        target=target if p["calibrate"] else None,
         settings=settings, gamma1=gamma1,
     )
     report = run_single_qubit_gate(spec, profile, pulse, target, settings, gamma1=gamma1)
@@ -312,7 +447,7 @@ def _exp_single_qubit_gate(cfg, spec, pool):
     ]
     k = weights.shape[1]
     summary = [(
-        p.get("target", "x"), report.coherent_fidelity, report.t1_limited_fidelity,
+        p["target"], report.coherent_fidelity, report.t1_limited_fidelity,
         report.leakage, report.gate_time, pulse.amplitude, pulse.carrier_freq,
     )]
     return {
@@ -328,28 +463,27 @@ def _two_qubit_system(cfg, spec):
     from dataclasses import replace
     p = cfg["params"]
     q1 = replace(spec, variant=Variant.NODE_BASIS)
-    q2 = replace(q1, ej=q1.ej * (1.0 + p.get("detuning", 0.0)))
-    return CoupledSpec(q1, q2, cg_ratio=p.get("cg_ratio", 0.3))
+    q2 = replace(q1, ej=q1.ej * (1.0 + p["detuning"]))
+    return CoupledSpec(q1, q2, cg_ratio=p["cg_ratio"])
 
 
 def _exp_two_qubit_map(cfg, spec, pool):
     p = cfg["params"]
     coupled = _two_qubit_system(cfg, spec)
-    t_a_values = p.get("t_a_values") or np.linspace(20, 65, 12).tolist()
-    t_w_values = p.get("t_w_values") or np.linspace(0, 22, 12).tolist()
+    t_a_values, t_w_values = p["t_a_values"], p["t_w_values"]
     settings = PropagationSettings(
-        steps_per_ns=int(p.get("steps_per_ns", 286)),
-        subspace_k=int(p.get("subspace_k", 24)),
-        per_qubit_m=int(p.get("per_qubit_m", 12)),
-        alpha_grid=p.get("alpha_grid", 1e-3),
+        steps_per_ns=p["steps_per_ns"],
+        subspace_k=p["subspace_k"],
+        per_qubit_m=p["per_qubit_m"],
+        alpha_grid=p["alpha_grid"],
         sample_interval_ns=5.0,
     )
+    # the longest T_a lowers alpha furthest; its schedule is checked before
+    # the frame is built down to it
+    alpha_lo = AlphaProfile.two_qubit(max(t_a_values), 0.0).alpha_min
     frame = TwoQubitFrame(coupled, settings)
-    frame.ensure_range(1.0 - max(t_a_values) / 140.0)
-    gamma1 = Gamma1Interpolator(
-        coupled.qubit1, 1.0 - max(t_a_values) / 140.0,
-        charging_scale=coupled.charging_scale,
-    )
+    frame.ensure_range(alpha_lo)
+    gamma1 = Gamma1Interpolator(coupled.qubit1, alpha_lo, charging_scale=coupled.charging_scale)
     def one(pair):
         t_a, t_w = pair
         rep = run_two_qubit_gate(
@@ -375,7 +509,7 @@ def _exp_two_qubit_map(cfg, spec, pool):
 def _exp_zz_map(cfg, spec, pool):
     p = cfg["params"]
     coupled = _two_qubit_system(cfg, spec)
-    alphas = p.get("alpha_values") or np.linspace(0.5, 1.0, 11).tolist()
+    alphas = p["alpha_values"]
     pairs = [(a1, a2) for a1 in alphas for a2 in alphas]
     def one(pair):
         z, info = zz_strength(coupled, *pair)
@@ -388,13 +522,11 @@ def _exp_zz_map(cfg, spec, pool):
 
 def _exp_dispersive_shift_sweep(cfg, spec, pool):
     p = cfg["params"]
-    res = ResonatorSpec(omega_r=p.get("omega_r", 4.8), g=p.get("g", 0.025))
-    phis = np.linspace(p.get("phi_start_pi", 1.0), p.get("phi_stop_pi", 1.035),
-                       int(p.get("points", 36)))
-    levels = int(p.get("levels", 25))
+    res = ResonatorSpec(omega_r=p["omega_r"], g=p["g"])
+    phis = np.linspace(p["phi_start_pi"], p["phi_stop_pi"], p["points"])
     def one(x):
         from dataclasses import replace
-        ds = dispersive_shift(replace(spec, phi_ext=x * math.pi), res, levels=levels)
+        ds = dispersive_shift(replace(spec, phi_ext=x * math.pi), res, levels=p["levels"])
         return (x, ds.chi, int(ds.valid))
     rows = list(pool.map(one, phis))
     return {"dispersive_shift.csv": (
@@ -417,7 +549,7 @@ def run(cfg: dict, output: str | None = None, workers: int | None = None,
         dry_run: bool = False) -> dict:
     """Execute an experiment config; returns the manifest dict."""
     cfg = validate_config(cfg)
-    out_dir = Path(output or cfg.get("output", "results"))
+    out_dir = Path(output or cfg["output"])
     spec = _circuit_from(cfg)
     n_workers = workers or cfg["workers"]
     config_hash = hashlib.sha256(

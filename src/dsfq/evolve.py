@@ -55,6 +55,7 @@ __all__ = [
 ALPHA_MIN_ALLOWED = 0.4
 ALPHA_MAX_ALLOWED = 1.0
 FULL_LOWERING_NS = 35.0  # time to ramp alpha from 1 to 0.5 in a two-qubit gate
+MIN_STEPS_PER_NS = 50
 # Shift-invert sample solves shift this fraction of the previous sample's
 # tracked-level spread below its ground level.
 SHIFT_MARGIN = 0.25
@@ -212,8 +213,8 @@ class PropagationSettings:
     norm_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.steps_per_ns < 50:
-            raise PropagationError("steps_per_ns must be >= 50")
+        if self.steps_per_ns < MIN_STEPS_PER_NS:
+            raise PropagationError(f"steps_per_ns must be >= {MIN_STEPS_PER_NS}")
         if self.method not in ("per_step_exponential", "integrator"):
             raise PropagationError(f"unknown method {self.method!r}")
         if not (isinstance(self.alpha_grid, (int, float)) and 0.0 < self.alpha_grid < math.inf):

@@ -344,7 +344,6 @@ def calibrate_drive(
     settings: PropagationSettings | None = None,
     scan_points: int = 7,
     gamma1: Gamma1Interpolator | None = None,
-    refine_detuning: bool = False,
 ) -> DrivePulse:
     """Set the pulse amplitude for a requested Bloch rotation angle.
 
@@ -382,32 +381,17 @@ def calibrate_drive(
         except (GateError, PropagationError):
             return 0.0
 
-    def scan(make_pulse, values) -> float:
-        scores = np.array([score(make_pulse(v)) for v in values])
-        best = int(np.argmax(scores))
-        if best in (0, len(values) - 1):
-            raise GateError("calibration scan failed to bracket a fidelity maximum")
-        num = scores[best - 1] - scores[best + 1]
-        den = scores[best - 1] - 2 * scores[best] + scores[best + 1]
-        shift = 0.5 * num / den if den != 0 else 0.0
-        step = values[1] - values[0]
-        return float(values[best] + np.clip(shift, -1.0, 1.0) * step)
-
-    amp = scan(lambda a: replace(pulse_template, amplitude=a),
-               amp0 * np.linspace(0.95, 1.05, scan_points))
-    pulse = replace(pulse_template, amplitude=amp)
-    if refine_detuning:
-        # The drive frequency is the compensation knob for the AC-Stark
-        # shift and the ramp-induced transition; a narrow scan around the
-        # nominal detuning cancels the residual z rotation.
-        f0 = pulse_template.carrier_freq
-        freq = scan(lambda f: replace(pulse, carrier_freq=f),
-                    f0 * np.linspace(0.994, 1.006, scan_points))
-        pulse = replace(pulse, carrier_freq=freq)
-        amp = scan(lambda a: replace(pulse, amplitude=a),
-                   amp * np.linspace(0.99, 1.01, 5))
-        pulse = replace(pulse, amplitude=amp)
-    return pulse
+    values = amp0 * np.linspace(0.95, 1.05, scan_points)
+    scores = np.array([score(replace(pulse_template, amplitude=a)) for a in values])
+    best = int(np.argmax(scores))
+    if best in (0, len(values) - 1):
+        raise GateError("calibration scan failed to bracket a fidelity maximum")
+    num = scores[best - 1] - scores[best + 1]
+    den = scores[best - 1] - 2 * scores[best] + scores[best + 1]
+    shift = 0.5 * num / den if den != 0 else 0.0
+    step = values[1] - values[0]
+    return replace(pulse_template,
+                   amplitude=float(values[best] + np.clip(shift, -1.0, 1.0) * step))
 
 
 # ---------------------------------------------------------------------------

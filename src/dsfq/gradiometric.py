@@ -149,18 +149,13 @@ def global_flux_slope(spec: CircuitSpec, geom: LoopGeometry, phi_g: float,
 
 
 def global_dispersion(spec: CircuitSpec, geom: LoopGeometry, phi_g_values,
-                      delta: float = 0.0, slope_at: float | None = None) -> dict:
-    """omega_q versus global flux, plus the slope at an operating point.
+                      delta: float = 0.0) -> dict:
+    """omega_q versus global flux, one gradiometric Hamiltonian per point.
 
-    Uses the gradiometric Hamiltonian per point; the slope is extracted
-    with a five-point centered stencil of step 1e-4 Phi_0.
+    ``global_flux_slope`` gives the slope at an operating point.
     """
     phi_g_values = np.asarray(list(phi_g_values), dtype=float)
     omegas = np.array([
         omega_q_at_global_flux(spec, geom, u, delta) for u in phi_g_values
     ])
-    out = {"phi_g": phi_g_values, "omega_q": omegas}
-    if slope_at is not None:
-        out["slope"] = global_flux_slope(spec, geom, slope_at, delta)
-        out["slope_at"] = slope_at
-    return out
+    return {"phi_g": phi_g_values, "omega_q": omegas}

@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 
+MIN_LEVELS = 10  # fewest retained eigenstates a dispersive sum accepts
+
+
 class ReadoutError(RuntimeError):
     """Invalid readout request (e.g. exact qubit-resonator resonance)."""
 
@@ -62,8 +65,8 @@ def dispersive_shift(
     The validity flag drops when any denominator comes within 5g of
     resonance; an exact resonance (denominator < 1e-6 h GHz) raises.
     """
-    if levels < 10:
-        raise ReadoutError("dispersive sums need at least 10 levels")
+    if levels < MIN_LEVELS:
+        raise ReadoutError(f"dispersive sums need at least {MIN_LEVELS} levels")
     sol = qubit_eigensolution(spec, levels)
     n_theta = build_operator("n_theta", spec).matrix
     elements = sol.states.conj().T @ (n_theta @ sol.states)

@@ -35,6 +35,7 @@ DENSE_DIM_LIMIT = 2000
 RESIDUAL_RTOL = 1e-9
 DEGENERACY_TOL = 1e-9
 PAIR_MIN_OVERLAP = 0.5  # below it the qubit pair has crossed another level
+_SECTOR_PARITY = {"even": 0, "odd": 1}  # (n_phi + n_theta) mod 2 of each sector
 
 
 class SpectrumError(RuntimeError):
@@ -100,9 +101,11 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
     if not (1 <= k <= dim):
         raise SpectrumError(f"k = {k} out of range for dimension {dim}")
     if sector is not None:
+        if sector not in _SECTOR_PARITY:
+            raise SpectrumError(f"sector must be None, 'even' or 'odd', got {sector!r}")
         if basis is None:
             raise SpectrumError("sector restriction requires a basis descriptor")
-        idx = physical_sector_indices(basis, 0 if sector == "even" else 1)
+        idx = physical_sector_indices(basis, _SECTOR_PARITY[sector])
         sub = matrix[np.ix_(idx, idx)]
         energies, sub_states = _lowest_k(sub, min(k, idx.size))
         states = np.zeros((dim, energies.size), dtype=sub_states.dtype)

@@ -1,9 +1,25 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from dsfq.cli import MAX_CUTOFF, ConfigError, _circuit_from, main, run, validate_config
+from dsfq.cli import (
+    MAX_CUTOFF,
+    MAX_GRID_VALUES,
+    MAX_LEVELS,
+    MAX_PER_QUBIT_M,
+    MAX_POINTS,
+    MAX_STEPS_PER_NS,
+    MIN_ALPHA_GRID,
+    ConfigError,
+    _circuit_from,
+    main,
+    run,
+    validate_config,
+)
+
+EXPERIMENTS_DIR = Path(__file__).resolve().parent.parent / "experiments"
 
 
 def _gate_config(**circuit):
@@ -44,6 +60,9 @@ def test_validate_config_rejects_bad_structure(tmp_path):
         validate_config(_gate_config(colour="blue"))
     with pytest.raises(ConfigError, match="unknown keys in params"):
         validate_config({**good, "params": {"points": 3}})
+    for block in ("params", "circuit"):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            validate_config({**good, block: [1]})
     # a bad variant, wrongly typed fields and out-of-range values; a basis
     # size must be a plain integer no larger than MAX_CUTOFF
     for bad in ({"variant": "nonsense"}, {"cutoff": "twelve"}, {"ej": -1.0},
@@ -89,3 +108,138 @@ def test_two_qubit_rerun_writes_byte_identical_csvs(tmp_path, experiment, params
         "workers": 2,
     }
     assert _rerun_files(cfg, tmp_path) == files
+
+
+def _config(experiment: str, **params) -> dict:
+    # cutoff 4 keeps every experiment cheap should a bad value get through
+    return {
+        "schema_version": 1,
+        "experiment": experiment,
+        "circuit": {"ej": 10.0, "ec": 0.1, "cutoff": 4, "phi_ext": "0.997*pi"},
+        "params": params,
+    }
+
+
+# (experiment, key, value, cheap): a cheap value also goes through `dsfq run`;
+# an oversize one is only validated, so no test asks for its work.
+BAD_VALUES = [
+    ("spectrum_vs_alpha", "points", "ten", True),
+    ("spectrum_vs_alpha", "points", 1e9, False),
+    ("spectrum_vs_alpha", "points", -3, True),
+    ("spectrum_vs_alpha", "points", 6.7, True),
+    ("spectrum_vs_alpha", "alpha_stop", "low", True),
+    ("coherence_vs_alpha", "rate_convention", "cgs", True),
+    ("single_qubit_gate", "target", "z", True),
+    ("gradiometric_dispersion", "cases", ["bogus"], True),
+    ("dispersive_shift_sweep", "levels", 5, True),
+    ("spectrum_vs_alpha", "seed", "abc", True),
+    ("spectrum_vs_alpha", "workers", "x", True),
+    ("two_qubit_map", "subspace_k", -3, True),
+    ("two_qubit_map", "per_qubit_m", 1e6, False),
+    ("two_qubit_map", "steps_per_ns", 1e9, False),
+    ("two_qubit_map", "alpha_grid", 1e-9, False),
+    ("two_qubit_map", "t_a_values", [], True),
+    ("zz_map", "alpha_values", "x", True),
+    # each bound and type rule at its edge
+    ("spectrum_vs_alpha", "points", 0, False),
+    ("spectrum_vs_alpha", "points", MAX_POINTS + 1, False),
+    ("spectrum_vs_alpha", "points", 10**9, False),
+    ("spectrum_vs_alpha", "points", True, False),
+    ("spectrum_vs_alpha", "alpha_start", float("nan"), False),
+    ("spectrum_vs_alpha", "alpha_start", float("inf"), False),
+    ("spectrum_vs_alpha", "alpha_start", 10**400, False),
+    ("spectrum_vs_alpha", "alpha_start", False, False),
+    ("spectrum_vs_alpha", "alpha_start", None, False),
+    ("spectrum_vs_alpha", "seed", -1, False),
+    ("spectrum_vs_alpha", "seed", 2**32, False),
+    ("spectrum_vs_alpha", "workers", 0, False),
+    ("spectrum_vs_alpha", "output", 7, False),
+    ("gradiometric_dispersion", "cases", [], False),
+    ("gradiometric_dispersion", "cases", ["identical", "identical"], False),
+    ("gradiometric_dispersion", "cases", "identical", False),
+    ("single_qubit_gate", "calibrate", 1, False),
+    ("single_qubit_gate", "steps_per_ns", 49, False),
+    ("single_qubit_gate", "steps_per_ns", MAX_STEPS_PER_NS + 1, False),
+    ("dispersive_shift_sweep", "levels", MAX_LEVELS + 1, False),
+    ("two_qubit_map", "per_qubit_m", 10**6, False),
+    ("two_qubit_map", "per_qubit_m", MAX_PER_QUBIT_M + 1, False),
+    ("two_qubit_map", "steps_per_ns", 10**9, False),
+    ("two_qubit_map", "alpha_grid", MIN_ALPHA_GRID / 2, False),
+    ("two_qubit_map", "t_w_values", [1.0] * (MAX_GRID_VALUES + 1), False),
+    ("two_qubit_map", "t_w_values", [1.0, float("nan")], False),
+    ("two_qubit_map", "t_w_values", None, False),
+    ("zz_map", "alpha_values", [0.8, "1.0"], False),
+]
+
+
+def _with(experiment: str, key: str, value) -> dict:
+    cfg = _config(experiment)
+    if key in ("output", "seed", "workers"):
+        cfg[key] = value
+    else:
+        cfg["params"][key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("experiment, key, value, cheap", BAD_VALUES,
+                         ids=[f"{key}={value!r}"[:40] for _, key, value, _ in BAD_VALUES])
+def test_bad_parameter_value_is_a_config_error(tmp_path, experiment, key, value, cheap):
+    cfg = _with(experiment, key, value)
+    with pytest.raises(ConfigError, match=f"{key} = "):
+        validate_config(cfg)
+    if not cheap:
+        return
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()  # no PARTIAL manifest is left behind
+
+
+def test_subspace_k_is_bounded_by_the_product_space():
+    validate_config(_config("two_qubit_map", per_qubit_m=4, subspace_k=16))
+    with pytest.raises(ConfigError, match="subspace_k = 17 exceeds per_qubit_m"):
+        validate_config(_config("two_qubit_map", per_qubit_m=4, subspace_k=17))
+
+
+def test_largest_sizes_validate():
+    validate_config(_config("spectrum_vs_alpha", points=MAX_POINTS))
+    validate_config(_config("dispersive_shift_sweep", levels=MAX_LEVELS))
+    validate_config(_config("single_qubit_gate", steps_per_ns=MAX_STEPS_PER_NS))
+    validate_config(_config(
+        "two_qubit_map", per_qubit_m=MAX_PER_QUBIT_M, subspace_k=MAX_PER_QUBIT_M**2,
+        alpha_grid=MIN_ALPHA_GRID, t_a_values=[20] * MAX_GRID_VALUES,
+    ))
+    validate_config({**_config("spectrum_vs_alpha"), "seed": 2**32 - 1, "workers": 512})
+
+
+def test_defaults_are_filled_and_values_pass_unchanged():
+    cfg = _config("two_qubit_map", t_a_values=[20, 24.5])
+    filled = validate_config(cfg)
+    assert cfg["params"] == {"t_a_values": [20, 24.5]}  # the input is not modified
+    p = filled["params"]
+    assert p["t_a_values"] == [20, 24.5] and type(p["t_a_values"][0]) is int
+    assert p["steps_per_ns"] == 286 and p["per_qubit_m"] == 12 and p["alpha_grid"] == 1e-3
+    assert list(p["t_w_values"]) == [2.0 * i for i in range(12)]
+    assert (filled["seed"], filled["output"]) == (0, "results")
+    gradiometric = validate_config(_config("gradiometric_dispersion"))["params"]
+    assert list(gradiometric["cases"]) == ["identical", "asymmetric", "compensated"]
+
+
+@pytest.mark.parametrize("path", sorted(EXPERIMENTS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_config_validates_and_dry_runs(tmp_path, path):
+    validate_config(json.loads(path.read_text()))
+    assert main(["run", str(path), "--dry-run", "--output", str(tmp_path / "out")]) == 0
+
+
+def test_workers_default_comes_from_the_environment(monkeypatch):
+    cfg = _config("spectrum_vs_alpha")
+    monkeypatch.delenv("DSFQ_WORKERS", raising=False)
+    assert validate_config(cfg)["workers"] == 1
+    monkeypatch.setenv("DSFQ_WORKERS", "3")
+    assert validate_config(cfg)["workers"] == 3
+    assert validate_config({**cfg, "workers": 2})["workers"] == 2
+    for bad in ("x", "0", "-1"):
+        monkeypatch.setenv("DSFQ_WORKERS", bad)
+        with pytest.raises(ConfigError, match="workers = "):
+            validate_config(cfg)

@@ -20,7 +20,7 @@ from dsfq.coherence import (
     relaxation_rates,
     KT_GHZ_PER_K,
 )
-from dsfq.spectrum import EigenSolution, qubit_eigensolution
+from dsfq.spectrum import EigenSolution, qubit_eigensolution, qubit_params
 
 OPERATING = CircuitSpec(ej=10.0, ec=0.1, alpha=1.0, phi_ext=0.997 * math.pi, cutoff=12)
 
@@ -170,6 +170,23 @@ def test_si_convention_scale():
     assert a.gamma1_total / b.gamma1_total == pytest.approx(
         2 * (2 * math.pi) ** 3, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_coth_half_convention_factor(alpha):
+    # the dielectric thermal factor coth(x) + 1, x = omega_q / (k_B T / h),
+    # becomes coth(x/2) + 1; no other channel depends on the convention
+    spec = OPERATING.with_alpha(alpha)
+    printed = coherence_report(spec, conventions=RateConventions(coth_half=False))
+    half = coherence_report(spec, conventions=RateConventions(coth_half=True))
+    x = qubit_params(qubit_eigensolution(spec, 3)).omega_q / (KT_GHZ_PER_K * Environment().temperature)
+    expected = (1.0 / math.tanh(x / 2) + 1.0) / (1.0 / math.tanh(x) + 1.0)
+    ratio = half.gamma1_by_channel["dielectric"] / printed.gamma1_by_channel["dielectric"]
+    assert ratio == pytest.approx(expected, rel=1e-12)
+    assert ratio > 1.4  # the half-argument convention is not a small correction here
+    for name in printed.gamma1_by_channel.keys() - {"dielectric"}:
+        assert half.gamma1_by_channel[name] == printed.gamma1_by_channel[name]
+    assert half.gammaphi_by_channel == printed.gammaphi_by_channel
 
 
 def test_dephasing_only_from_1f_channels():

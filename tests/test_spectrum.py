@@ -231,3 +231,15 @@ def test_iterative_solver_above_dense_limit():
     sol = diagonalize(m, 4)
     dense = np.linalg.eigvalsh(m)[:4]
     assert sol.energies == pytest.approx(dense, abs=1e-8)
+
+
+def test_sector_must_be_even_or_odd():
+    h = build_hamiltonian(replace(DEFAULT, cutoff=4))
+    even = diagonalize(h, 3, sector="even").energies
+    odd = diagonalize(h, 3, sector="odd").energies
+    # the two sectors together hold the full spectrum
+    full = diagonalize(h, 3).energies
+    assert full == pytest.approx(np.sort(np.concatenate([even, odd]))[:3], abs=1e-9)
+    for bad in ("evn", "Even", "", 0):
+        with pytest.raises(SpectrumError, match="sector must be"):
+            diagonalize(h, 3, sector=bad)
