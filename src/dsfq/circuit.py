@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 HERMITICITY_RTOL = 1e-12
+# Range of a tunable junction's ratio alpha (and of alpha1, alpha2).
+MIN_ALPHA = 0.0
+MAX_ALPHA = 1.5
 
 
 class Variant(Enum):
@@ -109,8 +112,8 @@ class CircuitSpec:
             raise CircuitError(f"ej and ec must be positive, got {self.ej}, {self.ec}")
         for name in ("alpha", "alpha1", "alpha2"):
             val = getattr(self, name)
-            if not (0.0 <= val <= 1.5):
-                raise CircuitError(f"{name} = {val} outside [0, 1.5]")
+            if not (MIN_ALPHA <= val <= MAX_ALPHA):
+                raise CircuitError(f"{name} = {val} outside [{MIN_ALPHA:g}, {MAX_ALPHA:g}]")
         if self.cutoff < 1:
             raise CircuitError(f"cutoff must be >= 1, got {self.cutoff}")
         if not isinstance(self.variant, Variant):

@@ -36,9 +36,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import CircuitSpec, CoupledSpec, Variant
+from .circuit import MAX_ALPHA, MIN_ALPHA, CircuitSpec, CoupledSpec, Variant
 from .coherence import RateConventions, coherence_report
 from .evolve import (
+    ALPHA_MAX_ALLOWED,
+    ALPHA_MIN_ALLOWED,
     MIN_STEPS_PER_NS,
     AlphaProfile,
     DrivePulse,
@@ -46,6 +48,7 @@ from .evolve import (
     TwoQubitFrame,
 )
 from .gates import (
+    MAX_T_A_NS,
     Gamma1Interpolator,
     calibrate_drive,
     pauli_target,
@@ -53,7 +56,7 @@ from .gates import (
     run_two_qubit_gate,
     zz_strength,
 )
-from .gradiometric import LoopGeometry, compensation_delta, global_dispersion
+from .gradiometric import MAX_ASYMMETRY, LoopGeometry, compensation_delta, global_dispersion
 from .readout import MIN_LEVELS, ResonatorSpec, dispersive_shift
 from .spectrum import qubit_eigensolution, qubit_params
 
@@ -187,10 +190,20 @@ def _is_number(v) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
-def _number(default, lo=None):
-    if lo is None:
-        return default, "a finite number", _is_number
-    return default, f"a finite number >= {lo:g}", lambda v: _is_number(v) and v >= lo
+def _bounded(lo=None, hi=None, above=None, below=None):
+    """(text, test) of a finite number in [lo, hi] and in (above, below);
+    a bound left None does not apply."""
+    limits = [(op, bound, test) for op, bound, test in (
+        (">", above, operator.gt), (">=", lo, operator.ge),
+        ("<=", hi, operator.le), ("<", below, operator.lt)) if bound is not None]
+    text = " and ".join(f"{op} {bound:g}" for op, bound, _ in limits)
+    return (" " + text if text else ""), lambda v: (
+        _is_number(v) and all(test(v, bound) for _, bound, test in limits))
+
+
+def _number(default, **bounds):
+    text, ok = _bounded(**bounds)
+    return default, "a finite number" + text, ok
 
 
 def _count(default, lo, hi=None):
@@ -199,10 +212,11 @@ def _count(default, lo, hi=None):
                                      and lo <= v and (hi is None or v <= hi))
 
 
-def _numbers(default):
-    return (tuple(default), f"a list of 1 to {MAX_GRID_VALUES} finite numbers",
+def _numbers(default, **bounds):
+    text, ok = _bounded(**bounds)
+    return (tuple(default), f"a list of 1 to {MAX_GRID_VALUES} finite numbers" + text,
             lambda v: (isinstance(v, (list, tuple)) and 1 <= len(v) <= MAX_GRID_VALUES
-                       and all(map(_is_number, v))))
+                       and all(map(ok, v))))
 
 
 def _choice(default, choices):
@@ -232,10 +246,21 @@ _ROOT_PARAMS = {
 }
 _COMMON_KEYS = {"schema_version", "experiment", "circuit", "params", *_ROOT_PARAMS}
 
+# Physical ranges come from the constructors that enforce them: CircuitSpec
+# (alpha), AlphaProfile (plateau_alpha, positive segment lengths),
+# DrivePulse (ramp), CoupledSpec (cg_ratio), run_two_qubit_gate (T_a),
+# compensation_delta (asymmetry) and ResonatorSpec (omega_r, g). A wait
+# t_w is not negative: AlphaProfile.two_qubit would run a negative one as 0.
+_ALPHA = {"lo": MIN_ALPHA, "hi": MAX_ALPHA}
+_PAIR = {
+    "cg_ratio": _number(0.3, lo=0.0),
+    # qubit 2's ej is ej * (1 + detuning), which must stay positive
+    "detuning": _number(0.0, above=-1.0),
+}
 _PARAMS = {
     "spectrum_vs_alpha": {
-        "alpha_start": _number(1.0),
-        "alpha_stop": _number(0.5),
+        "alpha_start": _number(1.0, **_ALPHA),
+        "alpha_stop": _number(0.5, **_ALPHA),
         "points": _count(51, 1, MAX_POINTS),
     },
     "flux_dispersion": {
@@ -244,13 +269,13 @@ _PARAMS = {
         "points": _count(61, 1, MAX_POINTS),
     },
     "coherence_vs_alpha": {
-        "alpha_start": _number(1.0),
-        "alpha_stop": _number(0.5),
+        "alpha_start": _number(1.0, **_ALPHA),
+        "alpha_stop": _number(0.5, **_ALPHA),
         "points": _count(26, 1, MAX_POINTS),
         "rate_convention": _choice("paper", ("paper", "si")),
     },
     "gradiometric_dispersion": {
-        "asymmetry": _number(0.01),
+        "asymmetry": _number(0.01, above=-MAX_ASYMMETRY, below=MAX_ASYMMETRY),
         "phi_g_start": _number(0.99),
         "phi_g_stop": _number(1.01),
         "points": _count(41, 1, MAX_POINTS),
@@ -258,34 +283,32 @@ _PARAMS = {
     },
     "single_qubit_gate": {
         "target": _choice("x", ("x", "y", "xy")),
-        "ramp_ns": _number(7.0),
-        "plateau_alpha": _number(0.7),
-        "pulse_ns": _number(11.0),
-        "pulse_ramp_ns": _number(1.5),
+        "ramp_ns": _number(7.0, above=0.0),
+        "plateau_alpha": _number(0.7, lo=ALPHA_MIN_ALLOWED, hi=ALPHA_MAX_ALLOWED),
+        "pulse_ns": _number(11.0, above=0.0),
+        "pulse_ramp_ns": _number(1.5, lo=0.0),
         "detuning_ratio": _number(0.979),
         "phase_offset_pi": _number(0.0),
         "steps_per_ns": _count(857, MIN_STEPS_PER_NS, MAX_STEPS_PER_NS),
         "calibrate": _flag(True),
     },
     "two_qubit_map": {
-        "cg_ratio": _number(0.3),
-        "detuning": _number(0.0),
-        "t_a_values": _numbers(np.linspace(20, 65, 12).tolist()),
-        "t_w_values": _numbers(np.linspace(0, 22, 12).tolist()),
+        **_PAIR,
+        "t_a_values": _numbers(np.linspace(20, 65, 12).tolist(), above=0.0, hi=MAX_T_A_NS),
+        "t_w_values": _numbers(np.linspace(0, 22, 12).tolist(), lo=0.0),
         "steps_per_ns": _count(286, MIN_STEPS_PER_NS, MAX_STEPS_PER_NS),
         # at least the four computational states; at most per_qubit_m**2
         "subspace_k": _count(24, 4, MAX_PER_QUBIT_M**2),
         "per_qubit_m": _count(12, 2, MAX_PER_QUBIT_M),
-        "alpha_grid": _number(1e-3, MIN_ALPHA_GRID),
+        "alpha_grid": _number(1e-3, lo=MIN_ALPHA_GRID),
     },
     "zz_map": {
-        "cg_ratio": _number(0.3),
-        "detuning": _number(0.0),
-        "alpha_values": _numbers(np.linspace(0.5, 1.0, 11).tolist()),
+        **_PAIR,
+        "alpha_values": _numbers(np.linspace(0.5, 1.0, 11).tolist(), **_ALPHA),
     },
     "dispersive_shift_sweep": {
-        "omega_r": _number(4.8),
-        "g": _number(0.025),
+        "omega_r": _number(4.8, above=0.0),
+        "g": _number(0.025, above=0.0),
         "phi_start_pi": _number(1.0),
         "phi_stop_pi": _number(1.035),
         "points": _count(36, 1, MAX_POINTS),
@@ -483,7 +506,9 @@ def _exp_two_qubit_map(cfg, spec, pool):
     alpha_lo = AlphaProfile.two_qubit(max(t_a_values), 0.0).alpha_min
     frame = TwoQubitFrame(coupled, settings)
     frame.ensure_range(alpha_lo)
-    gamma1 = Gamma1Interpolator(coupled.qubit1, alpha_lo, charging_scale=coupled.charging_scale)
+    # one interpolator per distinct qubit, shared by every gate of the map
+    gamma1 = tuple(Gamma1Interpolator(q, alpha_lo, charging_scale=coupled.charging_scale)
+                   for q in dict.fromkeys((coupled.qubit1, coupled.qubit2)))
     def one(pair):
         t_a, t_w = pair
         rep = run_two_qubit_gate(
@@ -511,8 +536,9 @@ def _exp_zz_map(cfg, spec, pool):
     coupled = _two_qubit_system(cfg, spec)
     alphas = p["alpha_values"]
     pairs = [(a1, a2) for a1 in alphas for a2 in alphas]
+    levels = {}  # each qubit's split and per-alpha levels, shared by the points
     def one(pair):
-        z, info = zz_strength(coupled, *pair)
+        z, info = zz_strength(coupled, *pair, _levels=levels)
         return (z, info["min_overlap"])
     results = list(pool.map(one, pairs))
     rows = [(a1, a2, z, q) for (a1, a2), (z, q) in zip(pairs, results)]

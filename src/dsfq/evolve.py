@@ -3,9 +3,12 @@ state evolution, and truncated moving-eigenframe propagation for two
 coupled qubits.
 
 Both propagators use one object per qubit, ``_CircuitEngine``: H(alpha)
-= h0 + alpha*h1 (+ drive*n1) in CSR form only, with one dense solve for
-the lowest levels. Every ``propagate_state`` step is one fourth-order
-commutator-free Magnus step.
+= h0 + alpha*h1 (+ drive*n1) in CSR form only. Its one solve for the
+lowest levels works in a reduced basis when a caller has stated the
+alpha window of many solves to come (the frame nodes of a
+``TwoQubitFrame``, the sample solves of ``propagate_state``), and each
+reduced solution is checked against the full H. Every
+``propagate_state`` step is one fourth-order commutator-free Magnus step.
 
 Phases follow the h GHz / ns unit system: a step propagator is
 exp(-i * 2*pi * H * dt) with H in h GHz and dt in ns. The moving-frame
@@ -22,7 +25,6 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .circuit import (
     CircuitSpec,
@@ -33,11 +35,9 @@ from .circuit import (
     physical_sector_indices,
 )
 from .spectrum import (
-    PAIR_MIN_OVERLAP,
     RESIDUAL_RTOL,
     EigenSolution,
     _check_pair_continuity,
-    _pair_overlap,
     align_gauge,
 )
 
@@ -56,9 +56,12 @@ ALPHA_MIN_ALLOWED = 0.4
 ALPHA_MAX_ALLOWED = 1.0
 FULL_LOWERING_NS = 35.0  # time to ramp alpha from 1 to 0.5 in a two-qubit gate
 MIN_STEPS_PER_NS = 50
-# Shift-invert sample solves shift this fraction of the previous sample's
-# tracked-level spread below its ground level.
-SHIFT_MARGIN = 0.25
+# A window's reduced basis holds the lowest k + SNAPSHOT_PAD eigenvectors at
+# each of its snapshot alphas; the pad keeps a level that enters the lowest
+# k inside the window in the snapshots.
+SNAPSHOT_PAD = 4
+# One more pair of snapshots per this much window width (see _snapshot_count).
+SNAPSHOT_WIDTH = 0.175
 
 
 class PropagationError(RuntimeError):
@@ -246,6 +249,19 @@ class Trajectory:
 # Single-qubit (or single-circuit) state propagation
 
 
+def _snapshot_count(width: float) -> int:
+    """Snapshot alphas of a reduced basis for a window of this width.
+
+    7 up to a width of SNAPSHOT_WIDTH and two more per further
+    SNAPSHOT_WIDTH. Measured over 40 alphas per window: on a 361-state
+    node basis with 12 levels, 7 snapshots keep the worst residual of
+    [0.857, 1] at 1.2e-3 of its bound, where 5 fail at 32 alphas, and 11
+    keep [0.5, 1] at 1.7e-3; on the 313-state single-loop sector with 8
+    levels, 9 keep [0.7, 1] at 1.2e-2, where 7 fail at 5 alphas.
+    """
+    return 5 + 2 * max(1, math.ceil(width / SNAPSHOT_WIDTH))
+
+
 class _CircuitEngine:
     """H(alpha, drive) = h0 + alpha*h1 + drive*n1 of one circuit, in its
     physical sector where it has one, held only in CSR form.
@@ -253,7 +269,13 @@ class _CircuitEngine:
     The three pieces share one sparsity pattern, that of h0 and h1 plus
     the diagonal, so any H(alpha, drive) is one linear combination of
     three data vectors. ``n1`` is diagonal in the charge basis and kept
-    as a vector. A dense H exists only inside ``lowest``.
+    as a vector. A dense H exists only inside a dense solve.
+
+    ``set_window`` states an alpha window of many lowest-k solves to come;
+    ``lowest`` then solves inside it in a reduced basis (eigenvector
+    continuation: Frame et al., PRL 121, 032501 (2018); convergence: Sarkar
+    & Lee, PRL 126, 032501 (2021)). ``fallbacks`` counts the reduced
+    solutions that failed their residual check and were solved densely.
     """
 
     def __init__(self, spec: CircuitSpec, charging_scale: float = 1.0):
@@ -276,6 +298,12 @@ class _CircuitEngine:
         self._data = [h0[rows, self._indices], h1[rows, self._indices], dn]
         # diagonal means of the three pieces; that of H(alpha, drive) is linear in them
         self._diag_means = [float(d[self._diag].real.mean()) for d in self._data]
+        self._window = None  # (lo, hi, k, Q, Q^H h0 Q, Q^H h1 Q)
+        self.fallbacks = 0
+
+    def _csr(self, data: np.ndarray) -> scipy.sparse.csr_matrix:
+        return scipy.sparse.csr_matrix((data, self._indices, self._indptr),
+                                       shape=(self.dim, self.dim))
 
     def sparse_hamiltonian(self, alpha: float, drive: float = 0.0,
                            shift: float = 0.0) -> scipy.sparse.csr_matrix:
@@ -286,8 +314,7 @@ class _CircuitEngine:
             data += drive * dn
         if shift != 0.0:
             data[self._diag] -= shift
-        return scipy.sparse.csr_matrix((data, self._indices, self._indptr),
-                                       shape=(self.dim, self.dim))
+        return self._csr(data)
 
     def expi_apply(self, alpha: float, drive: float, dt: float,
                    psi: np.ndarray) -> np.ndarray:
@@ -316,37 +343,54 @@ class _CircuitEngine:
             psi = acc
         return np.exp(-2j * math.pi * shift * dt) * psi
 
-    def lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Lowest k eigenpairs of the drive-free H(alpha), by a dense solve."""
+    def set_window(self, lo: float, hi: float, k: int, solves: int) -> None:
+        """State that ``solves`` calls of ``lowest(alpha, k)`` with alpha in
+        [lo, hi] come next; this replaces any earlier window.
+
+        A basis is built only where it saves solves: for more solves than
+        it takes snapshots (``_snapshot_count``), and when it holds at most
+        half the states, so that a reduced solve costs at most an eighth of
+        a dense one. It orthonormalizes (QR) the lowest k + SNAPSHOT_PAD
+        eigenvectors at the Chebyshev-Lobatto alphas of the window.
+        """
+        self._window = None
+        n = _snapshot_count(hi - lo)
+        if hi <= lo or solves <= n or 2 * n * (k + SNAPSHOT_PAD) > self.dim:
+            return
+        alphas = lo + 0.5 * (hi - lo) * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
+        snapshots = [self._dense_lowest(float(a), k + SNAPSHOT_PAD)[1] for a in alphas]
+        q = np.linalg.qr(np.hstack(snapshots))[0]
+        self._window = (lo, hi, k, q,
+                        *(q.conj().T @ (self._csr(d) @ q) for d in self._data[:2]))
+
+    def _dense_lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
         return scipy.linalg.eigh(self.sparse_hamiltonian(alpha).toarray(),
                                  subset_by_index=(0, k - 1))
 
-    def lowest_below(self, alpha: float, k: int, shift: float,
-                     start: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """Lowest k eigenpairs of H(alpha) by shift-invert Lanczos at ``shift``.
+    def _reduced_lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Lowest k eigenpairs of H(alpha) projected on the window's basis, lifted."""
+        _, _, _, q, g0, g1 = self._window
+        energies, coords = scipy.linalg.eigh(g0 + alpha * g1, subset_by_index=(0, k - 1))
+        return energies, q @ coords
 
-        ``shift`` must lie below the lowest level; ``start`` is the
-        Lanczos start vector, which makes the result deterministic.
-        Returns None when ARPACK or the factorization fails, when an
-        energy falls below the shift (the k levels nearest the shift are
-        then not known to be the lowest k), or when a residual exceeds
-        ``RESIDUAL_RTOL * ||H||_inf``.
+    def lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Lowest k eigenpairs of the drive-free H(alpha).
+
+        Inside the stated window (``set_window``) they come from the
+        reduced basis, and every pair is checked against the full sparse
+        H: a residual above ``RESIDUAL_RTOL * ||H||_inf`` counts a fallback
+        and the solve is redone densely. Outside it, a dense solve.
         """
-        if k >= self.dim - 1:  # beyond ARPACK; only a dense solve finds them
-            return None
-        h = self.sparse_hamiltonian(alpha)
-        try:
-            energies, states = scipy.sparse.linalg.eigsh(h, k=k, sigma=shift, which="LM", v0=start)
-        except RuntimeError:  # ArpackError, or a singular factor of H - shift
-            return None
-        order = np.argsort(energies)
-        energies, states = energies[order], states[:, order]
-        if energies[0] <= shift:
-            return None
-        residual = np.linalg.norm(h @ states - states * energies, axis=0).max()
-        if residual > RESIDUAL_RTOL * abs(h).sum(axis=1).max():
-            return None
-        return energies, states
+        if self._window is not None:
+            lo, hi, k_max = self._window[:3]
+            if lo <= alpha <= hi and k <= k_max:
+                energies, states = self._reduced_lowest(alpha, k)
+                h = self.sparse_hamiltonian(alpha)
+                residual = np.linalg.norm(h @ states - states * energies, axis=0).max()
+                if residual <= RESIDUAL_RTOL * abs(h).sum(axis=1).max():
+                    return energies, states
+                self.fallbacks += 1
+        return self._dense_lowest(alpha, k)
 
     def restrict(self, psi: np.ndarray) -> np.ndarray:
         """Sector part of a (full_dim, m) block; each column must lie in the sector."""
@@ -408,10 +452,11 @@ def propagate_state(
     E_ref the lowest level at ``t_start`` and its phase restored in
     closed form. Spectral weights against gauge-aligned instantaneous
     eigenstates are recorded on the sample grid, along with accumulated
-    eigenphases. Each sample after the first is solved by shift-invert
-    Lanczos below the previous sample's ground level; a result that
-    fails its residual bound or the qubit-pair continuity check is
-    replaced by a dense solve, as is the first sample.
+    eigenphases. The samples state the profile's alpha range as the
+    engine's window, so with enough of them they are solved in a reduced
+    basis, each checked against the full H and solved densely when its
+    residual is too large. Each sample is gauge-aligned to the one before,
+    and a crossing of the qubit pair raises ``GaugeAlignmentError``.
     """
     settings = settings or PropagationSettings()
     engine = _CircuitEngine(spec, charging_scale)
@@ -424,26 +469,14 @@ def propagate_state(
 
     n_steps, dt, sample_stride = _step_grid(profile, settings)
     k_spec = settings.spectral_k
+    # one solve at the start and one per later sample where alpha has moved
+    alphas = [profile.alpha(profile.t_start + s * dt)
+              for s in (*range(0, n_steps, sample_stride), n_steps)]
+    engine.set_window(profile.alpha_min, max(max(seg[2:]) for seg in profile.segments), k_spec,
+                      1 + sum(a != b for a, b in zip(alphas, alphas[1:])))
 
-    def dense_sample(alpha: float) -> EigenSolution:
+    def lowest(alpha: float) -> EigenSolution:
         return EigenSolution(*engine.lowest(alpha, k_spec), None, k_spec)
-
-    def sample_solution(alpha: float, ref: EigenSolution, where: str) -> EigenSolution:
-        """Lowest k_spec eigenstates at alpha, gauge-aligned to ``ref``.
-
-        Upper tracked states may legitimately cross between samples;
-        phase continuity is only required for the qubit pair.
-        """
-        spread = ref.energies[-1] - ref.energies[0]
-        found = engine.lowest_below(alpha, k_spec, ref.energies[0] - SHIFT_MARGIN * spread,
-                                    ref.states.sum(axis=1))
-        if found is not None:
-            sol = align_gauge(ref, EigenSolution(*found, None, k_spec), min_overlap=0.0)
-            if _pair_overlap(ref, sol) >= PAIR_MIN_OVERLAP:
-                return sol
-        sol = align_gauge(ref, dense_sample(alpha), min_overlap=0.0)
-        _check_pair_continuity(ref, sol, where)
-        return sol
 
     times = [profile.t_start]
     # Every recorded state goes into one buffer in the full basis; many
@@ -454,7 +487,7 @@ def propagate_state(
     weights = []
     norms = [np.ones(psi.shape[1])]
     ref_alpha = profile.alpha(profile.t_start)
-    ref = dense_sample(ref_alpha)
+    ref = lowest(ref_alpha)
     weights.append(np.abs(ref.states.conj().T @ psi) ** 2)
     sampled_energies = [ref.energies.copy()]
     e_ref = float(ref.energies[0])
@@ -489,7 +522,9 @@ def propagate_state(
                 )
             alpha = profile.alpha(t)
             if alpha != ref_alpha:  # on a plateau the last sample still holds
-                ref, ref_alpha = sample_solution(alpha, ref, f"t = {t:.2f} ns"), alpha
+                sol = align_gauge(ref, lowest(alpha), min_overlap=0.0)
+                _check_pair_continuity(ref, sol, f"t = {t:.2f} ns")
+                ref, ref_alpha = sol, alpha
             weights.append(np.abs(ref.states.conj().T @ psi) ** 2)
             sampled_energies.append(ref.energies.copy())
             times.append(t)
@@ -582,19 +617,20 @@ class TwoQubitFrame:
         return {"eps": eps, "b": bs, "e": e_c, "w": w}
 
     def ensure_range(self, alpha_lo: float) -> None:
-        """Build grid nodes from alpha = 1 down to alpha_lo, aligned."""
-        key_top = self._node_key(1.0)
+        """Build grid nodes from alpha = 1 down to alpha_lo, aligned.
+
+        The alphas of the nodes still to build are each qubit engine's
+        window, so a long range is solved in a reduced basis.
+        """
         key_lo = self._node_key(alpha_lo)
-        prev = self._nodes.get(key_top)
-        if prev is None:
-            prev = self._build_node(key_top * self.grid, None)
-            self._nodes[key_top] = prev
-        lowest_built = min(self._nodes)
-        prev = self._nodes[lowest_built]
-        for key in range(lowest_built - 1, key_lo - 1, -1):
-            node = self._build_node(key * self.grid, prev)
-            self._nodes[key] = node
-            prev = node
+        top = min(self._nodes, default=self._node_key(1.0) + 1) - 1  # highest node to build
+        if top < key_lo:
+            return
+        for engine in self._q_engines:
+            engine.set_window(key_lo * self.grid, top * self.grid, self.m, top - key_lo + 1)
+        prev = self._nodes.get(top + 1)
+        for key in range(top, key_lo - 1, -1):
+            prev = self._nodes[key] = self._build_node(key * self.grid, prev)
 
     def node(self, alpha: float) -> dict:
         key = self._node_key(alpha)

@@ -21,6 +21,7 @@ from .coherence import (
     relaxation_rates,
 )
 from .evolve import (
+    FULL_LOWERING_NS,
     AlphaProfile,
     DrivePulse,
     PropagationError,
@@ -48,6 +49,11 @@ __all__ = [
     "effective_couplings",
     "Gamma1Interpolator",
 ]
+
+# A two-qubit gate lowers alpha at the rate of one full lowering (1 -> 0.5)
+# in FULL_LOWERING_NS, so an activation time T_a above twice that takes
+# alpha below 0.5.
+MAX_T_A_NS = 2.0 * FULL_LOWERING_NS
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -413,7 +419,7 @@ def run_two_qubit_gate(
     settings: PropagationSettings | None = None,
     frame: TwoQubitFrame | None = None,
     target: np.ndarray | None = None,
-    gamma1: Gamma1Interpolator | None = None,
+    gamma1: Gamma1Interpolator | tuple[Gamma1Interpolator, Gamma1Interpolator] | None = None,
     conventions: RateConventions | None = None,
 ) -> GateReport:
     """Simultaneous-barrier fSim gate for a (T_a, T_w) schedule.
@@ -426,10 +432,11 @@ def run_two_qubit_gate(
     (or the idealized fSim at the decomposed angles when no target is
     given) up to single-qubit z rotations. The T1-limited fidelity
     integrates Gamma_1 of both qubits along the schedule with the default
-    noise channels; ``gamma1``, when given, serves qubit 1.
+    noise channels. ``gamma1``, when given, is qubit 1's interpolator, or a
+    pair of them, qubit 1's and qubit 2's; a qubit without one gets its own.
     """
-    if t_a > 70.0:
-        raise GateError("T_a > 70 ns lowers alpha below 0.5")
+    if t_a > MAX_T_A_NS:
+        raise GateError(f"T_a > {MAX_T_A_NS:g} ns lowers alpha below 0.5")
     settings = settings or PropagationSettings(steps_per_ns=286)
     profile = AlphaProfile.two_qubit(t_a, t_w)
     frame = frame or TwoQubitFrame(coupled, settings)
@@ -446,17 +453,17 @@ def run_two_qubit_gate(
     else:
         fidelity = gate_fidelity(u_comp, target, "up_to_z")
 
-    def decay_rates(qubit: CircuitSpec) -> Gamma1Interpolator:
-        return Gamma1Interpolator(qubit, profile.alpha_min, conventions=conventions,
-                                  charging_scale=coupled.charging_scale)
-
-    if gamma1 is None:
-        gamma1 = decay_rates(coupled.qubit1)
-    decay = gamma1.integrate(profile)
-    if coupled.qubit1 == coupled.qubit2:
+    identical = coupled.qubit1 == coupled.qubit2
+    qubits = (coupled.qubit1,) if identical else (coupled.qubit1, coupled.qubit2)
+    given = (gamma1,) if isinstance(gamma1, Gamma1Interpolator) else tuple(gamma1 or ())
+    decay = 0.0
+    for i, qubit in enumerate(qubits):
+        rates = given[i] if i < len(given) else Gamma1Interpolator(
+            qubit, profile.alpha_min, conventions=conventions,
+            charging_scale=coupled.charging_scale)
+        decay += rates.integrate(profile)
+    if identical:
         decay *= 2.0
-    else:
-        decay += decay_rates(coupled.qubit2).integrate(profile)
     return GateReport(
         unitary=u_comp,
         coherent_fidelity=fidelity,
@@ -478,32 +485,47 @@ def run_two_qubit_gate(
 
 
 def _coupled_hamiltonian(
-    coupled: CoupledSpec, alpha1: float, alpha2: float, m: int = 12
+    coupled: CoupledSpec, alpha1: float, alpha2: float, m: int = 12,
+    levels: dict | None = None,
 ) -> np.ndarray:
     """m^2-dimensional coupled Hamiltonian in the bare-product basis.
 
     Each qubit's H(alpha) = H_const + alpha * H_barrier is the split the
-    two-qubit frames diagonalize.
+    two-qubit frames diagonalize. ``levels`` keeps each qubit's split,
+    keyed by (qubit, charging_scale), and its lowest m levels with their
+    coupled-node charge, keyed by (qubit, charging_scale, alpha, m): every
+    input of the solve.
     """
+    levels = {} if levels is None else levels
+    scale = coupled.charging_scale
     energies, n1p = [], []
     for q, a in ((coupled.qubit1, alpha1), (coupled.qubit2, alpha2)):
-        h0, h1 = hamiltonian_decomposition(q, coupled.charging_scale)
-        e, b = scipy.linalg.eigh(h0 + a * h1, subset_by_index=(0, m - 1))
-        energies.append(e)
-        n1p.append(b.conj().T @ (build_operator("n1", q).matrix @ b))
+        key = (q, scale, a, m)
+        if key not in levels:
+            if (q, scale) not in levels:
+                levels[q, scale] = hamiltonian_decomposition(q, scale)
+            h0, h1 = levels[q, scale]
+            e, b = scipy.linalg.eigh(h0 + a * h1, subset_by_index=(0, m - 1))
+            levels[key] = e, b.conj().T @ (build_operator("n1", q).matrix @ b)
+        energies.append(levels[key][0])
+        n1p.append(levels[key][1])
     return coupled.product_hamiltonian(energies, n1p)
 
 
 def zz_strength(
-    coupled: CoupledSpec, alpha1: float, alpha2: float, m: int = 12
+    coupled: CoupledSpec, alpha1: float, alpha2: float, m: int = 12,
+    *,
+    _levels: dict | None = None,
 ) -> tuple[float, dict]:
     """zeta_ZZ = E_00 - E_01 - E_10 + E_11 of the coupled spectrum.
 
     Computational levels are identified by maximal overlap with the bare
     product states (Hungarian assignment); near-degenerate 01/10 pairs
-    are fine because only their energy sum enters.
+    are fine because only their energy sum enters. Calls that pass one
+    ``_levels`` dict share each qubit's split and per-alpha levels (see
+    ``_coupled_hamiltonian``), as the points of one ``zz_map`` do.
     """
-    h = _coupled_hamiltonian(coupled, alpha1, alpha2, m=m)
+    h = _coupled_hamiltonian(coupled, alpha1, alpha2, m=m, levels=_levels)
     energies, states = scipy.linalg.eigh(h, subset_by_index=(0, 7))
     picked, overlaps = _computational_levels(states, m)
     quality = float((np.abs(overlaps[range(4), picked]) ** 2).min())

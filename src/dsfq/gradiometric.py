@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# Largest loop-area asymmetry |r| that compensation_delta accepts (exclusive).
+MAX_ASYMMETRY = 0.2
+
+
 class GeometryError(ValueError):
     """Invalid loop geometry or out-of-range asymmetry."""
 
@@ -94,10 +98,11 @@ def compensation_delta(r: float) -> tuple[float, float, float]:
 
     Returns (exact, approximation 2*r, exact - approximation), with
     delta = -1 + ((1 + r)/(1 - r)) * cos(2*pi*r/(1 - r)).
-    Valid for small asymmetry only; |r| >= 0.2 is rejected.
+    Valid for small asymmetry only; |r| >= MAX_ASYMMETRY is rejected.
     """
-    if abs(r) >= 0.2:
-        raise GeometryError(f"|r| = {abs(r)} outside the small-asymmetry regime (< 0.2)")
+    if abs(r) >= MAX_ASYMMETRY:
+        raise GeometryError(
+            f"|r| = {abs(r)} outside the small-asymmetry regime (< {MAX_ASYMMETRY:g})")
     exact = -1.0 + (1.0 + r) / (1.0 - r) * math.cos(2.0 * math.pi * r / (1.0 - r))
     return exact, 2.0 * r, exact - 2.0 * r
 

@@ -19,6 +19,12 @@ from dsfq.cli import (
     validate_config,
 )
 
+from dsfq import gates
+from dsfq.circuit import MAX_ALPHA, MIN_ALPHA
+from dsfq.evolve import ALPHA_MAX_ALLOWED, ALPHA_MIN_ALLOWED
+from dsfq.gates import MAX_T_A_NS
+from dsfq.gradiometric import MAX_ASYMMETRY
+
 EXPERIMENTS_DIR = Path(__file__).resolve().parent.parent / "experiments"
 
 
@@ -169,6 +175,27 @@ BAD_VALUES = [
     ("two_qubit_map", "t_w_values", [1.0, float("nan")], False),
     ("two_qubit_map", "t_w_values", None, False),
     ("zz_map", "alpha_values", [0.8, "1.0"], False),
+    # physical ranges, checked before any work instead of failing inside the run
+    ("single_qubit_gate", "ramp_ns", -1, True),
+    ("spectrum_vs_alpha", "alpha_start", 5, True),
+    ("dispersive_shift_sweep", "g", -1, True),
+    ("spectrum_vs_alpha", "alpha_stop", MIN_ALPHA - 0.1, False),
+    ("coherence_vs_alpha", "alpha_start", MAX_ALPHA + 0.1, False),
+    ("single_qubit_gate", "ramp_ns", 0, False),
+    ("single_qubit_gate", "pulse_ns", 0.0, False),
+    ("single_qubit_gate", "pulse_ramp_ns", -0.5, False),
+    ("single_qubit_gate", "plateau_alpha", ALPHA_MIN_ALLOWED - 0.01, False),
+    ("single_qubit_gate", "plateau_alpha", ALPHA_MAX_ALLOWED + 0.01, False),
+    ("gradiometric_dispersion", "asymmetry", MAX_ASYMMETRY, False),
+    ("gradiometric_dispersion", "asymmetry", -MAX_ASYMMETRY, False),
+    ("two_qubit_map", "cg_ratio", -0.1, False),
+    ("two_qubit_map", "detuning", -1, False),
+    ("two_qubit_map", "t_a_values", [20, MAX_T_A_NS + 1], False),
+    ("two_qubit_map", "t_a_values", [0], False),
+    ("two_qubit_map", "t_w_values", [5, -1], False),
+    ("zz_map", "alpha_values", [0.8, MAX_ALPHA + 0.5], False),
+    ("zz_map", "cg_ratio", -1, False),
+    ("dispersive_shift_sweep", "omega_r", 0, False),
 ]
 
 
@@ -200,6 +227,17 @@ def test_subspace_k_is_bounded_by_the_product_space():
     validate_config(_config("two_qubit_map", per_qubit_m=4, subspace_k=16))
     with pytest.raises(ConfigError, match="subspace_k = 17 exceeds per_qubit_m"):
         validate_config(_config("two_qubit_map", per_qubit_m=4, subspace_k=17))
+
+
+def test_physical_range_edges_validate():
+    # each bound that a physics constructor enforces, taken at its edge
+    validate_config(_config("spectrum_vs_alpha", alpha_start=MAX_ALPHA, alpha_stop=MIN_ALPHA))
+    validate_config(_config("single_qubit_gate", plateau_alpha=ALPHA_MIN_ALLOWED, pulse_ramp_ns=0))
+    validate_config(_config("single_qubit_gate", plateau_alpha=ALPHA_MAX_ALLOWED))
+    validate_config(_config("gradiometric_dispersion", asymmetry=-0.199))
+    validate_config(_config("two_qubit_map", cg_ratio=0, detuning=-0.5,
+                            t_a_values=[MAX_T_A_NS], t_w_values=[0]))
+    validate_config(_config("zz_map", alpha_values=[MIN_ALPHA, MAX_ALPHA]))
 
 
 def test_largest_sizes_validate():
@@ -243,3 +281,43 @@ def test_workers_default_comes_from_the_environment(monkeypatch):
         monkeypatch.setenv("DSFQ_WORKERS", bad)
         with pytest.raises(ConfigError, match="workers = "):
             validate_config(cfg)
+
+
+@pytest.mark.parametrize("detuning, decompositions, qubit_solves", [(0.0, 1, 3), (0.02, 2, 6)])
+def test_zz_map_solves_each_qubit_and_alpha_once(tmp_path, monkeypatch, detuning,
+                                                 decompositions, qubit_solves):
+    # A 3 x 3 map splits each distinct qubit's H once and solves it once per
+    # alpha; the coupled 144-dim H is solved at every point.
+    counts = {"split": 0, "qubit": 0, "coupled": 0}
+    split, eigh = gates.hamiltonian_decomposition, gates.scipy.linalg.eigh
+
+    def counting_split(*args, **kwargs):
+        counts["split"] += 1
+        return split(*args, **kwargs)
+
+    def counting_eigh(a, *args, **kwargs):
+        counts["coupled" if a.shape[0] == 144 else "qubit"] += 1
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(gates, "hamiltonian_decomposition", counting_split)
+    monkeypatch.setattr(gates.scipy.linalg, "eigh", counting_eigh)
+    cfg = _config("zz_map", alpha_values=[0.6, 0.8, 1.0], detuning=detuning)
+    assert run(cfg, output=str(tmp_path))["status"] == "OK"
+    assert counts == {"split": decompositions, "qubit": qubit_solves, "coupled": 9}
+
+
+def test_detuned_map_builds_one_rate_interpolator_per_qubit(tmp_path, monkeypatch):
+    built = []
+    init = gates.Gamma1Interpolator.__init__
+
+    def counting(self, spec, *args, **kwargs):
+        built.append(spec.ej)
+        init(self, spec, *args, **kwargs)
+
+    monkeypatch.setattr(gates.Gamma1Interpolator, "__init__", counting)
+    cfg = {**_config("two_qubit_map", detuning=0.02, t_a_values=[20.0, 22.0],
+                     t_w_values=[4.0, 5.0], steps_per_ns=50, alpha_grid=5e-3,
+                     per_qubit_m=6, subspace_k=12),
+           "circuit": {"ej": 10.0, "ec": 0.1, "cutoff": 5, "phi_ext": "0.99*pi"}}
+    assert run(cfg, output=str(tmp_path))["status"] == "OK"
+    assert built == [10.0, 10.0 * 1.02]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,24 +174,51 @@ def test_block_matches_column_by_column(method, steps_per_ns):
 
 
 def test_sample_solves_fall_back_to_dense(monkeypatch):
-    # A shift-invert result that fails its residual bound is replaced by the
-    # dense solve, so the trajectory does not change.
+    # A reduced-basis sample solve that fails its residual check is counted
+    # and replaced by the dense solve, so the trajectory does not change.
     sol = qubit_eigensolution(SPEC, 3)
     prof = AlphaProfile(((0.0, 2.0, 1.0, 0.9),))
-    reference = propagate_state(SPEC, prof, None, sol.state(0), FAST)
-    eigsh = evolve.scipy.sparse.linalg.eigsh
-    solves = []
+    settings = PropagationSettings(steps_per_ns=64, sample_interval_ns=0.1)
+    reference = propagate_state(SPEC, prof, None, sol.state(0), settings)
+    reduced = evolve._CircuitEngine._reduced_lowest
+    engines = []
 
-    def off_by_a_little(*args, **kwargs):
-        energies, states = eigsh(*args, **kwargs)
-        solves.append(energies)
+    def off_by_a_little(self, alpha, k):
+        engines.append(self)
+        energies, states = reduced(self, alpha, k)
         return energies + 1e-3, states
 
-    monkeypatch.setattr(evolve.scipy.sparse.linalg, "eigsh", off_by_a_little)
-    fallback = propagate_state(SPEC, prof, None, sol.state(0), FAST)
-    assert len(solves) == len(reference.times) - 1
+    monkeypatch.setattr(evolve._CircuitEngine, "_reduced_lowest", off_by_a_little)
+    fallback = propagate_state(SPEC, prof, None, sol.state(0), settings)
+    assert len(engines) == len(reference.times)  # every sample went to the basis first
+    assert engines[0].fallbacks == len(engines)
     np.testing.assert_allclose(fallback.frame_energies, reference.frame_energies, rtol=0, atol=1e-12)
     assert np.abs(fallback.spectral_weights - reference.spectral_weights).max() < 1e-12
+    assert max(np.abs(a - b).max() for a, b in zip(fallback.states, reference.states)) < 1e-12
+
+
+def test_reduced_sample_solves_match_dense(monkeypatch):
+    # The samples of a ramp go through the basis without a fallback and give
+    # the trajectory of dense sample solves. A few samples build no basis.
+    sol = qubit_eigensolution(SPEC, 3)
+    prof = AlphaProfile(((0.0, 2.0, 1.0, 0.9),))
+    engines = []
+    window = evolve._CircuitEngine.set_window
+
+    def recording(self, lo, hi, k, solves):
+        engines.append(self)
+        window(self, lo, hi, k, solves)
+
+    monkeypatch.setattr(evolve._CircuitEngine, "set_window", recording)
+    few = propagate_state(SPEC, prof, None, sol.state(0), FAST)
+    assert len(few.times) <= evolve._snapshot_count(0.1) and engines[-1]._window is None
+    settings = PropagationSettings(steps_per_ns=64, sample_interval_ns=0.1)
+    reduced = propagate_state(SPEC, prof, None, sol.state(0), settings)
+    assert engines[-1]._window is not None and engines[-1].fallbacks == 0
+    monkeypatch.setattr(evolve._CircuitEngine, "set_window", lambda self, *args: None)
+    dense = propagate_state(SPEC, prof, None, sol.state(0), settings)
+    np.testing.assert_allclose(reduced.frame_energies, dense.frame_energies, rtol=0, atol=1e-12)
+    assert np.abs(reduced.spectral_weights - dense.spectral_weights).max() < 1e-12
 
 
 def test_initial_state_validation():
@@ -265,6 +293,44 @@ def test_frame_grid_refinement(coupled_frame):
         traj = propagate_subspace_unitary(cpl, profile, s, frame=f)
         populations.append(np.abs(_computational_block(f, traj.final)[0]) ** 2)
     assert np.abs(populations[0] - populations[1]).max() < 3e-5
+
+
+def test_frame_built_through_the_basis_matches_a_dense_frame(coupled_frame):
+    # Built over a range, a frame solves each qubit through its reduced
+    # basis; built one node per call, it takes dense solves only. The two
+    # agree up to a diagonal gauge per node (each frame sets the phase of a
+    # crossing upper level from a small overlap). Frame overlaps are compared
+    # for a detuned pair: the identical pair's 01/10 doublet is split by only
+    # 4e-5 GHz at alpha = 1, so its overlaps already differ by up to 9e-10
+    # between two dense solves with different rounding (a permuted basis, or
+    # LAPACK's divide-and-conquer eigensolver).
+    cpl, settings, frame = coupled_frame
+    detuned = TwoQubitFrame(CoupledSpec(cpl.qubit1, replace(cpl.qubit1, ej=10.5), cg_ratio=0.3),
+                            settings)
+    detuned.ensure_range(0.95)
+    for built, overlaps in ((frame, False), (detuned, True)):
+        assert all(e._window is not None and e.fallbacks == 0 for e in built._q_engines)
+        dense = TwoQubitFrame(built.coupled, settings)
+        keys = range(built._node_key(1.0), built._node_key(0.95) - 1, -1)
+        for key in keys:
+            dense.node(key * built.grid)
+        assert all(e._window is None and e.fallbacks == 0 for e in dense._q_engines)
+        gauge = {}
+        for key in keys:
+            a = key * built.grid
+            assert np.abs(built.node(a)["e"] - dense.node(a)["e"]).max() < 1e-9
+            cross = built.frame_overlap(dense.node(a), built.node(a))
+            gauge[key] = np.diag(np.diag(cross))
+            assert np.abs(np.abs(np.diag(cross)) - 1.0).max() < 1e-9
+            if overlaps:
+                assert np.abs(cross - gauge[key]).max() < 1e-9
+        if not overlaps:
+            continue
+        for key in keys[:-1]:
+            a, b = key * built.grid, (key - 1) * built.grid
+            step = built.frame_overlap(built.node(a), built.node(b))
+            step_dense = dense.frame_overlap(dense.node(a), dense.node(b))
+            assert np.abs(step - gauge[key].conj() @ step_dense @ gauge[key - 1]).max() < 1e-9
 
 
 def test_computational_projector_is_dressed_basis():
