@@ -352,6 +352,11 @@ class _CircuitEngine:
         half the states, so that a reduced solve costs at most an eighth of
         a dense one. It orthonormalizes (QR) the lowest k + SNAPSHOT_PAD
         eigenvectors at the Chebyshev-Lobatto alphas of the window.
+
+        The residual check of ``lowest`` cannot see a level missing from
+        the basis, so the basis is also checked once here: midway between
+        each pair of snapshots its lowest k energies must match a dense
+        solve to ``RESIDUAL_RTOL * ||H||_inf``, or no basis is kept.
         """
         self._window = None
         n = _snapshot_count(hi - lo)
@@ -360,8 +365,13 @@ class _CircuitEngine:
         alphas = lo + 0.5 * (hi - lo) * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
         snapshots = [self._dense_lowest(float(a), k + SNAPSHOT_PAD)[1] for a in alphas]
         q = np.linalg.qr(np.hstack(snapshots))[0]
-        self._window = (lo, hi, k, q,
-                        *(q.conj().T @ (self._csr(d) @ q) for d in self._data[:2]))
+        g0, g1 = (q.conj().T @ (self._csr(d) @ q) for d in self._data[:2])
+        for a in 0.5 * (alphas[1:] + alphas[:-1]):
+            reduced = scipy.linalg.eigvalsh(g0 + a * g1, subset_by_index=(0, k - 1))
+            bound = RESIDUAL_RTOL * abs(self.sparse_hamiltonian(a)).sum(axis=1).max()
+            if np.abs(reduced - self._dense_lowest(float(a), k)[0]).max() > bound:
+                return
+        self._window = (lo, hi, k, q, g0, g1)
 
     def _dense_lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
         return scipy.linalg.eigh(self.sparse_hamiltonian(alpha).toarray(),
@@ -468,12 +478,11 @@ def propagate_state(
         raise PropagationError(f"initial state norm {norm0} is not 1")
 
     n_steps, dt, sample_stride = _step_grid(profile, settings)
+    n_samples = 1 + -(-n_steps // sample_stride)
     k_spec = settings.spectral_k
-    # one solve at the start and one per later sample where alpha has moved
-    alphas = [profile.alpha(profile.t_start + s * dt)
-              for s in (*range(0, n_steps, sample_stride), n_steps)]
+    # at most one solve per sample: a sample where alpha has not moved reuses the last
     engine.set_window(profile.alpha_min, max(max(seg[2:]) for seg in profile.segments), k_spec,
-                      1 + sum(a != b for a, b in zip(alphas, alphas[1:])))
+                      n_samples)
 
     def lowest(alpha: float) -> EigenSolution:
         return EigenSolution(*engine.lowest(alpha, k_spec), None, k_spec)
@@ -482,7 +491,7 @@ def propagate_state(
     # Every recorded state goes into one buffer in the full basis; many
     # small long-lived arrays fragmented the heap and raised peak RSS
     # from one gate to the next.
-    states = np.zeros((1 + -(-n_steps // sample_stride), engine.full_dim, psi.shape[1]), dtype=complex)
+    states = np.zeros((n_samples, engine.full_dim, psi.shape[1]), dtype=complex)
     states[0, engine.indices] = psi
     weights = []
     norms = [np.ones(psi.shape[1])]

@@ -419,7 +419,7 @@ def run_two_qubit_gate(
     settings: PropagationSettings | None = None,
     frame: TwoQubitFrame | None = None,
     target: np.ndarray | None = None,
-    gamma1: Gamma1Interpolator | tuple[Gamma1Interpolator, Gamma1Interpolator] | None = None,
+    gamma1: tuple[Gamma1Interpolator, ...] | None = None,
     conventions: RateConventions | None = None,
 ) -> GateReport:
     """Simultaneous-barrier fSim gate for a (T_a, T_w) schedule.
@@ -432,11 +432,16 @@ def run_two_qubit_gate(
     (or the idealized fSim at the decomposed angles when no target is
     given) up to single-qubit z rotations. The T1-limited fidelity
     integrates Gamma_1 of both qubits along the schedule with the default
-    noise channels. ``gamma1``, when given, is qubit 1's interpolator, or a
-    pair of them, qubit 1's and qubit 2's; a qubit without one gets its own.
+    noise channels. ``gamma1``, when given, holds one interpolator per
+    distinct qubit (qubit 1's, then qubit 2's if the pair is detuned);
+    when None, they are built here.
     """
     if t_a > MAX_T_A_NS:
         raise GateError(f"T_a > {MAX_T_A_NS:g} ns lowers alpha below 0.5")
+    identical = coupled.qubit1 == coupled.qubit2
+    qubits = (coupled.qubit1,) if identical else (coupled.qubit1, coupled.qubit2)
+    if gamma1 is not None and len(gamma1) != len(qubits):
+        raise GateError(f"gamma1 holds {len(gamma1)} interpolators for {len(qubits)} qubits")
     settings = settings or PropagationSettings(steps_per_ns=286)
     profile = AlphaProfile.two_qubit(t_a, t_w)
     frame = frame or TwoQubitFrame(coupled, settings)
@@ -453,15 +458,11 @@ def run_two_qubit_gate(
     else:
         fidelity = gate_fidelity(u_comp, target, "up_to_z")
 
-    identical = coupled.qubit1 == coupled.qubit2
-    qubits = (coupled.qubit1,) if identical else (coupled.qubit1, coupled.qubit2)
-    given = (gamma1,) if isinstance(gamma1, Gamma1Interpolator) else tuple(gamma1 or ())
-    decay = 0.0
-    for i, qubit in enumerate(qubits):
-        rates = given[i] if i < len(given) else Gamma1Interpolator(
-            qubit, profile.alpha_min, conventions=conventions,
-            charging_scale=coupled.charging_scale)
-        decay += rates.integrate(profile)
+    if gamma1 is None:
+        gamma1 = tuple(Gamma1Interpolator(q, profile.alpha_min, conventions=conventions,
+                                          charging_scale=coupled.charging_scale)
+                       for q in qubits)
+    decay = sum(rates.integrate(profile) for rates in gamma1)
     if identical:
         decay *= 2.0
     return GateReport(
@@ -494,7 +495,8 @@ def _coupled_hamiltonian(
     two-qubit frames diagonalize. ``levels`` keeps each qubit's split,
     keyed by (qubit, charging_scale), and its lowest m levels with their
     coupled-node charge, keyed by (qubit, charging_scale, alpha, m): every
-    input of the solve.
+    input of the solve. Points run at once may both miss a key and repeat
+    its solve, with identical results.
     """
     levels = {} if levels is None else levels
     scale = coupled.charging_scale

@@ -301,7 +301,8 @@ def test_zz_map_solves_each_qubit_and_alpha_once(tmp_path, monkeypatch, detuning
 
     monkeypatch.setattr(gates, "hamiltonian_decomposition", counting_split)
     monkeypatch.setattr(gates.scipy.linalg, "eigh", counting_eigh)
-    cfg = _config("zz_map", alpha_values=[0.6, 0.8, 1.0], detuning=detuning)
+    # one worker: points in flight at once may repeat a solve
+    cfg = {**_config("zz_map", alpha_values=[0.6, 0.8, 1.0], detuning=detuning), "workers": 1}
     assert run(cfg, output=str(tmp_path))["status"] == "OK"
     assert counts == {"split": decompositions, "qubit": qubit_solves, "coupled": 9}
 

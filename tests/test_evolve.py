@@ -295,6 +295,27 @@ def test_frame_grid_refinement(coupled_frame):
     assert np.abs(populations[0] - populations[1]).max() < 3e-5
 
 
+def test_basis_missing_a_level_is_not_kept(monkeypatch):
+    # Snapshots that leave out the ground state miss a level; the dense
+    # solves between the snapshots see it before any reduced solve is made.
+    engine = evolve._CircuitEngine(SPEC)
+    dense = evolve._CircuitEngine._dense_lowest
+    k = 4
+
+    def without_ground(self, alpha, n):
+        if n != k + evolve.SNAPSHOT_PAD:
+            return dense(self, alpha, n)
+        energies, states = dense(self, alpha, n + 1)
+        return energies[1:], states[:, 1:]
+
+    monkeypatch.setattr(evolve._CircuitEngine, "_dense_lowest", without_ground)
+    engine.set_window(0.9, 1.0, k, 50)
+    assert engine._window is None
+    monkeypatch.undo()
+    engine.set_window(0.9, 1.0, k, 50)
+    assert engine._window is not None and engine.lowest(0.95, k) is not None
+
+
 def test_frame_built_through_the_basis_matches_a_dense_frame(coupled_frame):
     # Built over a range, a frame solves each qubit through its reduced
     # basis; built one node per call, it takes dense solves only. The two
@@ -331,6 +352,20 @@ def test_frame_built_through_the_basis_matches_a_dense_frame(coupled_frame):
             step = built.frame_overlap(built.node(a), built.node(b))
             step_dense = dense.frame_overlap(dense.node(a), dense.node(b))
             assert np.abs(step - gauge[key].conj() @ step_dense @ gauge[key - 1]).max() < 1e-9
+
+
+def test_small_basis_declines_the_reduced_basis():
+    # At cutoff 5 (121 states) a frame's 6 levels plus pad at 7 snapshots
+    # would hold more than half the states, so its nodes are solved densely;
+    # the same engine builds a basis for 2 levels.
+    qubit = replace(q_node(), cutoff=5)
+    settings = PropagationSettings(per_qubit_m=6, subspace_k=12, alpha_grid=5e-3)
+    frame = TwoQubitFrame(CoupledSpec(qubit, qubit, cg_ratio=0.3), settings)
+    frame.ensure_range(0.857)
+    engine = frame._q_engines[0]
+    assert engine.dim == 121 and engine._window is None and engine.fallbacks == 0
+    engine.set_window(0.857, 1.0, 2, 29)
+    assert engine._window is not None
 
 
 def test_computational_projector_is_dressed_basis():

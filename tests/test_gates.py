@@ -9,6 +9,7 @@ from dsfq.circuit import CircuitSpec, CoupledSpec, Variant
 from dsfq.evolve import PropagationSettings, TwoQubitFrame, _computational_levels
 from dsfq.spectrum import qubit_eigensolution
 from dsfq.gates import (
+    GateError,
     _z_dressing,
     effective_couplings,
     fsim_decompose,
@@ -110,6 +111,9 @@ def test_detuned_pair_decays_like_the_identical_pair():
         for q2 in (q, replace(q, ej=q.ej * (1.0 + 1e-9)))
     ]
     assert decay[1] == pytest.approx(decay[0], rel=1e-6)
+    # a detuned pair takes one interpolator per qubit
+    with pytest.raises(GateError, match="gamma1 holds 0 interpolators for 2 qubits"):
+        run_two_qubit_gate(CoupledSpec(q, replace(q, ej=10.5)), 20.0, 5.0, settings, gamma1=())
 
 
 @pytest.mark.parametrize("ej2", [10.0, 10.5])
