@@ -199,7 +199,9 @@ def test_sample_solves_fall_back_to_dense(monkeypatch):
 
 def test_reduced_sample_solves_match_dense(monkeypatch):
     # The samples of a ramp go through the basis without a fallback and give
-    # the trajectory of dense sample solves. A few samples build no basis.
+    # the trajectory of dense sample solves. A few samples build no basis,
+    # nor do many in a sector too small for the basis to hold at most half
+    # its states (cutoff 5: 61 states, 7 snapshots of 8 + 4 levels).
     sol = qubit_eigensolution(SPEC, 3)
     prof = AlphaProfile(((0.0, 2.0, 1.0, 0.9),))
     engines = []
@@ -215,6 +217,9 @@ def test_reduced_sample_solves_match_dense(monkeypatch):
     settings = PropagationSettings(steps_per_ns=64, sample_interval_ns=0.1)
     reduced = propagate_state(SPEC, prof, None, sol.state(0), settings)
     assert engines[-1]._window is not None and engines[-1].fallbacks == 0
+    small = replace(SPEC, cutoff=5)
+    propagate_state(small, prof, None, qubit_eigensolution(small, 3).state(0), settings)
+    assert engines[-1].dim == 61 and engines[-1]._window is None
     monkeypatch.setattr(evolve._CircuitEngine, "set_window", lambda self, *args: None)
     dense = propagate_state(SPEC, prof, None, sol.state(0), settings)
     np.testing.assert_allclose(reduced.frame_energies, dense.frame_energies, rtol=0, atol=1e-12)
@@ -352,20 +357,6 @@ def test_frame_built_through_the_basis_matches_a_dense_frame(coupled_frame):
             step = built.frame_overlap(built.node(a), built.node(b))
             step_dense = dense.frame_overlap(dense.node(a), dense.node(b))
             assert np.abs(step - gauge[key].conj() @ step_dense @ gauge[key - 1]).max() < 1e-9
-
-
-def test_small_basis_declines_the_reduced_basis():
-    # At cutoff 5 (121 states) a frame's 6 levels plus pad at 7 snapshots
-    # would hold more than half the states, so its nodes are solved densely;
-    # the same engine builds a basis for 2 levels.
-    qubit = replace(q_node(), cutoff=5)
-    settings = PropagationSettings(per_qubit_m=6, subspace_k=12, alpha_grid=5e-3)
-    frame = TwoQubitFrame(CoupledSpec(qubit, qubit, cg_ratio=0.3), settings)
-    frame.ensure_range(0.857)
-    engine = frame._q_engines[0]
-    assert engine.dim == 121 and engine._window is None and engine.fallbacks == 0
-    engine.set_window(0.857, 1.0, 2, 29)
-    assert engine._window is not None
 
 
 def test_computational_projector_is_dressed_basis():
