@@ -30,7 +30,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields as dc_fields
+from dataclasses import fields as dc_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +345,9 @@ def validate_config(cfg: dict) -> dict:
     if exp == "two_qubit_map" and params["subspace_k"] > params["per_qubit_m"] ** 2:
         raise ConfigError(f"{where}: subspace_k = {params['subspace_k']} exceeds "
                           f"per_qubit_m**2 = {params['per_qubit_m'] ** 2}, the product space")
+    if exp == "single_qubit_gate" and 2 * params["pulse_ramp_ns"] > params["pulse_ns"]:
+        raise ConfigError(f"{where}: pulse_ramp_ns = {params['pulse_ramp_ns']} exceeds "
+                          f"pulse_ns / 2 = {params['pulse_ns'] / 2}, a negative flat top")
     _circuit_from(cfg)  # validates the circuit block
     out = dict(cfg)
     env_workers = os.environ.get("DSFQ_WORKERS")  # the default for a config that names none
@@ -393,7 +396,6 @@ def _exp_flux_dispersion(cfg, spec, pool):
     p = cfg["params"]
     phis = np.linspace(p["phi_start_pi"], p["phi_stop_pi"], p["points"])
     def one(x):
-        from dataclasses import replace
         qp = qubit_params(qubit_eigensolution(replace(spec, phi_ext=x * math.pi), 3))
         return (x, qp.omega_q, qp.anharmonicity)
     rows = list(pool.map(one, phis))
@@ -417,7 +419,6 @@ def _exp_coherence_vs_alpha(cfg, spec, pool):
 
 
 def _exp_gradiometric_dispersion(cfg, spec, pool):
-    from dataclasses import replace
     p = cfg["params"]
     r = p["asymmetry"]
     us = np.linspace(p["phi_g_start"], p["phi_g_stop"], p["points"])
@@ -483,7 +484,6 @@ def _exp_single_qubit_gate(cfg, spec, pool):
 
 
 def _two_qubit_system(cfg, spec):
-    from dataclasses import replace
     p = cfg["params"]
     q1 = replace(spec, variant=Variant.NODE_BASIS)
     q2 = replace(q1, ej=q1.ej * (1.0 + p["detuning"]))
@@ -551,7 +551,6 @@ def _exp_dispersive_shift_sweep(cfg, spec, pool):
     res = ResonatorSpec(omega_r=p["omega_r"], g=p["g"])
     phis = np.linspace(p["phi_start_pi"], p["phi_stop_pi"], p["points"])
     def one(x):
-        from dataclasses import replace
         ds = dispersive_shift(replace(spec, phi_ext=x * math.pi), res, levels=p["levels"])
         return (x, ds.chi, int(ds.valid))
     rows = list(pool.map(one, phis))

@@ -275,7 +275,7 @@ def relaxation_rates(
             if ch.kind.startswith("charge"):
                 amp = conv.charge_amp(amp)
             m = element * H_PLANCK * GHZ  # J per unit lambda
-            if ch.kind.endswith("1f") or "1f" in ch.kind:
+            if "1f" in ch.kind:
                 s = _spectral_1f(amp, omega)
             else:
                 s = _spectral_ohmic(amp, omega)

@@ -171,8 +171,8 @@ class DrivePulse:
     coupling_ratio: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.ramp_ns < 0 or self.amplitude < 0:
-            raise PropagationError("pulse ramp and amplitude must be non-negative")
+        if self.ramp_ns < 0 or self.flat_ns < 0 or self.amplitude < 0:
+            raise PropagationError("pulse ramp, flat top and amplitude must be non-negative")
 
     @property
     def duration(self) -> float:

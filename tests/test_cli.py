@@ -184,6 +184,8 @@ BAD_VALUES = [
     ("single_qubit_gate", "ramp_ns", 0, False),
     ("single_qubit_gate", "pulse_ns", 0.0, False),
     ("single_qubit_gate", "pulse_ramp_ns", -0.5, False),
+    ("single_qubit_gate", "pulse_ramp_ns", 6.0, True),  # two ramps longer than pulse_ns = 11
+    ("single_qubit_gate", "pulse_ramp_ns", 5.5 + 1e-9, False),
     ("single_qubit_gate", "plateau_alpha", ALPHA_MIN_ALLOWED - 0.01, False),
     ("single_qubit_gate", "plateau_alpha", ALPHA_MAX_ALLOWED + 0.01, False),
     ("gradiometric_dispersion", "asymmetry", MAX_ASYMMETRY, False),
@@ -234,6 +236,7 @@ def test_physical_range_edges_validate():
     validate_config(_config("spectrum_vs_alpha", alpha_start=MAX_ALPHA, alpha_stop=MIN_ALPHA))
     validate_config(_config("single_qubit_gate", plateau_alpha=ALPHA_MIN_ALLOWED, pulse_ramp_ns=0))
     validate_config(_config("single_qubit_gate", plateau_alpha=ALPHA_MAX_ALLOWED))
+    validate_config(_config("single_qubit_gate", pulse_ns=3.0, pulse_ramp_ns=1.5))
     validate_config(_config("gradiometric_dispersion", asymmetry=-0.199))
     validate_config(_config("two_qubit_map", cg_ratio=0, detuning=-0.5,
                             t_a_values=[MAX_T_A_NS], t_w_values=[0]))

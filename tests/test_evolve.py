@@ -62,8 +62,12 @@ def test_pulse_envelope_and_area():
     assert pulse.envelope(12.0) == pytest.approx(0.2)
     assert pulse.envelope(18.0) == 0.0
     ts = np.linspace(6.9, 18.1, 20001)
-    area = np.trapezoid([pulse.envelope(t) for t in ts], ts)
-    assert area == pytest.approx(pulse.envelope_area(), rel=1e-4)
+    # with no flat top the two ramps meet; a negative flat top is refused
+    for pulse in (pulse, replace(pulse, flat_ns=0.0)):
+        area = np.trapezoid([pulse.envelope(t) for t in ts], ts)
+        assert area == pytest.approx(pulse.envelope_area(), rel=1e-4)
+    with pytest.raises(PropagationError, match="flat top"):
+        replace(pulse, flat_ns=-1.0)
 
 
 def test_settings_validation():

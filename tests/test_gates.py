@@ -1,8 +1,11 @@
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 
 from dsfq import gates
 from dsfq.circuit import CircuitSpec, CoupledSpec, Variant
@@ -10,7 +13,6 @@ from dsfq.evolve import PropagationSettings, TwoQubitFrame, _computational_level
 from dsfq.spectrum import qubit_eigensolution
 from dsfq.gates import (
     GateError,
-    _z_dressing,
     effective_couplings,
     fsim_decompose,
     fsim_unitary,
@@ -31,6 +33,65 @@ def random_unitary(d, seed):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def z_dressing(angles):
+    """pre and post z rotations, one angle per qubit each, pre angles first."""
+    turns = [np.diag([1.0, np.exp(1j * a)]) for a in angles]
+    half = len(turns) // 2
+    return functools.reduce(np.kron, turns[:half]), functools.reduce(np.kron, turns[half:])
+
+
+def nelder_mead_up_to_z(u, target):
+    """Reference up-to-z fidelity: the best of Nelder-Mead searches from
+    zero and from 11 seeded random points of the phase torus."""
+    n = 2 if u.shape[0] == 2 else 4
+
+    def negative(angles):
+        pre, post = z_dressing(angles)
+        return -gate_fidelity(post @ u @ pre, target)
+
+    rng = np.random.default_rng(7)
+    starts = [np.zeros(n)] + [rng.uniform(0, 2 * math.pi, n) for _ in range(11)]
+    options = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000}
+    return min(1.0, max(-scipy.optimize.minimize(negative, x0, method="Nelder-Mead",
+                                                 options=options).fun for x0 in starts))
+
+
+# one gate of the two_qubit_map benchmark (seed 3, identical pair), rounded
+BENCHMARK_GATE = np.array([
+    [-0.95943 - 0.28161j, 0.00893 + 0.00197j, 0.00893 + 0.00197j, -0.00012 + 0.00015j],
+    [0.00893 + 0.00197j, 0.98115 + 0.18825j, 0.00772 - 0.04071j, -0.00951 - 0.00116j],
+    [0.00893 + 0.00197j, 0.00772 - 0.04071j, 0.98115 + 0.18825j, -0.00951 - 0.00116j],
+    [-0.00012 + 0.00015j, -0.00951 - 0.00116j, -0.00951 - 0.00116j, -0.99536 - 0.09501j],
+])
+
+
+def up_to_z_battery():
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(4):
+        fsim = fsim_unitary(rng.uniform(0, 0.5 * math.pi), rng.uniform(-math.pi, math.pi))
+        pre, post = z_dressing(rng.uniform(0, 2 * math.pi, 4))
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        kick = scipy.linalg.expm(-0.1j * (g + g.conj().T))
+        cases += [
+            (post @ kick @ fsim @ pre, fsim),
+            (post @ fsim @ pre, fsim),
+            (random_unitary(4, rng), fsim),
+            (random_unitary(4, rng), random_unitary(4, rng)),
+            (random_unitary(2, rng), random_unitary(2, rng)),
+        ]
+    # exact one-angle sweeps from the zero start alone stay 2.2e-3 short here
+    pre, post = z_dressing([3.4192, 4.9016, 1.9013, 5.0068])
+    hard = fsim_unitary(1.5213, 0.0268)
+    return cases + [
+        (post @ hard @ pre, hard),
+        (fsim_unitary(0.5 * math.pi, 0.0), fsim_unitary(0.5 * math.pi, 0.7)),  # full swap
+        (np.eye(4), np.eye(4)),
+        (np.eye(2), np.eye(2)),
+        (BENCHMARK_GATE, fsim_unitary(0.04145, -0.00153)),
+    ]
+
+
 @pytest.mark.parametrize("theta, phi", [(0.3, 0.7), (1.2, -2.5), (0.0, 0.4), (0.5 * math.pi, 1.0)])
 def test_fsim_decompose_recovers_angles(theta, phi):
     got_theta, got_phi, residual, info = fsim_decompose(fsim_unitary(theta, phi))
@@ -46,8 +107,18 @@ def test_up_to_z_fidelity_invariant_under_z_dressing():
     base = gate_fidelity(u, target, "up_to_z")
     assert base > gate_fidelity(u, target, "plain")
     for seed in range(3):
-        pre, post = _z_dressing(4, np.random.default_rng(seed).uniform(0, 2 * math.pi, 4))
-        assert gate_fidelity(post @ u @ pre, target, "up_to_z") == pytest.approx(base, abs=1e-9)
+        pre, post = z_dressing(np.random.default_rng(seed).uniform(0, 2 * math.pi, 4))
+        assert gate_fidelity(post @ u @ pre, target, "up_to_z") == pytest.approx(base, abs=1e-12)
+
+
+def test_up_to_z_fit_reaches_the_nelder_mead_reference():
+    # the exact fit is never below the seeded multi-start search and never
+    # above 1, on every class of input it meets
+    cases = up_to_z_battery()
+    assert len(cases) >= 24
+    for u, target in cases:
+        got = gate_fidelity(u, target, "up_to_z")
+        assert nelder_mead_up_to_z(u, target) - 1e-12 <= got <= 1.0 + 1e-12
 
 
 def test_zz_vanishes_without_coupling():

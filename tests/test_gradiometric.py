@@ -40,7 +40,11 @@ def test_flux_phases_area_ratio():
 def test_flux_phases_product_invariance():
     g1 = LoopGeometry(a1=2.0, a2=2.0, b_global=0.35)
     g2 = LoopGeometry(a1=0.7, a2=0.7, b_global=0.35 * 2.0 / 0.7)
+    # a third pair set through its global flux, which reads back unchanged
+    g3 = LoopGeometry(a1=0.3, a2=0.3).at_global_flux(g1.global_flux)
+    assert g3.global_flux == pytest.approx(0.7, rel=1e-15)
     assert flux_phases(g1) == pytest.approx(flux_phases(g2))
+    assert flux_phases(g1) == pytest.approx(flux_phases(g3))
 
 
 def test_vc_vs_symmetric():
