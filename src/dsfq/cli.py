@@ -36,7 +36,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import MAX_ALPHA, MIN_ALPHA, CircuitSpec, CoupledSpec, Variant
+from .circuit import (
+    MAX_ALPHA,
+    MIN_ALPHA,
+    CircuitSpec,
+    CoupledSpec,
+    Variant,
+    physical_sector_indices,
+)
 from .coherence import RateConventions, coherence_report
 from .evolve import (
     ALPHA_MAX_ALLOWED,
@@ -181,6 +188,8 @@ MIN_ALPHA_GRID = 1e-3
 # Values of a t_a, t_w or alpha list: a 32 x 32 two_qubit_map runs 1024
 # gates, about 12 min at 0.7 s a gate.
 MAX_GRID_VALUES = 32
+# Per-qubit levels of each zz_map point.
+ZZ_LEVELS = 12
 
 
 # Each helper below declares one parameter as (default, what it must be, check).
@@ -328,6 +337,31 @@ def _filled(block: dict, table: dict, where: str) -> dict:
     return out
 
 
+# What sets the number of lowest levels of one circuit that an experiment
+# solves for, and that number. The others solve for 3, and the smallest
+# circuit (cutoff 1, single loop) holds 5 physical states.
+_LEVELS = {
+    "single_qubit_gate": lambda p: ("spectral_k", PropagationSettings().spectral_k),
+    "two_qubit_map": lambda p: ("per_qubit_m", p["per_qubit_m"]),
+    "zz_map": lambda p: ("per-qubit levels", ZZ_LEVELS),
+    "dispersive_shift_sweep": lambda p: ("levels", p["levels"]),
+}
+
+
+def _check_levels(exp: str, params: dict, spec: CircuitSpec, where: str) -> None:
+    """ConfigError when an experiment asks for more levels than its circuit holds."""
+    if exp not in _LEVELS:
+        return
+    name, levels = _LEVELS[exp](params)
+    if exp in ("two_qubit_map", "zz_map"):  # both run the circuit in its node basis
+        spec = replace(spec, variant=Variant.NODE_BASIS)
+    states = (physical_sector_indices(spec.basis).size if spec.variant is Variant.SINGLE_LOOP
+              else spec.basis.dim)
+    if levels > states:
+        raise ConfigError(f"{where}: {name} = {levels} exceeds the {states} states of the "
+                          f"{spec.variant.value} circuit at cutoff = {spec.cutoff}")
+
+
 def validate_config(cfg: dict) -> dict:
     """Check structure, types and sizes; returns the config with defaults filled."""
     if not isinstance(cfg, dict):
@@ -348,7 +382,7 @@ def validate_config(cfg: dict) -> dict:
     if exp == "single_qubit_gate" and 2 * params["pulse_ramp_ns"] > params["pulse_ns"]:
         raise ConfigError(f"{where}: pulse_ramp_ns = {params['pulse_ramp_ns']} exceeds "
                           f"pulse_ns / 2 = {params['pulse_ns'] / 2}, a negative flat top")
-    _circuit_from(cfg)  # validates the circuit block
+    _check_levels(exp, params, _circuit_from(cfg), where)  # validates the circuit block
     out = dict(cfg)
     env_workers = os.environ.get("DSFQ_WORKERS")  # the default for a config that names none
     if env_workers is not None:
@@ -536,9 +570,9 @@ def _exp_zz_map(cfg, spec, pool):
     coupled = _two_qubit_system(cfg, spec)
     alphas = p["alpha_values"]
     pairs = [(a1, a2) for a1 in alphas for a2 in alphas]
-    levels = {}  # each qubit's split and per-alpha levels, shared by the points
+    levels = {}  # each qubit's engine and per-alpha levels, shared by the points
     def one(pair):
-        z, info = zz_strength(coupled, *pair, _levels=levels)
+        z, info = zz_strength(coupled, *pair, m=ZZ_LEVELS, _levels=levels)
         return (z, info["min_overlap"])
     results = list(pool.map(one, pairs))
     rows = [(a1, a2, z, q) for (a1, a2), (z, q) in zip(pairs, results)]

@@ -2,12 +2,13 @@
 state evolution, and truncated moving-eigenframe propagation for two
 coupled qubits.
 
-Both propagators use one object per qubit, ``_CircuitEngine``: H(alpha)
-= h0 + alpha*h1 (+ drive*n1) in CSR form only. Its one solve for the
-lowest levels works in a reduced basis when a caller has stated the
-alpha window of many solves to come (the frame nodes of a
-``TwoQubitFrame``, the sample solves of ``propagate_state``), and each
-reduced solution is checked against the full H. Every
+The propagators and ``gates`` (its Gamma_1 grid and ZZ statics) solve
+for a circuit's lowest levels through one ``_CircuitEngine`` per
+circuit: H(alpha) = h0 + alpha*h1 (+ drive*n1), held in CSR form only.
+Inside an alpha window of many solves that a caller has stated (frame
+nodes, sample solves, the rate grid) it solves in a reduced basis and
+checks each solution against the full H; otherwise, and as the
+fallback, it calls ``spectrum.qubit_eigensolution``. Every
 ``propagate_state`` step is one fourth-order commutator-free Magnus step.
 
 Phases follow the h GHz / ns unit system: a step propagator is
@@ -39,6 +40,7 @@ from .spectrum import (
     EigenSolution,
     _check_pair_continuity,
     align_gauge,
+    qubit_eigensolution,
 )
 
 __all__ = [
@@ -269,7 +271,8 @@ class _CircuitEngine:
     The three pieces share one sparsity pattern, that of h0 and h1 plus
     the diagonal, so any H(alpha, drive) is one linear combination of
     three data vectors. ``n1`` is diagonal in the charge basis and kept
-    as a vector. A dense H exists only inside a dense solve.
+    as a vector. A dense H exists only inside a dense solve, which is
+    ``spectrum.qubit_eigensolution`` of the circuit at alpha.
 
     ``set_window`` states an alpha window of many lowest-k solves to come;
     ``lowest`` then solves inside it in a reduced basis (eigenvector
@@ -279,6 +282,7 @@ class _CircuitEngine:
     """
 
     def __init__(self, spec: CircuitSpec, charging_scale: float = 1.0):
+        self._spec, self._charging_scale = spec, charging_scale
         h0, h1 = hamiltonian_decomposition(spec, charging_scale)
         self.full_dim = h0.shape[0]
         if spec.variant is Variant.SINGLE_LOOP:
@@ -374,8 +378,8 @@ class _CircuitEngine:
         self._window = (lo, hi, k, q, g0, g1)
 
     def _dense_lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return scipy.linalg.eigh(self.sparse_hamiltonian(alpha).toarray(),
-                                 subset_by_index=(0, k - 1))
+        sol = qubit_eigensolution(self._spec.with_alpha(alpha), k, self._charging_scale)
+        return sol.energies, sol.states[self.indices]
 
     def _reduced_lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Lowest k eigenpairs of H(alpha) projected on the window's basis, lifted."""
@@ -565,6 +569,17 @@ def propagate_state(
 # Two-qubit moving-frame propagation
 
 
+def _qubit_levels(engine: _CircuitEngine, alpha: float, m: int,
+                  prev: tuple | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lowest m energies of a circuit, its states (gauge-aligned to ``prev``
+    = (energies, states) when given) and the charge n1 among them."""
+    e, b = engine.lowest(alpha, m)
+    if prev is not None:
+        b = align_gauge(EigenSolution(*prev, None, m), EigenSolution(e, b, None, m),
+                        min_overlap=0.0).states
+    return e, b, b.conj().T @ (engine.n1[:, None] * b)
+
+
 class TwoQubitFrame:
     """Two-stage truncated eigenframe of two coupled qubits.
 
@@ -582,37 +597,20 @@ class TwoQubitFrame:
         self.k = settings.subspace_k
         self.grid = settings.alpha_grid
         self.identical = coupled.qubit1 == coupled.qubit2
-        self._q_engines = [
-            _CircuitEngine(coupled.qubit1, coupled.charging_scale),
-        ]
-        if not self.identical:
-            self._q_engines.append(_CircuitEngine(coupled.qubit2, coupled.charging_scale))
+        self._q_engines = [_CircuitEngine(q, coupled.charging_scale)
+                           for q in dict.fromkeys((coupled.qubit1, coupled.qubit2))]
         self._nodes: dict[int, dict] = {}
 
     def _node_key(self, alpha: float) -> int:
         return int(round(alpha / self.grid))
 
-    def _qubit_eigs(self, engine: _CircuitEngine, alpha: float,
-                    prev: tuple | None) -> tuple[np.ndarray, np.ndarray]:
-        """Lowest m levels of one qubit, gauge-aligned to ``prev`` = (eps, b)."""
-        e, b = engine.lowest(alpha, self.m)
-        if prev is not None:
-            b = align_gauge(EigenSolution(*prev, None, self.m),
-                            EigenSolution(e, b, None, self.m), min_overlap=0.0).states
-        return e, b
-
     def _build_node(self, alpha: float, prev: dict | None) -> dict:
-        eps, bs, n1p = [], [], []
-        for iq, engine in enumerate(self._q_engines):
-            prev_q = None if prev is None else (prev["eps"][iq], prev["b"][iq])
-            e, b = self._qubit_eigs(engine, alpha, prev_q)
-            eps.append(e)
-            bs.append(b)
-            n1p.append(b.conj().T @ (engine.n1[:, None] * b))
+        levels = [_qubit_levels(engine, alpha, self.m,
+                                None if prev is None else (prev["eps"][iq], prev["b"][iq]))
+                  for iq, engine in enumerate(self._q_engines)]
         if self.identical:  # second qubit shares the first one's eigenframe
-            eps.append(eps[0])
-            bs.append(bs[0])
-            n1p.append(n1p[0])
+            levels.append(levels[0])
+        eps, bs, n1p = zip(*levels)
         h = self.coupled.product_hamiltonian(eps, n1p)
         e_c, w = scipy.linalg.eigh(h, subset_by_index=(0, self.k - 1))
         if prev is not None:

@@ -10,11 +10,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .circuit import CircuitSpec, CoupledSpec, build_operator, hamiltonian_decomposition
+from .circuit import CircuitSpec, CoupledSpec
 from .coherence import (
     Environment,
     NoiseChannel,
     RateConventions,
+    decay_integrated_fidelity,
     default_channels,
     relaxation_rates,
 )
@@ -26,11 +27,13 @@ from .evolve import (
     PropagationSettings,
     Trajectory,
     TwoQubitFrame,
+    _CircuitEngine,
     _computational_levels,
+    _qubit_levels,
     propagate_state,
     propagate_subspace_unitary,
 )
-from .spectrum import qubit_eigensolution
+from .spectrum import EigenSolution, qubit_eigensolution
 
 __all__ = [
     "GateReport",
@@ -245,7 +248,9 @@ def entangling_power(u: np.ndarray) -> float:
 class Gamma1Interpolator:
     """Total Gamma_1(alpha) on a grid, linearly interpolated.
 
-    Used to integrate instantaneous decay along barrier schedules.
+    The grid is the window of one ``_CircuitEngine``, whose solves are
+    checked against the full H. An alpha outside the grid raises
+    ``GateError``: the rates are not extrapolated.
     """
 
     def __init__(
@@ -261,24 +266,31 @@ class Gamma1Interpolator:
     ):
         self.alphas = np.linspace(alpha_lo, alpha_hi, n_grid)
         channels = channels if channels is not None else default_channels()
+        engine = _CircuitEngine(spec, charging_scale)
+        engine.set_window(alpha_lo, alpha_hi, 3, n_grid)
         rates = []
         for a in self.alphas:
-            spec_a = spec.with_alpha(float(a))
-            sol = qubit_eigensolution(spec_a, 3, charging_scale=charging_scale)
-            rep = relaxation_rates(
-                spec_a, channels, env, conventions, solution=sol
-            )
+            energies, states = engine.lowest(float(a), 3)
+            lifted = np.zeros((engine.full_dim, 3), dtype=states.dtype)
+            lifted[engine.indices] = states
+            rep = relaxation_rates(spec.with_alpha(float(a)), channels, env, conventions,
+                                   solution=EigenSolution(energies, lifted, spec.basis, 3))
             rates.append(rep.gamma1_total)
         self.rates = np.array(rates)
 
     def __call__(self, alpha) -> np.ndarray:
+        if np.min(alpha) < self.alphas[0] or np.max(alpha) > self.alphas[-1]:
+            raise GateError(f"alpha {np.min(alpha):g} to {np.max(alpha):g} leaves the rate "
+                            f"grid [{self.alphas[0]:g}, {self.alphas[-1]:g}]")
         return np.interp(alpha, self.alphas, self.rates)
 
-    def integrate(self, profile: AlphaProfile, dt: float = 0.25) -> float:
-        """integral Gamma_1(alpha(t)) dt over the schedule, in ln units."""
-        t = np.arange(profile.t_start, profile.t_start + profile.duration + 0.5 * dt, dt)
-        g = self(np.array([profile.alpha(tt) for tt in t]))
-        return float(np.trapezoid(g, t))
+
+def _t1_limited_fidelity(profile: AlphaProfile, gamma1: tuple) -> float:
+    """exp(-integral of Gamma_1(alpha(t)) dt), summed over ``gamma1``, every 0.25 ns."""
+    dt = 0.25
+    t = np.arange(profile.t_start, profile.t_start + profile.duration + 0.5 * dt, dt)
+    alpha = np.array([profile.alpha(tt) for tt in t])
+    return decay_integrated_fidelity(t, sum(rates(alpha) for rates in gamma1))
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +335,19 @@ def run_single_qubit_gate(
     if pulse.amplitude == 0.0:
         raise GateError("drive amplitude unset; run calibrate_drive first")
     settings = settings or PropagationSettings()
+    if gamma1 is None:
+        gamma1 = Gamma1Interpolator(spec, profile.alpha_min, conventions=conventions)
+    t1_limited = _t1_limited_fidelity(profile, (gamma1,))
     sol = qubit_eigensolution(spec, max(2, settings.spectral_k))
     traj = propagate_state(spec, profile, pulse, sol.states[:, :2], settings)
     u_frame, raw, leakage = _assemble_two_level_map(sol, traj)
     if leakage > 0.05:
         raise GateError(f"leakage {leakage:.3f} exceeds 5%: not a gate")
     fidelity = gate_fidelity(u_frame, target, "plain")
-    if gamma1 is None:
-        gamma1 = Gamma1Interpolator(spec, profile.alpha_min, conventions=conventions)
-    decay_integral = gamma1.integrate(profile)
     return GateReport(
         unitary=u_frame,
         coherent_fidelity=fidelity,
-        t1_limited_fidelity=math.exp(-decay_integral),
+        t1_limited_fidelity=t1_limited,
         leakage=leakage,
         gate_time=profile.duration,
         extras={
@@ -367,10 +379,7 @@ def calibrate_drive(
     """
     if target_rotation == 0.0:
         return replace(pulse_template, amplitude=0.0)
-    plateau_spec = spec.with_alpha(profile.alpha_min)
-    sol = qubit_eigensolution(plateau_spec, 3)
-    n1 = build_operator("n1", plateau_spec).matrix
-    element = abs(sol.state(0).conj() @ (n1 @ sol.state(1)))
+    element = abs(_qubit_levels(_CircuitEngine(spec), profile.alpha_min, 3)[2][0, 1])
     if element < 1e-12:
         raise GateError("drive matrix element vanishes at the plateau")
     shape_area = pulse_template.flat_ns + pulse_template.ramp_ns
@@ -449,6 +458,11 @@ def run_two_qubit_gate(
         raise GateError(f"gamma1 holds {len(gamma1)} interpolators for {len(qubits)} qubits")
     settings = settings or PropagationSettings(steps_per_ns=286)
     profile = AlphaProfile.two_qubit(t_a, t_w)
+    if gamma1 is None:
+        gamma1 = tuple(Gamma1Interpolator(q, profile.alpha_min, conventions=conventions,
+                                          charging_scale=coupled.charging_scale)
+                       for q in qubits)
+    t1_limited = _t1_limited_fidelity(profile, gamma1 * 2 if identical else gamma1)
     frame = frame or TwoQubitFrame(coupled, settings)
     traj = propagate_subspace_unitary(coupled, profile, settings, frame=frame)
     # Dynamical phases stay in the map: the single-qubit parts are
@@ -460,18 +474,10 @@ def run_two_qubit_gate(
     theta, phi, residual, info = fsim_decompose(u_comp)
     fidelity = (info["fidelity_up_to_z"] if target is None
                 else gate_fidelity(u_comp, target, "up_to_z"))
-
-    if gamma1 is None:
-        gamma1 = tuple(Gamma1Interpolator(q, profile.alpha_min, conventions=conventions,
-                                          charging_scale=coupled.charging_scale)
-                       for q in qubits)
-    decay = sum(rates.integrate(profile) for rates in gamma1)
-    if identical:
-        decay *= 2.0
     return GateReport(
         unitary=u_comp,
         coherent_fidelity=fidelity,
-        t1_limited_fidelity=math.exp(-decay),
+        t1_limited_fidelity=t1_limited,
         leakage=leakage,
         gate_time=profile.duration,
         fsim=(theta, phi),
@@ -494,27 +500,23 @@ def _coupled_hamiltonian(
 ) -> np.ndarray:
     """m^2-dimensional coupled Hamiltonian in the bare-product basis.
 
-    Each qubit's H(alpha) = H_const + alpha * H_barrier is the split the
-    two-qubit frames diagonalize. ``levels`` keeps each qubit's split,
-    keyed by (qubit, charging_scale), and its lowest m levels with their
-    coupled-node charge, keyed by (qubit, charging_scale, alpha, m): every
-    input of the solve. Points run at once may both miss a key and repeat
-    its solve, with identical results.
+    Each qubit's levels come from ``evolve._qubit_levels``, as at the nodes
+    of a ``TwoQubitFrame``. ``levels`` keeps each qubit's engine, keyed by
+    (qubit, charging_scale), and its levels, keyed by (qubit,
+    charging_scale, alpha, m). Points run at once may both miss a key and
+    repeat its work, with identical results.
     """
     levels = {} if levels is None else levels
     scale = coupled.charging_scale
-    energies, n1p = [], []
+    pair = []
     for q, a in ((coupled.qubit1, alpha1), (coupled.qubit2, alpha2)):
         key = (q, scale, a, m)
         if key not in levels:
             if (q, scale) not in levels:
-                levels[q, scale] = hamiltonian_decomposition(q, scale)
-            h0, h1 = levels[q, scale]
-            e, b = scipy.linalg.eigh(h0 + a * h1, subset_by_index=(0, m - 1))
-            levels[key] = e, b.conj().T @ (build_operator("n1", q).matrix @ b)
-        energies.append(levels[key][0])
-        n1p.append(levels[key][1])
-    return coupled.product_hamiltonian(energies, n1p)
+                levels[q, scale] = _CircuitEngine(q, scale)
+            levels[key] = _qubit_levels(levels[q, scale], a, m)
+        pair.append(levels[key])
+    return coupled.product_hamiltonian([e for e, _, _ in pair], [n1 for _, _, n1 in pair])
 
 
 def zz_strength(

@@ -106,8 +106,10 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
         if basis is None:
             raise SpectrumError("sector restriction requires a basis descriptor")
         idx = physical_sector_indices(basis, _SECTOR_PARITY[sector])
+        if k > idx.size:
+            raise SpectrumError(f"k = {k} exceeds the {idx.size} states of the {sector} sector")
         sub = matrix[np.ix_(idx, idx)]
-        energies, sub_states = _lowest_k(sub, min(k, idx.size))
+        energies, sub_states = _lowest_k(sub, k)
         states = np.zeros((dim, energies.size), dtype=sub_states.dtype)
         states[idx] = sub_states
     else:
@@ -119,7 +121,7 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
             f"eigensolver residuals too large: max {residual.max():.3e} "
             f"vs bound {RESIDUAL_RTOL * norm:.3e}"
         )
-    sol = EigenSolution(energies=energies, states=states, basis=basis, k=energies.size)
+    sol = EigenSolution(energies=energies, states=states, basis=basis, k=k)
     if basis is not None and basis.modes[0] in ("phi", "phi1") and len(basis.modes) == 2:
         _order_degenerate_by_parity(sol)
     return sol

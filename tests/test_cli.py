@@ -19,7 +19,7 @@ from dsfq.cli import (
     validate_config,
 )
 
-from dsfq import gates
+from dsfq import evolve, gates
 from dsfq.circuit import MAX_ALPHA, MIN_ALPHA
 from dsfq.evolve import ALPHA_MAX_ALLOWED, ALPHA_MIN_ALLOWED
 from dsfq.gates import MAX_T_A_NS
@@ -198,6 +198,14 @@ BAD_VALUES = [
     ("zz_map", "alpha_values", [0.8, MAX_ALPHA + 0.5], False),
     ("zz_map", "cg_ratio", -1, False),
     ("dispersive_shift_sweep", "omega_r", 0, False),
+    # more levels than the circuit holds: 41 even-sector states at cutoff 4,
+    # 13 at cutoff 2 (against 25 levels), 5 at cutoff 1 (against the gate's
+    # 8 spectral weights) and 9 node-basis states at cutoff 1 (against 12)
+    ("dispersive_shift_sweep", "levels", 42, True),
+    ("dispersive_shift_sweep", "cutoff", 2, True),
+    ("single_qubit_gate", "cutoff", 1, True),
+    ("two_qubit_map", "cutoff", 1, True),
+    ("zz_map", "cutoff", 1, True),
 ]
 
 
@@ -205,13 +213,17 @@ def _with(experiment: str, key: str, value) -> dict:
     cfg = _config(experiment)
     if key in ("output", "seed", "workers"):
         cfg[key] = value
+    elif key == "cutoff":
+        cfg["circuit"][key] = value
     else:
         cfg["params"][key] = value
     return cfg
 
 
 @pytest.mark.parametrize("experiment, key, value, cheap", BAD_VALUES,
-                         ids=[f"{key}={value!r}"[:40] for _, key, value, _ in BAD_VALUES])
+                         ids=[f"{key}={value!r}"[:40] if key != "cutoff"
+                              else f"{experiment}-cutoff={value}"
+                              for experiment, key, value, _ in BAD_VALUES])
 def test_bad_parameter_value_is_a_config_error(tmp_path, experiment, key, value, cheap):
     cfg = _with(experiment, key, value)
     with pytest.raises(ConfigError, match=f"{key} = "):
@@ -245,7 +257,9 @@ def test_physical_range_edges_validate():
 
 def test_largest_sizes_validate():
     validate_config(_config("spectrum_vs_alpha", points=MAX_POINTS))
-    validate_config(_config("dispersive_shift_sweep", levels=MAX_LEVELS))
+    # a cutoff-12 sector holds 313 states
+    validate_config({**_config("dispersive_shift_sweep", levels=MAX_LEVELS),
+                     "circuit": {"ej": 10.0, "ec": 0.1, "cutoff": 12}})
     validate_config(_config("single_qubit_gate", steps_per_ns=MAX_STEPS_PER_NS))
     validate_config(_config(
         "two_qubit_map", per_qubit_m=MAX_PER_QUBIT_M, subspace_k=MAX_PER_QUBIT_M**2,
@@ -289,20 +303,26 @@ def test_workers_default_comes_from_the_environment(monkeypatch):
 @pytest.mark.parametrize("detuning, decompositions, qubit_solves", [(0.0, 1, 3), (0.02, 2, 6)])
 def test_zz_map_solves_each_qubit_and_alpha_once(tmp_path, monkeypatch, detuning,
                                                  decompositions, qubit_solves):
-    # A 3 x 3 map splits each distinct qubit's H once and solves it once per
-    # alpha; the coupled 144-dim H is solved at every point.
+    # A 3 x 3 map builds one engine per distinct qubit, which splits its H
+    # once, and solves each qubit once per alpha through that engine; the
+    # coupled 144-dim H is solved at every point.
     counts = {"split": 0, "qubit": 0, "coupled": 0}
-    split, eigh = gates.hamiltonian_decomposition, gates.scipy.linalg.eigh
+    split, solve, eigh = (evolve.hamiltonian_decomposition, evolve.qubit_eigensolution,
+                          gates.scipy.linalg.eigh)
 
-    def counting_split(*args, **kwargs):
-        counts["split"] += 1
-        return split(*args, **kwargs)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
     def counting_eigh(a, *args, **kwargs):
-        counts["coupled" if a.shape[0] == 144 else "qubit"] += 1
+        if a.shape[0] == 144:
+            counts["coupled"] += 1
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(gates, "hamiltonian_decomposition", counting_split)
+    monkeypatch.setattr(evolve, "hamiltonian_decomposition", counting("split", split))
+    monkeypatch.setattr(evolve, "qubit_eigensolution", counting("qubit", solve))
     monkeypatch.setattr(gates.scipy.linalg, "eigh", counting_eigh)
     # one worker: points in flight at once may repeat a solve
     cfg = {**_config("zz_map", alpha_values=[0.6, 0.8, 1.0], detuning=detuning), "workers": 1}

@@ -7,12 +7,14 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from dsfq import gates
+from dsfq import evolve, gates
 from dsfq.circuit import CircuitSpec, CoupledSpec, Variant
-from dsfq.evolve import PropagationSettings, TwoQubitFrame, _computational_levels
+from dsfq.coherence import default_channels, relaxation_rates
+from dsfq.evolve import AlphaProfile, PropagationSettings, TwoQubitFrame, _computational_levels
 from dsfq.spectrum import qubit_eigensolution
 from dsfq.gates import (
     GateError,
+    Gamma1Interpolator,
     effective_couplings,
     fsim_decompose,
     fsim_unitary,
@@ -189,8 +191,9 @@ def test_detuned_pair_decays_like_the_identical_pair():
 
 @pytest.mark.parametrize("ej2", [10.0, 10.5])
 def test_zz_strength_matches_the_frame_spectrum(ej2):
-    # zz_strength and the two-qubit frame diagonalize the same coupled pair
-    # by separate code; with the same level assignment they agree.
+    # zz_strength and the two-qubit frame take each qubit's levels from the
+    # same helper, but assemble and diagonalize the coupled pair each on
+    # their own; with the same level assignment they agree.
     q = q_node()
     coupled = CoupledSpec(q, replace(q, ej=ej2), cg_ratio=0.3)
     m = 6
@@ -203,3 +206,48 @@ def test_zz_strength_matches_the_frame_spectrum(ej2):
         assert sorted(info["levels"]) == sorted(picked.tolist())
         e00, e01, e10, e11 = node["e"][picked]
         assert zeta == pytest.approx(e00 - e01 - e10 + e11, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec, alpha_lo, charging_scale", [
+    # the driven gate's window [0.7, 1], on an even sector of 145 states
+    (CircuitSpec(ej=10.0, ec=0.1, phi_ext=0.995 * math.pi, cutoff=8), 0.7, 1.0),
+    # a T_a = 20 ns two-qubit gate's window, on 169 node-basis states
+    (q_node(), AlphaProfile.two_qubit(20.0, 0.0).alpha_min,
+     CoupledSpec(q_node(), q_node()).charging_scale),
+], ids=["single_loop", "node_basis"])
+def test_gamma1_rates_from_the_engine_match_dense_solves(monkeypatch, spec, alpha_lo,
+                                                         charging_scale):
+    dense_solves = []
+    solve = evolve.qubit_eigensolution
+
+    def counting(*args, **kwargs):
+        dense_solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "qubit_eigensolution", counting)
+    gamma1 = Gamma1Interpolator(spec, alpha_lo, charging_scale=charging_scale)
+    # the grid is solved in the engine's reduced basis: its snapshots and
+    # midpoint checks take fewer dense solves than the grid has points
+    assert 0 < len(dense_solves) < len(gamma1.alphas)
+    reference = []
+    for a in gamma1.alphas:
+        spec_a = spec.with_alpha(float(a))
+        sol = qubit_eigensolution(spec_a, 3, charging_scale=charging_scale)
+        reference.append(relaxation_rates(spec_a, default_channels(), solution=sol).gamma1_total)
+    assert np.abs(gamma1.rates / np.array(reference) - 1.0).max() < 1e-10
+
+
+def test_rates_outside_their_grid_are_an_error():
+    # rates built for a T_a = 20 ns gate do not reach the lower barrier of a
+    # T_a = 40 ns gate, and are not extrapolated to it
+    q = q_node()
+    coupled = CoupledSpec(q, q, cg_ratio=0.3)
+    short = Gamma1Interpolator(q, AlphaProfile.two_qubit(20.0, 0.0).alpha_min,
+                               charging_scale=coupled.charging_scale)
+    assert np.array_equal(short(short.alphas), short.rates)
+    for alpha in (short.alphas[0] - 1e-9, 1.0 + 1e-9):
+        with pytest.raises(GateError, match="leaves the rate grid"):
+            short(alpha)
+    settings = PropagationSettings(steps_per_ns=50, alpha_grid=5e-3, sample_interval_ns=5.0)
+    with pytest.raises(GateError, match="leaves the rate grid"):
+        run_two_qubit_gate(coupled, 40.0, 5.0, settings, gamma1=(short,))

@@ -243,3 +243,16 @@ def test_sector_must_be_even_or_odd():
     for bad in ("evn", "Even", "", 0):
         with pytest.raises(SpectrumError, match="sector must be"):
             diagonalize(h, 3, sector=bad)
+
+
+def test_k_beyond_the_sector_is_an_error():
+    # cutoff 2: the 25 basis states split into an even sector of 13 and an odd one of 12
+    spec = replace(DEFAULT, cutoff=2)
+    h = build_hamiltonian(spec)
+    assert diagonalize(h, 13, sector="even").k == 13
+    assert diagonalize(h, 12, sector="odd").k == 12
+    for sector, k in (("even", 14), ("odd", 13)):
+        with pytest.raises(SpectrumError, match=f"k = {k} exceeds the {k - 1} states"):
+            diagonalize(h, k, sector=sector)
+    with pytest.raises(SpectrumError, match="k = 14 exceeds"):
+        qubit_eigensolution(spec, 14)
