@@ -57,6 +57,7 @@ from .evolve import (
 from .gates import (
     MAX_T_A_NS,
     Gamma1Interpolator,
+    _gate_engine,
     calibrate_drive,
     pauli_target,
     run_single_qubit_gate,
@@ -479,8 +480,12 @@ def _exp_single_qubit_gate(cfg, spec, pool):
     profile = AlphaProfile.single_qubit(
         ramp_ns=p["ramp_ns"], plateau_ns=p["pulse_ns"], alpha_min=plateau,
     )
-    plateau_sol = qubit_eigensolution(spec.with_alpha(plateau), 3)
-    omega_plateau = float(plateau_sol.energies[1] - plateau_sol.energies[0])
+    settings = PropagationSettings(steps_per_ns=p["steps_per_ns"], sample_interval_ns=0.1)
+    # one engine for the point: the plateau solve, the rates, the calibration
+    # scan and the gate all solve in its window [plateau, 1]
+    engine = _gate_engine(spec, profile, settings)
+    plateau_energies = engine.lowest(plateau, 3)[0]
+    omega_plateau = float(plateau_energies[1] - plateau_energies[0])
     pulse0 = DrivePulse(
         amplitude=0.0,
         carrier_freq=p["detuning_ratio"] * omega_plateau,
@@ -490,14 +495,14 @@ def _exp_single_qubit_gate(cfg, spec, pool):
         t_start=p["ramp_ns"],
     )
     target = pauli_target(p["target"])
-    settings = PropagationSettings(steps_per_ns=p["steps_per_ns"], sample_interval_ns=0.1)
-    gamma1 = Gamma1Interpolator(spec, plateau)
+    gamma1 = Gamma1Interpolator(spec, plateau, _engine=engine)
     pulse = calibrate_drive(
         spec, profile, pulse0, math.pi,
         target=target if p["calibrate"] else None,
-        settings=settings, gamma1=gamma1,
+        settings=settings, gamma1=gamma1, _engine=engine,
     )
-    report = run_single_qubit_gate(spec, profile, pulse, target, settings, gamma1=gamma1)
+    report = run_single_qubit_gate(spec, profile, pulse, target, settings, gamma1=gamma1,
+                                   _engine=engine)
     traj = report.extras["trajectory"]
     weights = traj.spectral_weights[:, :, 0]  # the |0> column
     series = [
@@ -540,9 +545,11 @@ def _exp_two_qubit_map(cfg, spec, pool):
     alpha_lo = AlphaProfile.two_qubit(max(t_a_values), 0.0).alpha_min
     frame = TwoQubitFrame(coupled, settings)
     frame.ensure_range(alpha_lo)
-    # one interpolator per distinct qubit, shared by every gate of the map
-    gamma1 = tuple(Gamma1Interpolator(q, alpha_lo, charging_scale=coupled.charging_scale)
-                   for q in dict.fromkeys((coupled.qubit1, coupled.qubit2)))
+    # one interpolator per distinct qubit, shared by every gate of the map and
+    # solved in the window of that qubit's frame engine
+    gamma1 = tuple(Gamma1Interpolator(q, alpha_lo, charging_scale=coupled.charging_scale,
+                                      _engine=engine)
+                   for q, engine in frame.engines.items())
     def one(pair):
         t_a, t_w = pair
         rep = run_two_qubit_gate(

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.constants as const
+import scipy.sparse
 
 from .circuit import CircuitSpec, build_operator
 from .spectrum import EigenSolution, qubit_eigensolution
@@ -210,19 +211,34 @@ _NOISE_OPERATOR_KIND = {
     "charge_1f_theta": "dH_dng_theta",
     "charge_ohmic_theta": "dH_dng_theta",
 }
+# channel kind -> operator kind whose |<1|O|0>|^2 sets its relaxation rate
+_RELAXATION_OPERATOR_KIND = {**_NOISE_OPERATOR_KIND, "dielectric": "phi_grid"}
+
+
+def _relaxation_operators(spec: CircuitSpec, channels: list[NoiseChannel],
+                          indices: np.ndarray) -> dict:
+    """The operators of ``spec`` that ``relaxation_rates`` takes for
+    ``channels``, by kind, each built once, restricted to ``indices`` and
+    held in CSR form (each has at most a few dozen nonzeros per row)."""
+    sector = np.ix_(indices, indices)
+    return {kind: scipy.sparse.csr_matrix(build_operator(kind, spec).matrix[sector])
+            for kind in dict.fromkeys(_RELAXATION_OPERATOR_KIND[ch.kind] for ch in channels)}
 
 
 def _noise_elements(spec: CircuitSpec, kind: str, sol: EigenSolution,
-                    levels: tuple[int, int], elements: dict) -> tuple[complex, ...]:
-    """(<j|O|i>, <i|O|i>, <j|O|j>) of the dH/dlambda operator O of ``kind``.
+                    levels: tuple[int, int], elements: dict,
+                    operators: dict | None = None) -> tuple[complex, ...]:
+    """(<j|O|i>, <i|O|i>, <j|O|j>) of the operator O of ``kind``.
 
     ``elements`` maps operator kinds to these elements: O is built only
-    for a kind it lacks, and only the elements are kept. For flux,
+    for a kind it lacks, and only the elements are kept. ``operators``,
+    when given, maps each kind to its matrix in the basis of the states of
+    ``sol``, and O is taken from it instead of being built. For flux,
     lambda is Phi/Phi_0, so the phi_ext derivative picks up 2*pi. Charge
     derivatives are per Cooper pair, matching the default amplitude units.
     """
     if kind not in elements:
-        op = build_operator(kind, spec).matrix
+        op = operators[kind] if operators is not None else build_operator(kind, spec).matrix
         if kind == "dH_dphi_ext":
             op = 2.0 * math.pi * op
         i, j = levels
@@ -239,6 +255,7 @@ def relaxation_rates(
     levels: tuple[int, int] = (0, 1),
     *,
     _elements: dict | None = None,
+    _operators: dict | None = None,
 ) -> CoherenceReport:
     """Golden-rule relaxation rates, per channel, at omega = omega_q.
 
@@ -246,7 +263,9 @@ def relaxation_rates(
     Gamma_1^diel = scale*hbar |<1|phi|0>|^2 S_diel(omega). Each operator
     is built once per call, also where the 1/f and ohmic channels of one
     charge share it; only its matrix elements are kept, in ``_elements``
-    when given (see ``coherence_report``).
+    when given (see ``coherence_report``). ``_operators``, when given,
+    holds the operators of ``spec`` by kind, in the basis of the states
+    of ``solution``, and none is built (see ``gates.Gamma1Interpolator``).
     """
     if not channels:
         raise CoherenceError("channel list is empty")
@@ -263,14 +282,12 @@ def relaxation_rates(
     report = CoherenceReport()
     elements = {} if _elements is None else _elements
     for ch in channels:
+        element = _noise_elements(spec, _RELAXATION_OPERATOR_KIND[ch.kind], sol, levels,
+                                  elements, _operators)[0]
         if ch.kind == "dielectric":
-            phi_op = build_operator("phi_grid", spec).matrix
-            m2 = abs(_matrix_element(sol, phi_op, j, i)) ** 2
             s = _spectral_dielectric(ch.amplitude, omega, spec.ec, env, conv)
-            rate_si = HBAR * m2 * s
+            rate_si = HBAR * abs(element) ** 2 * s
         else:
-            element = _noise_elements(spec, _NOISE_OPERATOR_KIND[ch.kind], sol, levels,
-                                      elements)[0]
             amp = ch.amplitude
             if ch.kind.startswith("charge"):
                 amp = conv.charge_amp(amp)

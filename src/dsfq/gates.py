@@ -15,6 +15,7 @@ from .coherence import (
     Environment,
     NoiseChannel,
     RateConventions,
+    _relaxation_operators,
     decay_integrated_fidelity,
     default_channels,
     relaxation_rates,
@@ -29,11 +30,12 @@ from .evolve import (
     TwoQubitFrame,
     _CircuitEngine,
     _computational_levels,
+    _propagation_window,
     _qubit_levels,
     propagate_state,
     propagate_subspace_unitary,
 )
-from .spectrum import EigenSolution, qubit_eigensolution
+from .spectrum import EigenSolution
 
 __all__ = [
     "GateReport",
@@ -249,8 +251,14 @@ class Gamma1Interpolator:
     """Total Gamma_1(alpha) on a grid, linearly interpolated.
 
     The grid is the window of one ``_CircuitEngine``, whose solves are
-    checked against the full H. An alpha outside the grid raises
-    ``GateError``: the rates are not extrapolated.
+    checked against the full H: ``_engine``, the engine of (spec,
+    charging_scale) that the caller shares, or one of its own. A window
+    that already covers the grid with 3 or more levels is used as it is.
+    The noise operators are built once, in the engine's sector: dH/dphi_ext
+    comes from the barrier junction, whose terms are linear in alpha
+    (``circuit.hamiltonian_decomposition``), so it is alpha times its
+    alpha = 1 value, and the others do not depend on alpha. An alpha
+    outside the grid raises ``GateError``: the rates are not extrapolated.
     """
 
     def __init__(
@@ -263,18 +271,22 @@ class Gamma1Interpolator:
         env: Environment | None = None,
         conventions: RateConventions | None = None,
         charging_scale: float = 1.0,
+        *,
+        _engine: _CircuitEngine | None = None,
     ):
         self.alphas = np.linspace(alpha_lo, alpha_hi, n_grid)
         channels = channels if channels is not None else default_channels()
-        engine = _CircuitEngine(spec, charging_scale)
+        engine = _engine or _CircuitEngine(spec, charging_scale)
         engine.set_window(alpha_lo, alpha_hi, 3, n_grid)
+        unit = _relaxation_operators(spec.with_alpha(1.0), channels, engine.indices)
         rates = []
         for a in self.alphas:
-            energies, states = engine.lowest(float(a), 3)
-            lifted = np.zeros((engine.full_dim, 3), dtype=states.dtype)
-            lifted[engine.indices] = states
-            rep = relaxation_rates(spec.with_alpha(float(a)), channels, env, conventions,
-                                   solution=EigenSolution(energies, lifted, spec.basis, 3))
+            a = float(a)
+            operators = {kind: a * op if kind == "dH_dphi_ext" else op
+                         for kind, op in unit.items()}
+            rep = relaxation_rates(spec.with_alpha(a), channels, env, conventions,
+                                   solution=EigenSolution(*engine.lowest(a, 3), None, 3),
+                                   _operators=operators)
             rates.append(rep.gamma1_total)
         self.rates = np.array(rates)
 
@@ -297,14 +309,25 @@ def _t1_limited_fidelity(profile: AlphaProfile, gamma1: tuple) -> float:
 # Single-qubit gates
 
 
+def _gate_engine(spec: CircuitSpec, profile: AlphaProfile,
+                 settings: PropagationSettings) -> _CircuitEngine:
+    """The one engine of a driven gate's circuit, its window the schedule's
+    alpha range with ``spectral_k`` levels. Where that window holds a basis,
+    the propagation's samples and the rate grid are solved in it, and the
+    plateau and alpha = 1 solves are its end snapshots."""
+    engine = _CircuitEngine(spec)
+    _propagation_window(engine, profile, settings)
+    return engine
+
+
 def _assemble_two_level_map(
-    sol, traj: Trajectory
+    states: np.ndarray, traj: Trajectory
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """2x2 map in the final eigenbasis, frame phases removed.
+    """2x2 map in the final eigenbasis ``states`` (|0>, |1>), frame phases removed.
 
     Column j of ``traj.final`` is the propagated |j>.
     """
-    raw = sol.states[:, :2].conj().T @ traj.final
+    raw = states.conj().T @ traj.final
     phases = traj.frame_phases[-1][:2]
     u_frame = np.diag(np.exp(1j * phases)) @ raw
     leakage = 1.0 - 0.5 * float(np.sum(np.abs(raw) ** 2))
@@ -319,6 +342,8 @@ def run_single_qubit_gate(
     settings: PropagationSettings | None = None,
     gamma1: Gamma1Interpolator | None = None,
     conventions: RateConventions | None = None,
+    *,
+    _engine: _CircuitEngine | None = None,
 ) -> GateReport:
     """Propagate |0> and |1> through the schedule and score the 2x2 map.
 
@@ -328,19 +353,24 @@ def run_single_qubit_gate(
     |0>. The map is assembled in the final (alpha = 1) eigenbasis with
     the accumulated instantaneous eigenphases removed; the coherent score
     is the plain average gate fidelity against ``target`` after dropping
-    a global phase.
+    a global phase. The rates (when built here), the alpha = 1 states and
+    the propagation solve through one engine, ``_engine`` when the caller
+    shares its own (see ``_gate_engine``).
     """
     if not profile.is_gate_schedule():
         raise GateError("gate schedules must start and end at alpha = 1")
     if pulse.amplitude == 0.0:
         raise GateError("drive amplitude unset; run calibrate_drive first")
     settings = settings or PropagationSettings()
+    engine = _engine or _gate_engine(spec, profile, settings)
     if gamma1 is None:
-        gamma1 = Gamma1Interpolator(spec, profile.alpha_min, conventions=conventions)
+        gamma1 = Gamma1Interpolator(spec, profile.alpha_min, conventions=conventions,
+                                    _engine=engine)
     t1_limited = _t1_limited_fidelity(profile, (gamma1,))
-    sol = qubit_eigensolution(spec, max(2, settings.spectral_k))
-    traj = propagate_state(spec, profile, pulse, sol.states[:, :2], settings)
-    u_frame, raw, leakage = _assemble_two_level_map(sol, traj)
+    states = np.zeros((engine.full_dim, 2), dtype=complex)
+    states[engine.indices] = engine.lowest(1.0, 2)[1]
+    traj = propagate_state(spec, profile, pulse, states, settings, _engine=engine)
+    u_frame, raw, leakage = _assemble_two_level_map(states, traj)
     if leakage > 0.05:
         raise GateError(f"leakage {leakage:.3f} exceeds 5%: not a gate")
     fidelity = gate_fidelity(u_frame, target, "plain")
@@ -367,6 +397,8 @@ def calibrate_drive(
     settings: PropagationSettings | None = None,
     scan_points: int = 7,
     gamma1: Gamma1Interpolator | None = None,
+    *,
+    _engine: _CircuitEngine | None = None,
 ) -> DrivePulse:
     """Set the pulse amplitude for a requested Bloch rotation angle.
 
@@ -375,11 +407,17 @@ def calibrate_drive(
     Theta = 2*pi * |<0|n1|1>| * coupling * integral(eps dt) (the full
     Bloch angle; the generator carries half of it). The seed amplitude
     solves Theta = target; a +-5% scan maximizing the coherent fidelity
-    then refines it (skipped when no scoring target is given).
+    then refines it (skipped when no scoring target is given). The
+    plateau solve, the rates and every scan gate share one engine,
+    ``_engine`` when the caller shares its own (see ``_gate_engine``).
     """
     if target_rotation == 0.0:
         return replace(pulse_template, amplitude=0.0)
-    element = abs(_qubit_levels(_CircuitEngine(spec), profile.alpha_min, 3)[2][0, 1])
+    settings = settings or PropagationSettings()
+    # without a scan, the one plateau solve needs no window
+    engine = _engine or (_CircuitEngine(spec) if target is None
+                         else _gate_engine(spec, profile, settings))
+    element = abs(_qubit_levels(engine, profile.alpha_min, 3)[2][0, 1])
     if element < 1e-12:
         raise GateError("drive matrix element vanishes at the plateau")
     shape_area = pulse_template.flat_ns + pulse_template.ramp_ns
@@ -388,14 +426,13 @@ def calibrate_drive(
     )
     if target is None:
         return replace(pulse_template, amplitude=amp0)
-    settings = settings or PropagationSettings()
     if gamma1 is None:
-        gamma1 = Gamma1Interpolator(spec, profile.alpha_min)
+        gamma1 = Gamma1Interpolator(spec, profile.alpha_min, _engine=engine)
 
     def score(pulse: DrivePulse) -> float:
         try:
             rep = run_single_qubit_gate(
-                spec, profile, pulse, target, settings, gamma1=gamma1
+                spec, profile, pulse, target, settings, gamma1=gamma1, _engine=engine
             )
             return rep.coherent_fidelity
         except (GateError, PropagationError):
@@ -448,7 +485,7 @@ def run_two_qubit_gate(
     integrates Gamma_1 of both qubits along the schedule with the default
     noise channels. ``gamma1``, when given, holds one interpolator per
     distinct qubit (qubit 1's, then qubit 2's if the pair is detuned);
-    when None, they are built here.
+    when None, they are built here, each through its qubit's frame engine.
     """
     if t_a > MAX_T_A_NS:
         raise GateError(f"T_a > {MAX_T_A_NS:g} ns lowers alpha below 0.5")
@@ -458,12 +495,13 @@ def run_two_qubit_gate(
         raise GateError(f"gamma1 holds {len(gamma1)} interpolators for {len(qubits)} qubits")
     settings = settings or PropagationSettings(steps_per_ns=286)
     profile = AlphaProfile.two_qubit(t_a, t_w)
-    if gamma1 is None:
-        gamma1 = tuple(Gamma1Interpolator(q, profile.alpha_min, conventions=conventions,
-                                          charging_scale=coupled.charging_scale)
-                       for q in qubits)
-    t1_limited = _t1_limited_fidelity(profile, gamma1 * 2 if identical else gamma1)
     frame = frame or TwoQubitFrame(coupled, settings)
+    if gamma1 is None:
+        frame.ensure_range(profile.alpha_min)  # its window then holds the rate grid
+        gamma1 = tuple(Gamma1Interpolator(q, profile.alpha_min, conventions=conventions,
+                                          charging_scale=coupled.charging_scale, _engine=engine)
+                       for q, engine in frame.engines.items())
+    t1_limited = _t1_limited_fidelity(profile, gamma1 * 2 if identical else gamma1)
     traj = propagate_subspace_unitary(coupled, profile, settings, frame=frame)
     # Dynamical phases stay in the map: the single-qubit parts are
     # absorbed by the up-to-z score and the gauge-invariant fSim angles,

@@ -19,7 +19,7 @@ from dsfq.cli import (
     validate_config,
 )
 
-from dsfq import evolve, gates
+from dsfq import coherence, evolve, gates
 from dsfq.circuit import MAX_ALPHA, MIN_ALPHA
 from dsfq.evolve import ALPHA_MAX_ALLOWED, ALPHA_MIN_ALLOWED
 from dsfq.gates import MAX_T_A_NS
@@ -345,3 +345,25 @@ def test_detuned_map_builds_one_rate_interpolator_per_qubit(tmp_path, monkeypatc
            "circuit": {"ej": 10.0, "ec": 0.1, "cutoff": 5, "phi_ext": "0.99*pi"}}
     assert run(cfg, output=str(tmp_path))["status"] == "OK"
     assert built == [10.0, 10.0 * 1.02]
+
+
+def test_gate_point_builds_one_engine_and_the_noise_operators_once(tmp_path, monkeypatch):
+    # A single_qubit_gate point splits its circuit's H once: the plateau
+    # solve, the rates, the drive element and the gate share one engine.
+    # The rates build each of their 4 noise operators once.
+    counts = {"split": 0, "noise": 0}
+    split, build = evolve.hamiltonian_decomposition, coherence.build_operator
+
+    def counting_split(*args, **kwargs):
+        counts["split"] += 1
+        return split(*args, **kwargs)
+
+    def counting_build(kind, *args, **kwargs):
+        counts["noise"] += kind in ("dH_dphi_ext", "dH_dng_phi", "dH_dng_theta", "phi_grid")
+        return build(kind, *args, **kwargs)
+
+    monkeypatch.setattr(evolve, "hamiltonian_decomposition", counting_split)
+    monkeypatch.setattr(coherence, "build_operator", counting_build)
+    assert run(_gate_config(cutoff=6), output=str(tmp_path))["status"] == "OK"
+    assert counts["split"] == 1
+    assert 0 < counts["noise"] <= 4

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dsfq import evolve
 from dsfq.circuit import CircuitSpec, CoupledSpec, Variant
@@ -96,6 +97,31 @@ def test_stationary_state_is_stationary():
         assert np.linalg.norm(state - exact) < 1e-10
 
 
+def test_expi_apply_matches_dense_expm():
+    # One half step of a two-column block against the dense exponential, at
+    # several (alpha, drive): the half steps of 857 and of MIN_STEPS_PER_NS
+    # steps per ns, and longer ones that the sum cuts into substeps. Random
+    # columns fill the whole spectrum, so the tail bound is nearly reached;
+    # the error stays below TAYLOR_TOL per substep.
+    engine = evolve._CircuitEngine(replace(SPEC, cutoff=5))
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=(engine.dim, 2)) + 1j * rng.normal(size=(engine.dim, 2))
+    psi /= np.linalg.norm(psi, axis=0)
+    substeps = set()
+    for alpha, drive in ((1.0, 0.0), (0.7, 0.4), (0.85, -1.0)):
+        shift = float(engine.lowest(alpha, 1)[0][0])
+        h = engine.sparse_hamiltonian(alpha, drive, shift).toarray()
+        for dt in (0.5 / 857, 0.5 / evolve.MIN_STEPS_PER_NS, 0.05, 0.12):
+            nu = 2.0 * math.pi * dt * np.abs(h).sum(axis=0).max()
+            s = math.ceil(nu / evolve.TAYLOR_SUBSTEP_NORM)
+            substeps.add(s)
+            exact = np.exp(-2j * math.pi * shift * dt) * (
+                scipy.linalg.expm(-2j * math.pi * dt * h) @ psi)
+            error = np.linalg.norm(engine.expi_apply(alpha, drive, dt, psi, shift) - exact)
+            assert error <= s * evolve.TAYLOR_TOL * np.linalg.norm(psi), (alpha, drive, dt)
+    assert min(substeps) == 1 and max(substeps) >= 3
+
+
 def test_ramp_leakage_and_transition_scales():
     # 7 ns ramp 1 -> 0.7: leakage ~ 1e-4, inter-level transition ~ 1e-3
     sol = qubit_eigensolution(SPEC, 3)
@@ -180,6 +206,7 @@ def test_block_matches_column_by_column(method, steps_per_ns):
 def test_sample_solves_fall_back_to_dense(monkeypatch):
     # A reduced-basis sample solve that fails its residual check is counted
     # and replaced by the dense solve, so the trajectory does not change.
+    # Samples at a snapshot alpha take the snapshot's dense solution.
     sol = qubit_eigensolution(SPEC, 3)
     prof = AlphaProfile(((0.0, 2.0, 1.0, 0.9),))
     settings = PropagationSettings(steps_per_ns=64, sample_interval_ns=0.1)
@@ -194,7 +221,10 @@ def test_sample_solves_fall_back_to_dense(monkeypatch):
 
     monkeypatch.setattr(evolve._CircuitEngine, "_reduced_lowest", off_by_a_little)
     fallback = propagate_state(SPEC, prof, None, sol.state(0), settings)
-    assert len(engines) == len(reference.times)  # every sample went to the basis first
+    snapshots = engines[0]._window.snapshots
+    assert 1.0 in snapshots and 0.9 in snapshots
+    # every other sample went to the basis first
+    assert len(engines) == sum(prof.alpha(t) not in snapshots for t in reference.times)
     assert engines[0].fallbacks == len(engines)
     np.testing.assert_allclose(fallback.frame_energies, reference.frame_energies, rtol=0, atol=1e-12)
     assert np.abs(fallback.spectral_weights - reference.spectral_weights).max() < 1e-12
@@ -325,6 +355,21 @@ def test_basis_missing_a_level_is_not_kept(monkeypatch):
     assert engine._window is not None and engine.lowest(0.95, k) is not None
 
 
+def test_window_ends_return_their_dense_solutions():
+    # A window's end snapshots are dense solves, and lowest returns them: a
+    # gate's alpha = 1 states keep the gauge of qubit_eigensolution, which
+    # fixes what its target means, and its plateau solve is not redone.
+    spec = replace(SPEC, cutoff=10)
+    engine = evolve._CircuitEngine(spec)
+    engine.set_window(0.7, 1.0, 8, 100)
+    assert engine._window is not None
+    for alpha, k in ((1.0, 2), (0.7, 3)):
+        energies, states = engine.lowest(alpha, k)
+        dense = qubit_eigensolution(spec.with_alpha(alpha), k)
+        assert np.abs(energies - dense.energies).max() < 1e-12
+        assert np.abs(states - dense.states[engine.indices]).max() < 1e-12
+
+
 def test_frame_built_through_the_basis_matches_a_dense_frame(coupled_frame):
     # Built over a range, a frame solves each qubit through its reduced
     # basis; built one node per call, it takes dense solves only. The two
@@ -339,12 +384,12 @@ def test_frame_built_through_the_basis_matches_a_dense_frame(coupled_frame):
                             settings)
     detuned.ensure_range(0.95)
     for built, overlaps in ((frame, False), (detuned, True)):
-        assert all(e._window is not None and e.fallbacks == 0 for e in built._q_engines)
+        assert all(e._window is not None and e.fallbacks == 0 for e in built.engines.values())
         dense = TwoQubitFrame(built.coupled, settings)
         keys = range(built._node_key(1.0), built._node_key(0.95) - 1, -1)
         for key in keys:
             dense.node(key * built.grid)
-        assert all(e._window is None and e.fallbacks == 0 for e in dense._q_engines)
+        assert all(e._window is None and e.fallbacks == 0 for e in dense.engines.values())
         gauge = {}
         for key in keys:
             a = key * built.grid

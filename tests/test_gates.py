@@ -1,6 +1,7 @@
 import functools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +9,15 @@ import scipy.linalg
 import scipy.optimize
 
 from dsfq import evolve, gates
-from dsfq.circuit import CircuitSpec, CoupledSpec, Variant
+from dsfq.circuit import CircuitSpec, CoupledSpec, Variant, build_operator
 from dsfq.coherence import default_channels, relaxation_rates
-from dsfq.evolve import AlphaProfile, PropagationSettings, TwoQubitFrame, _computational_levels
+from dsfq.evolve import (
+    AlphaProfile,
+    DrivePulse,
+    PropagationSettings,
+    TwoQubitFrame,
+    _computational_levels,
+)
 from dsfq.spectrum import qubit_eigensolution
 from dsfq.gates import (
     GateError,
@@ -209,8 +216,8 @@ def test_zz_strength_matches_the_frame_spectrum(ej2):
 
 
 @pytest.mark.parametrize("spec, alpha_lo, charging_scale", [
-    # the driven gate's window [0.7, 1], on an even sector of 145 states
-    (CircuitSpec(ej=10.0, ec=0.1, phi_ext=0.995 * math.pi, cutoff=8), 0.7, 1.0),
+    # the driven gate's window [0.7, 1], on an even sector of 221 states
+    (CircuitSpec(ej=10.0, ec=0.1, phi_ext=0.995 * math.pi, cutoff=10), 0.7, 1.0),
     # a T_a = 20 ns two-qubit gate's window, on 169 node-basis states
     (q_node(), AlphaProfile.two_qubit(20.0, 0.0).alpha_min,
      CoupledSpec(q_node(), q_node()).charging_scale),
@@ -235,6 +242,58 @@ def test_gamma1_rates_from_the_engine_match_dense_solves(monkeypatch, spec, alph
         sol = qubit_eigensolution(spec_a, 3, charging_scale=charging_scale)
         reference.append(relaxation_rates(spec_a, default_channels(), solution=sol).gamma1_total)
     assert np.abs(gamma1.rates / np.array(reference) - 1.0).max() < 1e-10
+    # a caller's k = 8 window over the range serves the rates as it is
+    engine = evolve._CircuitEngine(spec, charging_scale)
+    engine.set_window(alpha_lo, 1.0, 8, 1000)
+    window = engine._window
+    assert window is not None
+    shared = Gamma1Interpolator(spec, alpha_lo, charging_scale=charging_scale, _engine=engine)
+    assert engine._window is window and engine.fallbacks == 0
+    assert np.abs(shared.rates / np.array(reference) - 1.0).max() < 1e-10
+
+
+@pytest.mark.parametrize("spec", [
+    CircuitSpec(ej=10.0, ec=0.1, phi_ext=0.995 * math.pi, cutoff=6), q_node(5),
+], ids=["single_loop", "node_basis"])
+def test_noise_operators_scale_with_alpha_as_the_rates_assume(spec):
+    # Gamma1Interpolator builds the operators once, at alpha = 1
+    unit = {kind: build_operator(kind, spec.with_alpha(1.0)).matrix
+            for kind in ("dH_dphi_ext", "dH_dng_phi", "dH_dng_theta", "phi_grid")}
+    for alpha in (0.5, 0.7, 0.93):
+        for kind, op in unit.items():
+            scale = alpha if kind == "dH_dphi_ext" else 1.0
+            at_alpha = build_operator(kind, spec.with_alpha(alpha)).matrix
+            assert np.abs(at_alpha - scale * op).max() <= 1e-15 * np.abs(op).max()
+
+
+def test_calibration_scan_shares_one_engine(monkeypatch):
+    # Called on its own, calibrate_drive builds one engine for its plateau
+    # solve, its rates and every scan gate. Here a stand-in scores the scan,
+    # its fidelity peaked at the seed amplitude.
+    spec = CircuitSpec(ej=10.0, ec=0.1, phi_ext=0.995 * math.pi, cutoff=6)
+    profile = AlphaProfile.single_qubit(ramp_ns=2.0, plateau_ns=4.0)
+    template = DrivePulse(amplitude=0.0, carrier_freq=0.4, ramp_ns=1.0, flat_ns=2.0,
+                          t_start=2.0)
+    seed = gates.calibrate_drive(spec, profile, template, math.pi).amplitude
+    splits, scan = [], []
+    split = evolve.hamiltonian_decomposition
+
+    def counting(*args, **kwargs):
+        splits.append(args)
+        return split(*args, **kwargs)
+
+    def scored(spec, profile, pulse, target, settings, gamma1=None, *, _engine=None):
+        scan.append((_engine, gamma1))
+        return SimpleNamespace(coherent_fidelity=1.0 - (pulse.amplitude / seed - 1.0) ** 2)
+
+    monkeypatch.setattr(evolve, "hamiltonian_decomposition", counting)
+    monkeypatch.setattr(gates, "run_single_qubit_gate", scored)
+    pulse = gates.calibrate_drive(spec, profile, template, math.pi, target=gates.SIGMA_X,
+                                  settings=PropagationSettings(steps_per_ns=50))
+    assert pulse.amplitude == pytest.approx(seed, rel=1e-12)
+    assert len(splits) == 1 and len(scan) == 7
+    assert scan[0][0] is not None and scan[0][1] is not None
+    assert all(engine is scan[0][0] and rates is scan[0][1] for engine, rates in scan)
 
 
 def test_rates_outside_their_grid_are_an_error():
