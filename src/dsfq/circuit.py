@@ -236,8 +236,9 @@ def _charging_diagonal(spec: CircuitSpec, charging_scale: float) -> np.ndarray:
     return 4.0 * spec.ec * (charging_scale * (n1 - ng1) ** 2 + (n2 - ng2) ** 2)
 
 
-def _diagonal_operator(kind: str, spec: CircuitSpec) -> np.ndarray:
-    """Diagonal of a charge operator or offset-charge derivative."""
+def _diagonal_operator(kind: str, spec: CircuitSpec, charging_scale: float) -> np.ndarray:
+    """Diagonal of a charge operator or offset-charge derivative; the
+    derivatives are those of ``_charging_diagonal`` at ``charging_scale``."""
     n_phi, n_theta = _charge_numbers(spec)
     if kind == "n_phi":
         return n_phi.astype(float)
@@ -245,9 +246,12 @@ def _diagonal_operator(kind: str, spec: CircuitSpec) -> np.ndarray:
         return n_theta.astype(float)
     if kind == "n1":
         return 0.5 * (n_theta + n_phi)
-    if kind == "dH_dng_phi":
-        return -4.0 * spec.ec * (n_phi - spec.ng_phi)
-    return -4.0 * spec.ec * (n_theta - spec.ng_theta)  # dH_dng_theta
+    # H_C = 4*EC*(s*(n1 - ng1)^2 + (n2 - ng2)^2) with n1,2 = (n_theta +- n_phi)/2,
+    # ng1,2 alike, and s = 1 but in the node basis: 2*EC*(n_phi^2 + n_theta^2) at s = 1
+    s = charging_scale if spec.variant is Variant.NODE_BASIS else 1.0
+    n1 = 0.5 * (n_theta + n_phi - spec.ng_theta - spec.ng_phi)
+    n2 = 0.5 * (n_theta - n_phi - spec.ng_theta + spec.ng_phi)
+    return -4.0 * spec.ec * (s * n1 + (n2 if kind == "dH_dng_theta" else -n2))
 
 
 # A cosine term (w, (k_a, k_b), p) is -w*EJ*cos(k_a*x_a + k_b*x_b + p), with
@@ -321,7 +325,7 @@ _OPERATOR_KINDS = (
 
 
 def build_operator(
-    kind: str, spec: CircuitSpec, grid_points: int = 256
+    kind: str, spec: CircuitSpec, grid_points: int = 256, charging_scale: float = 1.0
 ) -> HermitianOperator:
     """Build a named operator in the charge basis of ``spec``.
 
@@ -329,9 +333,10 @@ def build_operator(
     (phi, theta) pair; ``n1`` = (n_theta + n_phi)/2 (node charge driven
     by a capacitive line); ``dH_dphi_ext`` -- flux derivative of the
     Hamiltonian; ``dH_dng_phi``/``dH_dng_theta`` -- offset-charge
-    derivatives; ``phi_grid`` -- the double-well coordinate phi as a
-    multiplication operator on the [-pi, pi) branch, represented through
-    the phase-grid transform with ``grid_points`` points per mode.
+    derivatives of ``build_hamiltonian(spec, charging_scale)``;
+    ``phi_grid`` -- the double-well coordinate phi as a multiplication
+    operator on the [-pi, pi) branch, represented through the phase-grid
+    transform with ``grid_points`` points per mode.
     """
     if kind not in _OPERATOR_KINDS:
         raise CircuitError(f"unknown operator kind {kind!r}")
@@ -347,7 +352,8 @@ def build_operator(
         if grid_points < 2 or grid_points & (grid_points - 1) != 0:
             raise CircuitError(f"grid size {grid_points} is not a power of two")
         return HermitianOperator("phi", spec.basis, _phi_operator(spec, grid_points))
-    return HermitianOperator(kind, spec.basis, np.diag(_diagonal_operator(kind, spec)))
+    return HermitianOperator(kind, spec.basis,
+                             np.diag(_diagonal_operator(kind, spec, charging_scale)))
 
 
 def hamiltonian_decomposition(

@@ -5,7 +5,7 @@ eigenstates. Internally everything is converted to SI; reported rates
 are in 1/ns and times in microseconds.
 
 Unit conventions. The spectral functions are implemented as printed in
-the source analysis, with two documented knobs:
+the source analysis, with three documented knobs:
 
 * ``rate_scale``: a single overall normalization of the relaxation
   rates. The ``"paper"`` convention (default) applies 2*(2*pi)^3 on top
@@ -13,6 +13,9 @@ the source analysis, with two documented knobs:
   weight S(omega) + S(-omega) and (2*pi)^3 absorbing the golden-rule /
   ordinary-vs-angular frequency normalization of the source's quoted
   numbers. ``"si"`` evaluates the printed formulas literally in SI.
+* ``charge_units``: charge-noise amplitudes in Cooper pairs
+  (``"cooper_pair"``, default) or electrons (``"electron"``, halved
+  before use), since the charge derivatives are per Cooper pair.
 * ``coth_half``: the dielectric thermal factor uses coth(w/kT) as
   printed when False (default), coth(w/2kT) (the standard form) when
   True.
@@ -199,51 +202,47 @@ def _spectral_dielectric(tan_delta: float, omega: float, ec_ghz: float,
     return omega**2 * tan_delta / (4.0 * ec_joule) * (1.0 / math.tanh(ratio) + 1.0)
 
 
-def _matrix_element(sol: EigenSolution, op: np.ndarray, i: int, j: int) -> complex:
-    return complex(sol.state(i).conj() @ (op @ sol.state(j)))
-
-
-# channel kind -> operator kind whose matrix is dH/dlambda
-_NOISE_OPERATOR_KIND = {
+# channel kind -> operator kind whose matrix elements set its rates: dH/dlambda,
+# and for the dielectric channel the phase phi
+_CHANNEL_OPERATOR = {
     "flux_1f": "dH_dphi_ext",
     "charge_1f_phi": "dH_dng_phi",
     "charge_ohmic_phi": "dH_dng_phi",
     "charge_1f_theta": "dH_dng_theta",
     "charge_ohmic_theta": "dH_dng_theta",
+    "dielectric": "phi_grid",
 }
-# channel kind -> operator kind whose |<1|O|0>|^2 sets its relaxation rate
-_RELAXATION_OPERATOR_KIND = {**_NOISE_OPERATOR_KIND, "dielectric": "phi_grid"}
+_DEPHASING_CHANNELS = ("flux_1f", "charge_1f_phi", "charge_1f_theta")
 
 
-def _relaxation_operators(spec: CircuitSpec, channels: list[NoiseChannel],
-                          indices: np.ndarray) -> dict:
-    """The operators of ``spec`` that ``relaxation_rates`` takes for
-    ``channels``, by kind, each built once, restricted to ``indices`` and
-    held in CSR form (each has at most a few dozen nonzeros per row)."""
-    sector = np.ix_(indices, indices)
-    return {kind: scipy.sparse.csr_matrix(build_operator(kind, spec).matrix[sector])
-            for kind in dict.fromkeys(_RELAXATION_OPERATOR_KIND[ch.kind] for ch in channels)}
+def _noise_operators(spec: CircuitSpec, channel_kinds, charging_scale: float = 1.0,
+                     indices: np.ndarray | None = None) -> dict:
+    """The operators of ``spec`` that the channels of ``channel_kinds`` take,
+    by operator kind, each built once and held in CSR form (a few dozen
+    nonzeros per row at most), so that no more than one is ever dense.
+    For flux, lambda is Phi/Phi_0, so dH/dphi_ext carries 2*pi; charge
+    derivatives are per Cooper pair, at ``charging_scale``. Given
+    ``indices``, each is restricted to them."""
+    operators = {}
+    for kind in dict.fromkeys(_CHANNEL_OPERATOR[c] for c in channel_kinds):
+        op = build_operator(kind, spec, charging_scale=charging_scale).matrix
+        if indices is not None:
+            op = op[np.ix_(indices, indices)]
+        op = scipy.sparse.csr_matrix(op)
+        operators[kind] = 2.0 * math.pi * op if kind == "dH_dphi_ext" else op
+    return operators
 
 
-def _noise_elements(spec: CircuitSpec, kind: str, sol: EigenSolution,
-                    levels: tuple[int, int], elements: dict,
-                    operators: dict | None = None) -> tuple[complex, ...]:
-    """(<j|O|i>, <i|O|i>, <j|O|j>) of the operator O of ``kind``.
-
-    ``elements`` maps operator kinds to these elements: O is built only
-    for a kind it lacks, and only the elements are kept. ``operators``,
-    when given, maps each kind to its matrix in the basis of the states of
-    ``sol``, and O is taken from it instead of being built. For flux,
-    lambda is Phi/Phi_0, so the phi_ext derivative picks up 2*pi. Charge
-    derivatives are per Cooper pair, matching the default amplitude units.
-    """
-    if kind not in elements:
-        op = operators[kind] if operators is not None else build_operator(kind, spec).matrix
-        if kind == "dH_dphi_ext":
-            op = 2.0 * math.pi * op
-        i, j = levels
-        elements[kind] = tuple(_matrix_element(sol, op, a, b) for a, b in ((j, i), (i, i), (j, j)))
-    return elements[kind]
+def _level_elements(operators: dict, sol: EigenSolution, levels: tuple[int, int]) -> dict:
+    """(<j|O|i>, <i|O|i>, <j|O|j>) of each operator O of ``operators``, by
+    kind, with (i, j) = ``levels`` among the states of ``sol``."""
+    i, j = levels
+    bra_i, bra_j = sol.state(i).conj(), sol.state(j).conj()
+    elements = {}
+    for kind, op in operators.items():
+        o_i, o_j = op @ sol.state(i), op @ sol.state(j)
+        elements[kind] = (complex(bra_j @ o_i), complex(bra_i @ o_i), complex(bra_j @ o_j))
+    return elements
 
 
 def relaxation_rates(
@@ -255,17 +254,16 @@ def relaxation_rates(
     levels: tuple[int, int] = (0, 1),
     *,
     _elements: dict | None = None,
-    _operators: dict | None = None,
 ) -> CoherenceReport:
     """Golden-rule relaxation rates, per channel, at omega = omega_q.
 
     Gamma_1^lambda = scale/hbar^2 |<1|dH/dlambda|0>|^2 S_lambda(omega);
     Gamma_1^diel = scale*hbar |<1|phi|0>|^2 S_diel(omega). Each operator
-    is built once per call, also where the 1/f and ohmic channels of one
-    charge share it; only its matrix elements are kept, in ``_elements``
-    when given (see ``coherence_report``). ``_operators``, when given,
-    holds the operators of ``spec`` by kind, in the basis of the states
-    of ``solution``, and none is built (see ``gates.Gamma1Interpolator``).
+    is built once per call (``_noise_operators``), and only its matrix
+    elements are kept. ``_elements``, when given, holds those elements
+    for every channel, by operator kind (see ``_level_elements``), and
+    none is built: ``coherence_report`` and ``gates.Gamma1Interpolator``
+    pass their own.
     """
     if not channels:
         raise CoherenceError("channel list is empty")
@@ -280,22 +278,17 @@ def relaxation_rates(
         )
     omega = 2.0 * math.pi * omega_q_ghz * GHZ  # angular, rad/s
     report = CoherenceReport()
-    elements = {} if _elements is None else _elements
+    elements = _elements if _elements is not None else _level_elements(
+        _noise_operators(spec, [ch.kind for ch in channels]), sol, levels)
     for ch in channels:
-        element = _noise_elements(spec, _RELAXATION_OPERATOR_KIND[ch.kind], sol, levels,
-                                  elements, _operators)[0]
+        element = elements[_CHANNEL_OPERATOR[ch.kind]][0]
         if ch.kind == "dielectric":
             s = _spectral_dielectric(ch.amplitude, omega, spec.ec, env, conv)
             rate_si = HBAR * abs(element) ** 2 * s
         else:
-            amp = ch.amplitude
-            if ch.kind.startswith("charge"):
-                amp = conv.charge_amp(amp)
+            amp = conv.charge_amp(ch.amplitude) if ch.kind.startswith("charge") else ch.amplitude
+            s = (_spectral_1f if "1f" in ch.kind else _spectral_ohmic)(amp, omega)
             m = element * H_PLANCK * GHZ  # J per unit lambda
-            if "1f" in ch.kind:
-                s = _spectral_1f(amp, omega)
-            else:
-                s = _spectral_ohmic(amp, omega)
             rate_si = abs(m) ** 2 * s / HBAR**2
         report.gamma1_by_channel[ch.kind] = conv.scale * rate_si * 1e-9  # 1/ns
     return report
@@ -312,11 +305,11 @@ def hellmann_feynman_slope(
     lambda is Phi/Phi_0 for flux and the offset charge (Cooper pairs)
     for charge channels.
     """
-    kind = _NOISE_OPERATOR_KIND.get(channel_kind)
-    if kind is None:
+    kind = _CHANNEL_OPERATOR.get(channel_kind, "")
+    if not kind.startswith("dH_"):
         raise CoherenceError(f"channel {channel_kind} has no dH/dlambda operator")
     sol = solution if solution is not None else qubit_eigensolution(spec, max(levels) + 2)
-    _, e_i, e_j = _noise_elements(spec, kind, sol, levels, {})
+    _, e_i, e_j = _level_elements(_noise_operators(spec, [channel_kind]), sol, levels)[kind]
     return float((e_j - e_i).real)
 
 
@@ -350,8 +343,8 @@ def dephasing_rates(
     """First-order 1/f dephasing rates per channel.
 
     Only the 1/f channels dephase at first order; ohmic and dielectric
-    channels contribute zero here. Matrix elements are taken from, and
-    added to, ``_elements`` when given (see ``coherence_report``).
+    channels contribute zero here. ``_elements`` is as in
+    ``relaxation_rates``.
     """
     if not channels:
         raise CoherenceError("channel list is empty")
@@ -362,15 +355,15 @@ def dephasing_rates(
     if abs(omega_q) < 1e-12:
         raise CoherenceError("qubit splitting is zero; dephasing slope ill-defined")
     report = CoherenceReport()
-    elements = {} if _elements is None else _elements
+    elements = _elements if _elements is not None else _level_elements(
+        _noise_operators(spec, [ch.kind for ch in channels if ch.kind in _DEPHASING_CHANNELS]),
+        sol, levels)
     for ch in channels:
-        if ch.kind not in ("flux_1f", "charge_1f_phi", "charge_1f_theta"):
+        if ch.kind not in _DEPHASING_CHANNELS:
             report.gammaphi_by_channel[ch.kind] = 0.0
             continue
-        amp = ch.amplitude
-        if ch.kind.startswith("charge"):
-            amp = conv.charge_amp(amp)
-        _, e_i, e_j = _noise_elements(spec, _NOISE_OPERATOR_KIND[ch.kind], sol, levels, elements)
+        amp = conv.charge_amp(ch.amplitude) if ch.kind.startswith("charge") else ch.amplitude
+        _, e_i, e_j = elements[_CHANNEL_OPERATOR[ch.kind]]
         slope = float((e_j - e_i).real)
         report.gammaphi_by_channel[ch.kind] = dephasing_rate_from_slope(slope, amp, env)
     return report
@@ -390,7 +383,7 @@ def coherence_report(
     """
     channels = channels if channels is not None else default_channels()
     sol = qubit_eigensolution(spec, max(levels) + 2)
-    elements: dict = {}
+    elements = _level_elements(_noise_operators(spec, [ch.kind for ch in channels]), sol, levels)
     g1 = relaxation_rates(spec, channels, env, conventions, solution=sol, levels=levels,
                           _elements=elements)
     gphi = dephasing_rates(spec, channels, env, conventions, solution=sol, levels=levels,

@@ -221,10 +221,10 @@ class DrivePulse:
 
 @dataclass(frozen=True)
 class PropagationSettings:
+    """Step and sample grids and truncations; a step of ``propagate_state``
+    is one fourth-order commutator-free Magnus step."""
+
     steps_per_ns: int = 857
-    # "per_step_exponential": fourth-order commutator-free Magnus steps;
-    # "integrator": RK4 on H - E_ref with the E_ref phase restored exactly
-    method: str = "per_step_exponential"
     subspace_k: int = 24
     per_qubit_m: int = 12
     alpha_grid: float = 1e-3  # spacing of the two-qubit frame nodes
@@ -235,8 +235,6 @@ class PropagationSettings:
     def __post_init__(self) -> None:
         if self.steps_per_ns < MIN_STEPS_PER_NS:
             raise PropagationError(f"steps_per_ns must be >= {MIN_STEPS_PER_NS}")
-        if self.method not in ("per_step_exponential", "integrator"):
-            raise PropagationError(f"unknown method {self.method!r}")
         if not (isinstance(self.alpha_grid, (int, float)) and 0.0 < self.alpha_grid < math.inf):
             raise PropagationError(f"alpha_grid must be positive, got {self.alpha_grid!r}")
 
@@ -315,7 +313,7 @@ class _CircuitEngine:
     """
 
     def __init__(self, spec: CircuitSpec, charging_scale: float = 1.0):
-        self._spec, self._charging_scale = spec, charging_scale
+        self._spec, self.charging_scale = spec, charging_scale
         h0, h1 = hamiltonian_decomposition(spec, charging_scale)
         self.full_dim = h0.shape[0]
         if spec.variant is Variant.SINGLE_LOOP:
@@ -342,16 +340,10 @@ class _CircuitEngine:
         return scipy.sparse.csr_matrix((data, self._indices, self._indptr),
                                        shape=(self.dim, self.dim))
 
-    def sparse_hamiltonian(self, alpha: float, drive: float = 0.0,
-                           shift: float = 0.0) -> scipy.sparse.csr_matrix:
-        """H(alpha, drive) - shift * 1 in CSR form."""
-        d0, d1, dn = self._data
-        data = d0 + alpha * d1
-        if drive != 0.0:
-            data += drive * dn
-        if shift != 0.0:
-            data[self._diag] -= shift
-        return self._csr(data)
+    def sparse_hamiltonian(self, alpha: float) -> scipy.sparse.csr_matrix:
+        """The drive-free H(alpha) in CSR form."""
+        d0, d1, _ = self._data
+        return self._csr(d0 + alpha * d1)
 
     def expi_apply(self, alpha: float, drive: float, dt: float, psi: np.ndarray,
                    shift: float) -> np.ndarray:
@@ -405,7 +397,8 @@ class _CircuitEngine:
     def set_window(self, lo: float, hi: float, k: int, solves: int) -> None:
         """State that ``solves`` calls of ``lowest(alpha, k)`` with alpha in
         [lo, hi] come next. A window that already covers [lo, hi] with at
-        least k levels is kept; otherwise this replaces it.
+        least k levels is kept, as is any window when no new one is built;
+        a new one replaces it.
 
         A basis is built only where it saves solves: for more solves than
         it takes snapshots (``_snapshot_count``), and when it holds at most
@@ -422,7 +415,6 @@ class _CircuitEngine:
         w = self._window
         if w is not None and w.lo <= lo and hi <= w.hi and k <= w.k:
             return
-        self._window = None
         n = _snapshot_count(hi - lo)
         if hi <= lo or solves <= n or 2 * n * (k + SNAPSHOT_PAD) > self.dim:
             return
@@ -439,7 +431,7 @@ class _CircuitEngine:
         self._window = _Window(lo, hi, k, q, g0, g1, snapshots)
 
     def _dense_lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-        sol = qubit_eigensolution(self._spec.with_alpha(alpha), k, self._charging_scale)
+        sol = qubit_eigensolution(self._spec.with_alpha(alpha), k, self.charging_scale)
         return sol.energies, sol.states[self.indices]
 
     def _reduced_lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -512,17 +504,6 @@ def _propagation_window(engine: _CircuitEngine, profile: AlphaProfile,
     return n_samples
 
 
-def _rk4_step(h_of_t, psi: np.ndarray, t: float, dt: float) -> np.ndarray:
-    def deriv(tt, y):
-        return -2j * math.pi * (h_of_t(tt) @ y)
-
-    k1 = deriv(t, psi)
-    k2 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k1)
-    k3 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k2)
-    k4 = deriv(t + dt, psi + dt * k3)
-    return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def propagate_state(
     spec: CircuitSpec,
     profile: AlphaProfile,
@@ -541,16 +522,14 @@ def propagate_state(
     block, the recorded states, ``spectral_weights`` and ``norms`` carry
     a trailing column axis (see ``Trajectory``); for a vector they do not.
 
-    The default method takes fourth-order commutator-free Magnus (CF4)
-    steps through the sparse sector Hamiltonian, every step alike.
-    ``method="integrator"`` takes classic RK4 steps of H - E_ref, with
-    E_ref the lowest level at ``t_start`` and its phase restored in
-    closed form. Spectral weights against gauge-aligned instantaneous
-    eigenstates are recorded on the sample grid, along with accumulated
-    eigenphases. The samples state the profile's alpha range as the
-    engine's window, so with enough of them they are solved in a reduced
-    basis, each checked against the full H and solved densely when its
-    residual is too large. Each sample is gauge-aligned to the one before,
+    Every step is a fourth-order commutator-free Magnus (CF4) step
+    through the sparse sector Hamiltonian, whose two exponentials
+    ``_CircuitEngine.expi_apply`` applies. Spectral weights against
+    gauge-aligned instantaneous eigenstates are recorded on the sample
+    grid, along with accumulated eigenphases. The samples state the
+    profile's alpha range as the engine's window, so with enough of them
+    they are solved in a reduced basis, each checked against the full H
+    and solved densely when its residual is too large. Each sample is gauge-aligned to the one before,
     and a crossing of the qubit pair raises ``GaugeAlignmentError``.
     ``_engine``, when given, is the ``_CircuitEngine`` of (spec,
     charging_scale) that the caller shares with its other solves.
@@ -583,28 +562,18 @@ def propagate_state(
     ref = lowest(ref_alpha)
     weights.append(np.abs(ref.states.conj().T @ psi) ** 2)
     sampled_energies = [ref.energies.copy()]
-    e_ref = float(ref.energies[0])
-
-    def drive_at(t: float) -> float:
-        return pulse.coefficient(t) if pulse is not None else 0.0
-
-    def shifted_h(t: float):
-        return engine.sparse_hamiltonian(profile.alpha(t), drive_at(t), e_ref)
 
     t = profile.t_start
     for step in range(n_steps):
-        if settings.method == "per_step_exponential":
-            t1, t2 = t + _CF4_NODES[0] * dt, t + _CF4_NODES[1] * dt
-            a1, a2 = profile.alpha(t1), profile.alpha(t2)
-            d1, d2 = drive_at(t1), drive_at(t2)
-            # each factor is exp(-i*2*pi*(dt/2)*H(alpha_eff, drive_eff))
-            # since the two weights of a factor sum to 1/2
-            for w_1, w_2 in (_CF4_WEIGHTS, _CF4_WEIGHTS[::-1]):
-                psi = engine.expi_apply(2.0 * (w_1 * a1 + w_2 * a2),
-                                        2.0 * (w_1 * d1 + w_2 * d2), 0.5 * dt, psi,
-                                        float(ref.energies[0]))
-        else:
-            psi = _rk4_step(shifted_h, psi, t, dt) * np.exp(-2j * math.pi * e_ref * dt)
+        t1, t2 = t + _CF4_NODES[0] * dt, t + _CF4_NODES[1] * dt
+        a1, a2 = profile.alpha(t1), profile.alpha(t2)
+        d1, d2 = (0.0, 0.0) if pulse is None else (pulse.coefficient(t1), pulse.coefficient(t2))
+        # each factor is exp(-i*2*pi*(dt/2)*H(alpha_eff, drive_eff))
+        # since the two weights of a factor sum to 1/2
+        for w_1, w_2 in (_CF4_WEIGHTS, _CF4_WEIGHTS[::-1]):
+            psi = engine.expi_apply(2.0 * (w_1 * a1 + w_2 * a2),
+                                    2.0 * (w_1 * d1 + w_2 * d2), 0.5 * dt, psi,
+                                    float(ref.energies[0]))
         t += dt
         if (step + 1) % sample_stride == 0 or step == n_steps - 1:
             norm = np.linalg.norm(psi, axis=0)
@@ -706,12 +675,15 @@ class TwoQubitFrame:
         return {"eps": eps, "b": bs, "e": e_c, "w": w}
 
     def ensure_range(self, alpha_lo: float) -> None:
-        """Build grid nodes from alpha = 1 down to alpha_lo, aligned.
+        """Build grid nodes from alpha = 1 down to the node at or below
+        alpha_lo, aligned, so that ``energies`` can interpolate at alpha_lo.
 
         The alphas of the nodes still to build are each qubit engine's
         window, so a long range is solved in a reduced basis.
         """
-        key_lo = self._node_key(alpha_lo)
+        self._build_down_to(math.floor(alpha_lo / self.grid))
+
+    def _build_down_to(self, key_lo: int) -> None:
         top = min(self._nodes, default=self._node_key(1.0) + 1) - 1  # highest node to build
         if top < key_lo:
             return
@@ -723,21 +695,17 @@ class TwoQubitFrame:
 
     def node(self, alpha: float) -> dict:
         key = self._node_key(alpha)
-        if key not in self._nodes:
-            self.ensure_range(key * self.grid)
+        self._build_down_to(key)
         return self._nodes[key]
 
     def energies(self, alpha: float) -> np.ndarray:
         """Linear interpolation of the coupled energies between nodes."""
-        lo = math.floor(alpha / self.grid)
-        hi = lo + 1
-        a_lo, a_hi = lo * self.grid, hi * self.grid
-        self.ensure_range(min(a_lo, alpha))
-        n_lo = self._nodes.get(lo)
-        n_hi = self._nodes.get(hi)
+        lo = math.floor(alpha / self.grid)  # as in ensure_range
+        self._build_down_to(lo)
+        n_lo, n_hi = self._nodes[lo], self._nodes.get(lo + 1)
         if n_hi is None:
             return n_lo["e"]
-        x = (alpha - a_lo) / self.grid
+        x = (alpha - lo * self.grid) / self.grid
         return (1.0 - x) * n_lo["e"] + x * n_hi["e"]
 
     def frame_overlap(self, node_a: dict, node_b: dict) -> np.ndarray:

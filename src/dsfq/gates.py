@@ -15,7 +15,8 @@ from .coherence import (
     Environment,
     NoiseChannel,
     RateConventions,
-    _relaxation_operators,
+    _level_elements,
+    _noise_operators,
     decay_integrated_fidelity,
     default_channels,
     relaxation_rates,
@@ -60,7 +61,6 @@ MAX_T_A_NS = 2.0 * FULL_LOWERING_NS
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 class GateError(RuntimeError):
@@ -254,11 +254,11 @@ class Gamma1Interpolator:
     checked against the full H: ``_engine``, the engine of (spec,
     charging_scale) that the caller shares, or one of its own. A window
     that already covers the grid with 3 or more levels is used as it is.
-    The noise operators are built once, in the engine's sector: dH/dphi_ext
-    comes from the barrier junction, whose terms are linear in alpha
-    (``circuit.hamiltonian_decomposition``), so it is alpha times its
-    alpha = 1 value, and the others do not depend on alpha. An alpha
-    outside the grid raises ``GateError``: the rates are not extrapolated.
+    The noise operators are built once, at the engine's charging scale and
+    in its sector: dH/dphi_ext comes from the barrier junction, whose terms
+    are linear in alpha (``circuit.hamiltonian_decomposition``), so it is
+    alpha times its alpha = 1 value, and the others do not depend on alpha.
+    An alpha outside the grid raises ``GateError``: it is not extrapolated.
     """
 
     def __init__(
@@ -278,15 +278,16 @@ class Gamma1Interpolator:
         channels = channels if channels is not None else default_channels()
         engine = _engine or _CircuitEngine(spec, charging_scale)
         engine.set_window(alpha_lo, alpha_hi, 3, n_grid)
-        unit = _relaxation_operators(spec.with_alpha(1.0), channels, engine.indices)
+        unit = _noise_operators(spec.with_alpha(1.0), [ch.kind for ch in channels],
+                                engine.charging_scale, engine.indices)
         rates = []
         for a in self.alphas:
             a = float(a)
             operators = {kind: a * op if kind == "dH_dphi_ext" else op
                          for kind, op in unit.items()}
-            rep = relaxation_rates(spec.with_alpha(a), channels, env, conventions,
-                                   solution=EigenSolution(*engine.lowest(a, 3), None, 3),
-                                   _operators=operators)
+            sol = EigenSolution(*engine.lowest(a, 3), None, 3)
+            rep = relaxation_rates(spec.with_alpha(a), channels, env, conventions, solution=sol,
+                                   _elements=_level_elements(operators, sol, (0, 1)))
             rates.append(rep.gamma1_total)
         self.rates = np.array(rates)
 
@@ -420,9 +421,9 @@ def calibrate_drive(
     element = abs(_qubit_levels(engine, profile.alpha_min, 3)[2][0, 1])
     if element < 1e-12:
         raise GateError("drive matrix element vanishes at the plateau")
-    shape_area = pulse_template.flat_ns + pulse_template.ramp_ns
+    unit_area = replace(pulse_template, amplitude=1.0).envelope_area()
     amp0 = target_rotation / (
-        2.0 * math.pi * element * pulse_template.coupling_ratio * shape_area
+        2.0 * math.pi * element * pulse_template.coupling_ratio * unit_area
     )
     if target is None:
         return replace(pulse_template, amplitude=amp0)

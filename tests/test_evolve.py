@@ -4,9 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from dsfq import evolve
-from dsfq.circuit import CircuitSpec, CoupledSpec, Variant
+from dsfq.circuit import (
+    CircuitSpec,
+    CoupledSpec,
+    Variant,
+    build_operator,
+    hamiltonian_decomposition,
+    physical_sector_indices,
+)
 from dsfq.evolve import (
     AlphaProfile,
     DrivePulse,
@@ -26,6 +34,34 @@ FAST = PropagationSettings(steps_per_ns=64, sample_interval_ns=0.5)
 def q_node():
     return CircuitSpec(variant=Variant.NODE_BASIS, ej=10.0, ec=0.1, alpha=1.0,
                        phi_ext=0.99 * math.pi, cutoff=9)
+
+
+def rk4_reference(spec, profile, pulse, psi0, steps_per_ns):
+    """Final state of classic RK4 steps through the full-basis
+    H(t) = h0 + alpha(t)*h1 + drive(t)*n1, built from the circuit module
+    alone (h0 and h1 converted to CSR by scipy for speed): it shares
+    neither the sector nor the CSR data of the engine. The steps take
+    H - E_ref, with E_ref the lowest level at the start, and its phase is
+    restored in closed form."""
+    h0, h1 = (scipy.sparse.csr_matrix(h) for h in hamiltonian_decomposition(spec))
+    n1 = np.diag(build_operator("n1", spec).matrix)
+    e_ref = qubit_eigensolution(spec.with_alpha(profile.alpha(profile.t_start)), 1).energies[0]
+    n_steps = max(1, round(profile.duration * steps_per_ns))
+    dt = profile.duration / n_steps
+
+    def deriv(t, y):
+        drive = pulse.coefficient(t) if pulse is not None else 0.0
+        return -2j * math.pi * (h0 @ y + profile.alpha(t) * (h1 @ y) + (drive * n1 - e_ref) * y)
+
+    psi, t = np.asarray(psi0, dtype=complex), profile.t_start
+    for _ in range(n_steps):
+        k1 = deriv(t, psi)
+        k2 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k1)
+        k3 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k2)
+        k4 = deriv(t + dt, psi + dt * k3)
+        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+    return np.exp(-2j * math.pi * e_ref * profile.duration) * psi
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +110,6 @@ def test_pulse_envelope_and_area():
 def test_settings_validation():
     with pytest.raises(PropagationError):
         PropagationSettings(steps_per_ns=20)
-    with pytest.raises(PropagationError):
-        PropagationSettings(method="magic")
     for grid in (None, 0.0, -1e-3, float("nan")):
         with pytest.raises(PropagationError, match="alpha_grid"):
             PropagationSettings(alpha_grid=grid)
@@ -102,15 +136,21 @@ def test_expi_apply_matches_dense_expm():
     # several (alpha, drive): the half steps of 857 and of MIN_STEPS_PER_NS
     # steps per ns, and longer ones that the sum cuts into substeps. Random
     # columns fill the whole spectrum, so the tail bound is nearly reached;
-    # the error stays below TAYLOR_TOL per substep.
-    engine = evolve._CircuitEngine(replace(SPEC, cutoff=5))
+    # the error stays below TAYLOR_TOL per substep. The reference H comes
+    # from the circuit module, restricted to the sector, not from the engine.
+    spec = replace(SPEC, cutoff=5)
+    engine = evolve._CircuitEngine(spec)
+    sector = physical_sector_indices(spec.basis, 0)
+    np.testing.assert_array_equal(engine.indices, sector)
+    h0, h1 = (h[np.ix_(sector, sector)] for h in hamiltonian_decomposition(spec))
+    n1 = np.diag(build_operator("n1", spec).matrix)[sector]
     rng = np.random.default_rng(5)
     psi = rng.normal(size=(engine.dim, 2)) + 1j * rng.normal(size=(engine.dim, 2))
     psi /= np.linalg.norm(psi, axis=0)
     substeps = set()
     for alpha, drive in ((1.0, 0.0), (0.7, 0.4), (0.85, -1.0)):
-        shift = float(engine.lowest(alpha, 1)[0][0])
-        h = engine.sparse_hamiltonian(alpha, drive, shift).toarray()
+        shift = float(qubit_eigensolution(spec.with_alpha(alpha), 1).energies[0])
+        h = h0 + alpha * h1 + np.diag(drive * n1 - shift)
         for dt in (0.5 / 857, 0.5 / evolve.MIN_STEPS_PER_NS, 0.05, 0.12):
             nu = 2.0 * math.pi * dt * np.abs(h).sum(axis=0).max()
             s = math.ceil(nu / evolve.TAYLOR_SUBSTEP_NORM)
@@ -147,14 +187,12 @@ def test_step_doubling_convergence():
 
 
 def test_integrator_agrees_with_exponential():
+    # CF4 steps through the engine against the RK4 reference
     sol = qubit_eigensolution(SPEC, 3)
     prof = AlphaProfile(((0.0, 2.0, 1.0, 0.9),))
     a = propagate_state(SPEC, prof, None, sol.state(0),
                         PropagationSettings(steps_per_ns=512, sample_interval_ns=1.0))
-    b = propagate_state(SPEC, prof, None, sol.state(0),
-                        PropagationSettings(steps_per_ns=512, sample_interval_ns=1.0,
-                                            method="integrator"))
-    assert np.linalg.norm(a.final - b.final) < 1e-7
+    assert np.linalg.norm(a.final - rk4_reference(SPEC, prof, None, sol.state(0), 512)) < 1e-7
 
 
 def test_time_reversal_round_trip():
@@ -186,13 +224,20 @@ def test_norm_is_preserved():
 
 @pytest.mark.parametrize("method, steps_per_ns", [("per_step_exponential", 64), ("integrator", 512)])
 def test_block_matches_column_by_column(method, steps_per_ns):
+    # CF4 on a block against CF4 on each column, and against the driven
+    # RK4 reference of each column
     sol = qubit_eigensolution(SPEC, 3)
     prof = AlphaProfile(((0.0, 1.0, 1.0, 0.9), (1.0, 2.0, 0.9, 0.9), (2.0, 3.0, 0.9, 1.0)))
     pulse = DrivePulse(amplitude=0.05, carrier_freq=0.38, ramp_ns=0.2, flat_ns=0.4, t_start=1.1)
-    settings = PropagationSettings(steps_per_ns=steps_per_ns, sample_interval_ns=0.25, method=method)
+    settings = PropagationSettings(steps_per_ns=steps_per_ns, sample_interval_ns=0.25)
     both = propagate_state(SPEC, prof, pulse, sol.states[:, :2], settings)
     assert both.spectral_weights.shape == (len(both.times), settings.spectral_k, 2)
     assert both.norms.shape == (len(both.times), 2)
+    if method == "integrator":
+        for j in (0, 1):
+            reference = rk4_reference(SPEC, prof, pulse, sol.state(j), steps_per_ns)
+            assert np.linalg.norm(both.final[:, j] - reference) < 1e-7
+        return
     for j in (0, 1):
         one = propagate_state(SPEC, prof, pulse, sol.state(j), settings)
         assert one.spectral_weights.shape == (len(one.times), settings.spectral_k)

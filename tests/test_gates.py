@@ -8,8 +8,8 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from dsfq import evolve, gates
-from dsfq.circuit import CircuitSpec, CoupledSpec, Variant, build_operator
+from dsfq import coherence, evolve, gates
+from dsfq.circuit import CircuitSpec, CoupledSpec, Variant, build_hamiltonian, build_operator
 from dsfq.coherence import default_channels, relaxation_rates
 from dsfq.evolve import (
     AlphaProfile,
@@ -236,11 +236,17 @@ def test_gamma1_rates_from_the_engine_match_dense_solves(monkeypatch, spec, alph
     # the grid is solved in the engine's reduced basis: its snapshots and
     # midpoint checks take fewer dense solves than the grid has points
     assert 0 < len(dense_solves) < len(gamma1.alphas)
+    # the reference builds full-basis operators at alpha, at the charging scale
     reference = []
+    channels = default_channels()
     for a in gamma1.alphas:
         spec_a = spec.with_alpha(float(a))
         sol = qubit_eigensolution(spec_a, 3, charging_scale=charging_scale)
-        reference.append(relaxation_rates(spec_a, default_channels(), solution=sol).gamma1_total)
+        operators = coherence._noise_operators(spec_a, [ch.kind for ch in channels],
+                                               charging_scale)
+        elements = coherence._level_elements(operators, sol, (0, 1))
+        reference.append(relaxation_rates(spec_a, channels, solution=sol,
+                                          _elements=elements).gamma1_total)
     assert np.abs(gamma1.rates / np.array(reference) - 1.0).max() < 1e-10
     # a caller's k = 8 window over the range serves the rates as it is
     engine = evolve._CircuitEngine(spec, charging_scale)
@@ -264,6 +270,47 @@ def test_noise_operators_scale_with_alpha_as_the_rates_assume(spec):
             scale = alpha if kind == "dH_dphi_ext" else 1.0
             at_alpha = build_operator(kind, spec.with_alpha(alpha)).matrix
             assert np.abs(at_alpha - scale * op).max() <= 1e-15 * np.abs(op).max()
+
+
+@pytest.mark.parametrize("kind", ["dH_dng_phi", "dH_dng_theta"])
+def test_charge_noise_operators_follow_the_charging_scale(kind):
+    # A coupled qubit's charging term is 4*EC*(s*(n1 - ng1)^2 + (n2 - ng2)^2),
+    # s = charging_scale; its offset-charge derivative is taken at that s.
+    # H is quadratic in ng, so a central difference is exact up to rounding.
+    q = replace(q_node(), ng_phi=0.1, ng_theta=-0.2)
+    scale = CoupledSpec(q, q, cg_ratio=0.3).charging_scale
+    field, step = kind.removeprefix("dH_d"), 1e-3
+    h_up, h_down = (build_hamiltonian(replace(q, **{field: getattr(q, field) + d}),
+                                      charging_scale=scale).matrix for d in (step, -step))
+    difference = (h_up - h_down) / (2.0 * step)
+    op = build_operator(kind, q, charging_scale=scale).matrix
+    assert np.abs(op - difference).max() < 1e-9 * np.abs(op).max()
+    # the unscaled derivative misses by more than 5% of its size
+    assert np.abs(build_operator(kind, q).matrix - difference).max() > 0.05 * np.abs(op).max()
+
+
+def test_frame_range_covers_its_lowest_alpha_and_keeps_the_window():
+    # alpha_lo lies 0.57 of a grid step above node 168. The frame builds
+    # down to that node, so the rate grid [alpha_lo, 1] fits the window of
+    # the frame's engine and energies(alpha_lo) builds nothing more; a
+    # request that builds no basis leaves that window in place.
+    q = q_node()
+    coupled = CoupledSpec(q, q, cg_ratio=0.3)
+    frame = TwoQubitFrame(coupled, PropagationSettings(alpha_grid=5e-3, per_qubit_m=6,
+                                                       subspace_k=12))
+    alpha_lo = AlphaProfile.two_qubit(22.0, 0.0).alpha_min
+    assert alpha_lo / frame.grid == pytest.approx(168.57, abs=1e-2)
+    frame.ensure_range(alpha_lo)
+    assert min(frame._nodes) == 168
+    (engine,) = frame.engines.values()
+    window = engine._window
+    assert window is not None and window.lo <= alpha_lo
+    Gamma1Interpolator(q, alpha_lo, charging_scale=coupled.charging_scale, _engine=engine)
+    assert engine._window is window
+    frame.energies(alpha_lo)
+    assert len(frame._nodes) == 200 - 168 + 1
+    engine.set_window(0.6, 0.6, 6, 1)
+    assert engine._window is window and engine.fallbacks == 0
 
 
 def test_calibration_scan_shares_one_engine(monkeypatch):
