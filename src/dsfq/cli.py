@@ -64,7 +64,12 @@ from .gates import (
     run_two_qubit_gate,
     zz_strength,
 )
-from .gradiometric import MAX_ASYMMETRY, LoopGeometry, compensation_delta, global_dispersion
+from .gradiometric import (
+    MAX_ASYMMETRY,
+    LoopGeometry,
+    compensation_delta,
+    omega_q_at_global_flux,
+)
 from .readout import MIN_LEVELS, ResonatorSpec, dispersive_shift
 from .spectrum import qubit_eigensolution, qubit_params
 
@@ -465,12 +470,12 @@ def _exp_gradiometric_dispersion(cfg, spec, pool):
     }
     wanted = p["cases"]
     header = ["phi_g_phi0"] + [f"omega_q_GHz_{c}" for c in wanted]
-    results = {}
-    for c in wanted:
+    def one(point):
+        u, c = point
         geom, delta = cases[c]
-        disp = global_dispersion(base, geom, us, delta=delta)
-        results[c] = disp["omega_q"]
-    rows = [(u, *(results[c][i] for c in wanted)) for i, u in enumerate(us)]
+        return omega_q_at_global_flux(base, geom, u, delta)
+    omegas = iter(pool.map(one, [(u, c) for u in us for c in wanted]))
+    rows = [(u, *(next(omegas) for _ in wanted)) for u in us]
     return {"gradiometric_dispersion.csv": (header, rows)}, {}
 
 

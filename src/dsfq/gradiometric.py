@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .circuit import CircuitSpec, Variant
 from .spectrum import qubit_eigensolution, qubit_params
 
@@ -26,7 +24,6 @@ __all__ = [
     "flux_phases",
     "vc_vs",
     "compensation_delta",
-    "global_dispersion",
     "omega_q_at_global_flux",
     "global_flux_slope",
 ]
@@ -151,16 +148,3 @@ def global_flux_slope(spec: CircuitSpec, geom: LoopGeometry, phi_g: float,
         for k in (-2, -1, 1, 2)
     ]
     return (om[0] - 8.0 * om[1] + 8.0 * om[2] - om[3]) / (12.0 * step)
-
-
-def global_dispersion(spec: CircuitSpec, geom: LoopGeometry, phi_g_values,
-                      delta: float = 0.0) -> dict:
-    """omega_q versus global flux, one gradiometric Hamiltonian per point.
-
-    ``global_flux_slope`` gives the slope at an operating point.
-    """
-    phi_g_values = np.asarray(list(phi_g_values), dtype=float)
-    omegas = np.array([
-        omega_q_at_global_flux(spec, geom, u, delta) for u in phi_g_values
-    ])
-    return {"phi_g": phi_g_values, "omega_q": omegas}

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,10 +21,15 @@ from dsfq.cli import (
 )
 
 from dsfq import coherence, evolve, gates
-from dsfq.circuit import MAX_ALPHA, MIN_ALPHA
+from dsfq.circuit import MAX_ALPHA, MIN_ALPHA, Variant
 from dsfq.evolve import ALPHA_MAX_ALLOWED, ALPHA_MIN_ALLOWED
 from dsfq.gates import MAX_T_A_NS
-from dsfq.gradiometric import MAX_ASYMMETRY
+from dsfq.gradiometric import (
+    MAX_ASYMMETRY,
+    LoopGeometry,
+    compensation_delta,
+    omega_q_at_global_flux,
+)
 
 EXPERIMENTS_DIR = Path(__file__).resolve().parent.parent / "experiments"
 
@@ -114,6 +120,47 @@ def test_two_qubit_rerun_writes_byte_identical_csvs(tmp_path, experiment, params
         "workers": 2,
     }
     assert _rerun_files(cfg, tmp_path) == files
+
+
+def test_large_cutoff_rerun_writes_byte_identical_csvs(tmp_path):
+    # a 2209-state gradiometric basis goes to the sparse branch, which
+    # used to start ARPACK from a random vector: reruns then differed in
+    # the 12th digit of omega_q
+    cfg = {
+        "schema_version": 1,
+        "experiment": "spectrum_vs_alpha",
+        "circuit": {"ej": 10.0, "ec": 0.1, "cutoff": MAX_CUTOFF, "variant": "gradiometric"},
+        "params": {"alpha_start": 0.97, "points": 1},
+    }
+    assert _rerun_files(cfg, tmp_path) == ["spectrum_vs_alpha.csv"]
+
+
+def test_gradiometric_points_run_in_the_pool_in_row_order(tmp_path):
+    # 2 points x 3 cases of 625 states: the same bytes from 1 and 2 workers,
+    # each row holding its own point's three cases
+    cfg = {
+        "schema_version": 1,
+        "experiment": "gradiometric_dispersion",
+        "circuit": {"ej": 10.0, "ec": 0.1, "alpha1": 1.0, "alpha2": 1.0, "cutoff": 12},
+        "params": {"phi_g_start": 0.99, "phi_g_stop": 1.03, "points": 2},
+    }
+    name = "gradiometric_dispersion.csv"
+    for workers in (1, 2):
+        run(cfg, output=str(tmp_path / str(workers)), workers=workers)
+    assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    spec = replace(_circuit_from(validate_config(cfg)), variant=Variant.GRADIOMETRIC)
+    r = 0.01
+    geometries = {
+        "identical": (LoopGeometry(), 0.0),
+        "asymmetric": (LoopGeometry(a1=1 + r, a2=1 - r), 0.0),
+        "compensated": (LoopGeometry(a1=1 + r, a2=1 - r), compensation_delta(r)[0]),
+    }
+    lines = (tmp_path / "1" / name).read_text().splitlines()
+    assert lines[0].split(",")[1:] == [f"omega_q_GHz_{c}" for c in geometries]
+    for line, phi_g in zip(lines[1:], (0.99, 1.03)):
+        expected = [omega_q_at_global_flux(spec, geom, phi_g, delta)
+                    for geom, delta in geometries.values()]
+        assert [float(x) for x in line.split(",")] == pytest.approx([phi_g, *expected], abs=1e-11)
 
 
 def _config(experiment: str, **params) -> dict:

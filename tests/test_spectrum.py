@@ -3,12 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
+from dsfq import spectrum
 from dsfq.circuit import (
     CircuitSpec,
+    Variant,
     build_hamiltonian,
     build_operator,
     hamiltonian_decomposition,
+    physical_sector_indices,
 )
 from dsfq.spectrum import (
     EigenSolution,
@@ -256,3 +262,173 @@ def test_k_beyond_the_sector_is_an_error():
             diagonalize(h, k, sector=sector)
     with pytest.raises(SpectrumError, match="k = 14 exceeds"):
         qubit_eigensolution(spec, 14)
+
+
+# The benchmark shapes at near-degenerate points, each with the sector it is
+# solved in: the single-loop even sector at phi_ext = pi (313 states; E0 and
+# E1 0.012 GHz apart, E2 and E3 4.9e-3), identical gradiometric loops at
+# Phi_G = 1 (625; E2 and E3 4.9e-3 apart) and the node basis at cutoff 9
+# (361) at half flux.
+NEAR_DEGENERATE = {
+    "single_loop": (replace(DEFAULT, phi_ext=math.pi), "even"),
+    "gradiometric": (CircuitSpec(variant=Variant.GRADIOMETRIC, ej=10.0, ec=0.1, alpha1=1.0,
+                                 alpha2=1.0, phi_ext1=math.pi, phi_ext2=-math.pi,
+                                 cutoff=12), None),
+    "node_basis": (CircuitSpec(variant=Variant.NODE_BASIS, ej=10.0, ec=0.1,
+                               phi_ext=math.pi, cutoff=9), None),
+}
+
+
+def _solved_matrix(spec: CircuitSpec, sector: str | None) -> np.ndarray:
+    h = build_hamiltonian(spec).matrix
+    if sector is None:
+        return h
+    idx = physical_sector_indices(spec.basis, 0 if sector == "even" else 1)
+    return h[np.ix_(idx, idx)]
+
+
+def _sparse_solve(m: np.ndarray, k: int, v0=None):
+    v0 = spectrum._start_vector(m.shape[0]) if v0 is None else v0
+    return spectrum._shift_invert_lowest(scipy.sparse.csc_matrix(m), k, v0)
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+@pytest.mark.parametrize("shape", sorted(NEAR_DEGENERATE))
+def test_shift_invert_matches_dense_at_near_degenerate_points(shape, k):
+    spec, sector = NEAR_DEGENERATE[shape]
+    m = _solved_matrix(spec, sector)
+    assert spectrum._use_sparse(m.shape[0], k)
+    energies, states = _sparse_solve(m, k)
+    dense_e, dense_v = scipy.linalg.eigh(m, subset_by_index=(0, k - 1))
+    assert energies == pytest.approx(dense_e, abs=1e-10)
+    # the same states up to a phase
+    overlaps = np.abs(np.sum(dense_v.conj() * states, axis=0))
+    assert overlaps == pytest.approx(np.ones(k), abs=1e-10)
+    # diagonalize takes the sparse branch for this shape
+    sol = diagonalize(build_hamiltonian(spec), k, sector=sector)
+    assert np.array_equal(sol.energies, energies)
+
+
+def test_solver_rule_keeps_small_and_many_level_solves_dense():
+    # (dim, k) of the benchmark's solves: static_sweep's k = 3 solves on
+    # 313 and 625 states go sparse; engine snapshots (k + 4 = 12, 16) on
+    # 313 and 361, and dispersive_shift's 25 levels on 313, stay dense
+    for dim, k in ((313, 3), (313, 7), (625, 3), (625, 15), (2209, 3)):
+        assert spectrum._use_sparse(dim, k)
+    for dim, k in ((300, 1), (289, 3), (313, 8), (313, 12), (361, 12), (361, 16),
+                   (313, 25), (625, 16)):
+        assert not spectrum._use_sparse(dim, k)
+
+
+def test_doubly_degenerate_levels_get_the_dense_energies():
+    # H + H: every level twice. A Krylov space from one start vector holds
+    # one state of each pair, so the inertia count has to catch the rest.
+    m = _solved_matrix(*NEAR_DEGENERATE["single_loop"])
+    doubled = scipy.linalg.block_diag(m, m)
+    for k in (1, 2, 3, 4, 5):
+        assert spectrum._use_sparse(doubled.shape[0], k)
+        dense_e = scipy.linalg.eigvalsh(doubled, subset_by_index=(0, k - 1))
+        assert diagonalize(doubled, k).energies == pytest.approx(dense_e, abs=1e-10)
+    with pytest.raises(spectrum._SparseRefused):
+        _sparse_solve(doubled, 3)
+
+
+def _count_dense_solves(monkeypatch) -> list[int]:
+    """Record the dimension of every dense lowest-k eigh call."""
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        if "subset_by_index" in kwargs:
+            calls.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum.scipy.linalg, "eigh", counted)
+    return calls
+
+
+def test_start_blind_to_a_block_is_refused_and_solved_densely(monkeypatch):
+    # On H + H, a start with no weight on the second copy keeps that copy
+    # out of the Krylov space exactly (LU solves of a block-diagonal matrix
+    # leave its zeros zero), as a symmetry would: Lanczos returns a
+    # converged but incomplete set, which only the inertia count can see.
+    # (An all-ones start on the parity-symmetric H at phi_ext = pi misses
+    # the odd levels only in exact arithmetic; rounding brings them back.)
+    m = _solved_matrix(*NEAR_DEGENERATE["single_loop"])
+    doubled = scipy.linalg.block_diag(m, m)
+    dim = doubled.shape[0]
+    generic = spectrum._start_vector
+
+    def blind(n):
+        v0 = np.zeros(n)
+        v0[: n // 2] = generic(n // 2)
+        return v0
+
+    with pytest.raises(spectrum._SparseRefused, match="6 levels below the inertia shift"):
+        _sparse_solve(doubled, 3, blind(dim))
+    monkeypatch.setattr(spectrum, "_start_vector", blind)
+    dense_solves = _count_dense_solves(monkeypatch)
+    sol = diagonalize(doubled, 3)
+    assert dense_solves == [dim]
+    assert sol.energies == pytest.approx(scipy.linalg.eigvalsh(doubled)[:3], abs=1e-10)
+
+
+def test_arpack_failure_falls_back_to_dense(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
+                                                      np.empty((0, 0)))
+
+    spec, sector = NEAR_DEGENERATE["gradiometric"]
+    m = _solved_matrix(spec, sector)
+    monkeypatch.setattr(spectrum.scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(spectrum._SparseRefused, match="no convergence"):
+        _sparse_solve(m, 3)
+    dense_solves = _count_dense_solves(monkeypatch)
+    sol = qubit_eigensolution(spec, 3)
+    assert dense_solves == [m.shape[0]]
+    assert sol.energies == pytest.approx(scipy.linalg.eigvalsh(m)[:3], abs=1e-10)
+
+
+def test_levels_too_close_for_the_inertia_shift_fall_back_to_dense(monkeypatch):
+    # E2 and E3 of the identical gradiometric loops are 4.9e-3 GHz apart;
+    # a residual tolerance of 1e-4 * ||H|| (0.013 GHz) cannot place the
+    # count's shift between them, but can between E1 and E2
+    spec, sector = NEAR_DEGENERATE["gradiometric"]
+    m = _solved_matrix(spec, sector)
+    monkeypatch.setattr(spectrum, "RESIDUAL_RTOL", 1e-4)
+    assert _sparse_solve(m, 2)[0] == pytest.approx(scipy.linalg.eigvalsh(m)[:2], abs=1e-10)
+    with pytest.raises(spectrum._SparseRefused, match="too close"):
+        _sparse_solve(m, 3)
+    dense_solves = _count_dense_solves(monkeypatch)
+    sol = qubit_eigensolution(spec, 3)
+    assert dense_solves == [m.shape[0]]
+    assert sol.energies == pytest.approx(scipy.linalg.eigvalsh(m)[:3], abs=1e-10)
+
+
+def test_singular_shift_falls_back_to_dense():
+    # a diagonal H: its Gershgorin bound is E0 itself, so H - sigma*I is singular
+    diag = np.linspace(-1.0, 2.0, 400) ** 3
+    with pytest.raises(spectrum._SparseRefused, match="singular"):
+        _sparse_solve(np.diag(diag).astype(complex), 3)
+    assert diagonalize(np.diag(diag), 3).energies == pytest.approx(np.sort(diag)[:3], abs=1e-12)
+
+
+def test_inertia_count_and_its_refusals():
+    # path-graph Laplacian: eigenvalues 2 - 2*cos(pi*j/(n + 1)), j = 1..n
+    n = 60
+    ones = np.ones(n - 1)
+    lap = scipy.sparse.diags([-ones, 2 * np.ones(n), -ones], [-1, 0, 1],
+                             format="csc", dtype=complex)
+    exact = 2 - 2 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+    for j in (0, 1, 7, 30, n - 2):
+        tau = 0.5 * (exact[j] + exact[j + 1])
+        assert spectrum._levels_below(lap, tau, 4.0) == j + 1
+    refusals = {
+        # h - tau*I = [[0, 1], [1, 0]]: no nonzero diagonal pivot
+        "row pivot": (np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0),
+        "tiny pivot": (np.diag([1.0, 2.0 + 1e-12, 3.0]), 2.0),
+        "singular": (np.diag([1.0, 2.0, 3.0]), 2.0),
+    }
+    for reason, (h, tau) in refusals.items():
+        with pytest.raises(spectrum._SparseRefused, match=reason):
+            spectrum._levels_below(scipy.sparse.csc_matrix(h.astype(complex)), tau, 3.0)
