@@ -19,14 +19,16 @@ Three circuit variants are supported:
   energy of the coupled-circuit analysis: the coupled node carries
   4*EC*(C + Cg)/(C + 2*Cg), the other node 4*EC.
 
-Every operator comes from one assembly path. Diagonal operators (H_C,
-the charge operators and the offset-charge derivatives) are vectors over
-the basis charges. Every Josephson term is a cosine
--w*EJ*cos(k_a*x_a + k_b*x_b + p) over the mode phases, written straight
-into a dense matrix by one builder. ``build_hamiltonian`` sums all of
-them; ``hamiltonian_decomposition`` sums the fixed ones and the
-unit-alpha barrier terms apart; a flux derivative is its barrier term
-at p + pi/2.
+Every operator comes from one assembly path and is stored in one form,
+CSR. Diagonal operators (H_C, the charge operators and the offset-charge
+derivatives) are vectors over the basis charges. Every Josephson term is
+a cosine -w*EJ*cos(k_a*x_a + k_b*x_b + p) over the mode phases, whose
+(row, column, value) triples one builder writes straight into a CSR
+matrix. ``build_hamiltonian`` sums all of them;
+``hamiltonian_decomposition`` sums the fixed ones and the unit-alpha
+barrier terms apart; a flux derivative is its barrier term at p + pi/2.
+A dense full-basis matrix exists only on request, as
+``HermitianOperator.matrix``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "Variant",
@@ -183,25 +186,36 @@ class CoupledSpec:
 
 @dataclass
 class HermitianOperator:
-    """A labeled Hermitian matrix in a declared charge basis."""
+    """A labeled Hermitian operator in a declared charge basis.
+
+    It is stored once, as ``csr``: a CSR array with its explicit zeros
+    eliminated. The third argument may be that array, another scipy sparse
+    form or a dense matrix. Hermiticity and finiteness are checked on the
+    stored entries, in O(nnz). ``matrix`` is a dense copy, made on each
+    access.
+    """
 
     label: str
     basis: ChargeBasis
-    matrix: np.ndarray = field(repr=False)
+    csr: scipy.sparse.csr_array = field(repr=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix)
+        m = scipy.sparse.csr_array(self.csr, copy=True)
         if m.shape != (self.basis.dim, self.basis.dim):
             raise CircuitError(
                 f"matrix shape {m.shape} does not match basis dimension {self.basis.dim}"
             )
-        bound = HERMITICITY_RTOL * np.abs(m).max()
-        # row blocks against the matching column blocks: a transposed copy
-        # of the whole matrix would double the memory of a large basis
-        for i in range(0, m.shape[0], 128):
-            if np.abs(m[i:i + 128] - m[:, i:i + 128].conj().T).max() > bound:
-                raise CircuitError(f"operator {self.label!r} is not Hermitian")
-        self.matrix = m
+        m.eliminate_zeros()
+        if not np.isfinite(m.data).all():
+            raise CircuitError(f"operator {self.label!r} has non-finite entries")
+        bound = HERMITICITY_RTOL * np.abs(m.data).max(initial=0.0)
+        if np.abs((m - m.conj().T).data).max(initial=0.0) > bound:
+            raise CircuitError(f"operator {self.label!r} is not Hermitian")
+        self.csr = m
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.csr.toarray()
 
     @property
     def dim(self) -> int:
@@ -278,24 +292,23 @@ def _cosine_terms(spec: CircuitSpec) -> tuple[list[_Cosine], list[_Cosine]]:
 
 
 def _assemble(spec: CircuitSpec, terms: list[_Cosine],
-              diagonal: np.ndarray | None = None) -> np.ndarray:
-    """Dense sum of cosine terms, plus ``diagonal`` on the diagonal."""
+              diagonal: np.ndarray | None = None) -> scipy.sparse.csr_array:
+    """CSR sum of cosine terms, plus ``diagonal`` on the diagonal."""
     basis = spec.basis
-    m = np.zeros((basis.dim, basis.dim), dtype=complex)
-    if diagonal is not None:
-        m[np.diag_indices(basis.dim)] = diagonal
     n_a, n_b = _mode_charges(basis)
+    entries = [] if diagonal is None else [(np.arange(basis.dim),) * 2 + (diagonal,)]
     for weight, (k_a, k_b), phase in terms:
         src = np.flatnonzero((np.abs(n_a + k_a) <= basis.cutoff)
                              & (np.abs(n_b + k_b) <= basis.cutoff))
         dst = src + k_a * basis.dim_per_mode + k_b
         amp = -0.5 * weight * spec.ej * np.exp(1j * phase)
-        m[dst, src] += amp
-        m[src, dst] += np.conj(amp)
-    return m
+        entries += [(dst, src, np.full(src.size, amp)),
+                    (src, dst, np.full(src.size, np.conj(amp)))]
+    rows, cols, values = (np.concatenate(part) for part in zip(*entries))
+    return scipy.sparse.coo_array((values, (rows, cols)), shape=(basis.dim,) * 2).tocsr()
 
 
-def _flux_derivative(spec: CircuitSpec, term: _Cosine) -> np.ndarray:
+def _flux_derivative(spec: CircuitSpec, term: _Cosine) -> scipy.sparse.csr_array:
     """d/dp of the term -w*EJ*cos(X + p), which is the term at p + pi/2."""
     weight, k, phase = term
     return _assemble(spec, [(weight, k, phase + 0.5 * math.pi)])
@@ -352,14 +365,14 @@ def build_operator(
         if grid_points < 2 or grid_points & (grid_points - 1) != 0:
             raise CircuitError(f"grid size {grid_points} is not a power of two")
         return HermitianOperator("phi", spec.basis, _phi_operator(spec, grid_points))
-    return HermitianOperator(kind, spec.basis,
-                             np.diag(_diagonal_operator(kind, spec, charging_scale)))
+    return HermitianOperator(kind, spec.basis, scipy.sparse.diags_array(
+        _diagonal_operator(kind, spec, charging_scale), format="csr"))
 
 
 def hamiltonian_decomposition(
     spec: CircuitSpec, charging_scale: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split H(alpha) = H_const + alpha * H_barrier.
+) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
+    """Split H(alpha) = H_const + alpha * H_barrier, both in CSR form.
 
     The tunable-junction terms are linear in alpha (for the gradiometric
     variant both alphas are scaled together), so time-varying barrier
@@ -368,8 +381,8 @@ def hamiltonian_decomposition(
     fixed, _ = _cosine_terms(spec)
     _, unit_barrier = _cosine_terms(spec.with_alpha(1.0))
     h_const = _assemble(spec, fixed, _charging_diagonal(spec, charging_scale))
-    return (HermitianOperator("H_const", spec.basis, h_const).matrix,
-            HermitianOperator("H_barrier", spec.basis, _assemble(spec, unit_barrier)).matrix)
+    return (HermitianOperator("H_const", spec.basis, h_const).csr,
+            HermitianOperator("H_barrier", spec.basis, _assemble(spec, unit_barrier)).csr)
 
 
 def gradiometric_loop_dflux(spec: CircuitSpec, loop: int) -> HermitianOperator:
@@ -398,10 +411,10 @@ def physical_sector_indices(basis: ChargeBasis, parity: int = 0) -> np.ndarray:
 
 
 def parity_permutation(basis: ChargeBasis) -> np.ndarray:
-    """Matrix of the reflection phi -> -phi (first mode, n -> -n)."""
+    """The reflection phi -> -phi (first mode, n -> -n) as an index
+    permutation: P @ v is v[parity_permutation(basis)]."""
     d = basis.dim_per_mode
-    p = np.eye(d)[::-1]
-    return np.kron(p, np.eye(d))
+    return np.arange(basis.dim).reshape(d, d)[::-1].ravel()
 
 
 def phase_grid_points(grid_points: int) -> np.ndarray:
@@ -436,7 +449,7 @@ def to_phase_grid(
     return f @ coeff @ f.T
 
 
-def _phi_operator(spec: CircuitSpec, grid_points: int) -> np.ndarray:
+def _phi_operator(spec: CircuitSpec, grid_points: int) -> scipy.sparse.csr_array:
     """Multiplication by the double-well coordinate phi, via the grid.
 
     For the single loop this is the first mode's phase on the [-pi, pi)
@@ -445,25 +458,23 @@ def _phi_operator(spec: CircuitSpec, grid_points: int) -> np.ndarray:
     carry negligible weight.
     """
     d = spec.basis.dim_per_mode
-    f = _synthesis_matrix(spec.cutoff, grid_points)
-    w = 2.0 * math.pi / grid_points  # quadrature weight per grid point
     x = phase_grid_points(grid_points)
     if spec.variant is Variant.SINGLE_LOOP:
+        f = _synthesis_matrix(spec.cutoff, grid_points)
+        w = 2.0 * math.pi / grid_points  # quadrature weight per grid point
         phi_1d = w * (f.conj().T * x) @ f
-        m = np.kron(phi_1d, np.eye(d))
+        m = scipy.sparse.kron(phi_1d, scipy.sparse.eye_array(d), format="csr")
     else:
         # phi(x1, x2) = wrap(x1 - x2)/2 is a function of the difference
         # only, so its matrix elements are diagonal in n1 - m1 = -(n2 - m2)
         # and reduce to one 1-D quadrature over the wrapped difference.
         # <n1 n2|phi|m1 m2> = delta_{n1-m1, m2-n2} * c_{n1-m1}, with
-        # c_k = (1/2pi) int wrap(u)/2 e^{-i k u} du evaluated on the grid.
+        # c_k = (1/2pi) int wrap(u)/2 e^{-i k u} du evaluated on the grid:
+        # the sum of c_k kron(S_k, S_-k), S_k the shift n -> n + k.
         k = np.arange(-2 * spec.cutoff, 2 * spec.cutoff + 1)
         wrapped = 0.5 * (np.mod(x + math.pi, 2.0 * math.pi) - math.pi)
         c = (wrapped[None, :] * np.exp(-1j * np.outer(k, x))).sum(axis=1) / grid_points
-        n = np.arange(-spec.cutoff, spec.cutoff + 1)
-        diff = n[:, None] - n[None, :]  # n - m per mode
-        d1 = diff[:, :, None, None]
-        d2 = diff[None, None, :, :]
-        m = np.where(d1 == -d2, c[d1 + 2 * spec.cutoff], 0.0)  # [n1, m1, n2, m2]
-        m = m.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        m = sum(c_k * scipy.sparse.kron(scipy.sparse.eye_array(d, k=-k_a),
+                                        scipy.sparse.eye_array(d, k=k_a), format="csr")
+                for k_a, c_k in zip(k, c))
     return 0.5 * (m + m.conj().T)

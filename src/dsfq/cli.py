@@ -94,7 +94,8 @@ class ConfigError(ValueError):
 _CIRCUIT_KEYS = {f.name for f in dc_fields(CircuitSpec)}
 
 # Largest charge cutoff a config may ask for: (2*23 + 1)^2 = 2209 basis
-# states, 78 MB per dense complex operator (cutoff 60: 3.4 GB).
+# states. Operators are sparse; the largest dense matrix is the one that a
+# dense eigh fallback solves, 78 MB at 2209 states (cutoff 60: 3.4 GB).
 MAX_CUTOFF = 23
 
 
@@ -161,6 +162,9 @@ def _circuit_from(cfg: dict) -> CircuitSpec:
     for key in ("phi_ext", "phi_ext1", "phi_ext2"):
         if key in block and isinstance(block[key], str):
             block[key] = _phase_value(block[key])
+    for key, value in block.items():
+        if key not in ("variant", "cutoff") and not _is_number(value):
+            raise ConfigError(f"invalid circuit block: {key} {value!r} is not a finite number")
     cutoff = block.get("cutoff", 12)
     if type(cutoff) is not int or not 1 <= cutoff <= MAX_CUTOFF:
         raise ConfigError(f"invalid circuit block: cutoff {cutoff!r} is not an "

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.constants as const
-import scipy.sparse
 
 from .circuit import CircuitSpec, build_operator
 from .spectrum import EigenSolution, qubit_eigensolution
@@ -218,17 +217,16 @@ _DEPHASING_CHANNELS = ("flux_1f", "charge_1f_phi", "charge_1f_theta")
 def _noise_operators(spec: CircuitSpec, channel_kinds, charging_scale: float = 1.0,
                      indices: np.ndarray | None = None) -> dict:
     """The operators of ``spec`` that the channels of ``channel_kinds`` take,
-    by operator kind, each built once and held in CSR form (a few dozen
-    nonzeros per row at most), so that no more than one is ever dense.
+    by operator kind, each built once, in the CSR form that
+    ``build_operator`` gives (a few dozen nonzeros per row at most).
     For flux, lambda is Phi/Phi_0, so dH/dphi_ext carries 2*pi; charge
     derivatives are per Cooper pair, at ``charging_scale``. Given
     ``indices``, each is restricted to them."""
     operators = {}
     for kind in dict.fromkeys(_CHANNEL_OPERATOR[c] for c in channel_kinds):
-        op = build_operator(kind, spec, charging_scale=charging_scale).matrix
+        op = build_operator(kind, spec, charging_scale=charging_scale).csr
         if indices is not None:
-            op = op[np.ix_(indices, indices)]
-        op = scipy.sparse.csr_matrix(op)
+            op = op[indices][:, indices]
         operators[kind] = 2.0 * math.pi * op if kind == "dH_dphi_ext" else op
     return operators
 

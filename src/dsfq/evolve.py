@@ -320,11 +320,10 @@ class _CircuitEngine:
             self.indices = physical_sector_indices(spec.basis, 0)
         else:
             self.indices = np.arange(self.full_dim)
-        self.n1 = np.diag(build_operator("n1", spec).matrix)[self.indices]
+        self.n1 = build_operator("n1", spec).csr.diagonal()[self.indices]
         self.dim = self.indices.size
-        ix = np.ix_(self.indices, self.indices)
-        h0, h1 = h0[ix], h1[ix]
-        pattern = scipy.sparse.csr_matrix((h0 != 0) | (h1 != 0) | np.eye(self.dim, dtype=bool))
+        h0, h1 = h0[self.indices][:, self.indices], h1[self.indices][:, self.indices]
+        pattern = abs(h0) + abs(h1) + scipy.sparse.eye_array(self.dim, format="csr")
         self._indptr, self._indices = pattern.indptr, pattern.indices
         rows = np.repeat(np.arange(self.dim), np.diff(self._indptr))
         self._diag = np.flatnonzero(rows == self._indices)

@@ -68,7 +68,7 @@ def dispersive_shift(
     if levels < MIN_LEVELS:
         raise ReadoutError(f"dispersive sums need at least {MIN_LEVELS} levels")
     sol = qubit_eigensolution(spec, levels)
-    n_theta = build_operator("n_theta", spec).matrix
+    n_theta = build_operator("n_theta", spec).csr
     elements = sol.states.conj().T @ (n_theta @ sol.states)
     energies = sol.energies
     chi_table = np.zeros((2, levels))

@@ -4,11 +4,13 @@
 by one rule in (dim, k): above ``DENSE_DIM_LIMIT`` states and for
 k <= dim / ``SPARSE_STATES_PER_LEVEL``, shift-invert Lanczos on the CSC
 form of the (sector) matrix; otherwise dense ``scipy.linalg.eigh``. The
-sparse branch shifts to the Gershgorin lower bound, which lies below E0,
-and starts from a fixed generic vector. A level it missed would not show
-in any residual, so a Sylvester inertia count of the levels below
-(E_{k-1} + E_k)/2 must come out at exactly k. Whenever it cannot show
-that, the dense branch solves the problem instead.
+sector is sliced from the operator's CSR, and only the dense branch makes
+a dense copy, of the sector it solves. The sparse branch shifts to the
+Gershgorin lower bound, which lies below E0, and starts from a fixed
+generic vector. A level it missed would not show in any residual, so a
+Sylvester inertia count of the levels below (E_{k-1} + E_k)/2 must come
+out at exactly k. Whenever it cannot show that, the dense branch solves
+the problem instead.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def _start_vector(dim: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(dim)
 
 
-def _levels_below(h: scipy.sparse.csc_matrix, tau: float, norm: float) -> int:
+def _levels_below(h: scipy.sparse.csc_array, tau: float, norm: float) -> int:
     """Number of eigenvalues of Hermitian h below tau, by Sylvester's law
     of inertia.
 
@@ -126,7 +128,7 @@ def _levels_below(h: scipy.sparse.csc_matrix, tau: float, norm: float) -> int:
     return int(np.count_nonzero(pivots < 0))
 
 
-def _shift_invert_lowest(h: scipy.sparse.csc_matrix, k: int,
+def _shift_invert_lowest(h: scipy.sparse.csc_array, k: int,
                          v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of sparse Hermitian h by shift-invert Lanczos.
 
@@ -162,14 +164,14 @@ def _shift_invert_lowest(h: scipy.sparse.csc_matrix, k: int,
     return energies[:k], q @ coords[:, :k]
 
 
-def _lowest_k(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    dim = matrix.shape[0]
+def _lowest_k(h: scipy.sparse.csr_array, k: int) -> tuple[np.ndarray, np.ndarray]:
+    dim = h.shape[0]
     if _use_sparse(dim, k):
         try:
-            return _shift_invert_lowest(scipy.sparse.csc_matrix(matrix), k, _start_vector(dim))
+            return _shift_invert_lowest(h.tocsc(), k, _start_vector(dim))
         except _SparseRefused:
             pass
-    return scipy.linalg.eigh(matrix, subset_by_index=(0, k - 1))
+    return scipy.linalg.eigh(h.toarray(), subset_by_index=(0, k - 1))
 
 
 def diagonalize(op: HermitianOperator | np.ndarray, k: int,
@@ -186,7 +188,8 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
     or tiny pivot, a gap too small to place that midpoint, ARPACK not
     converging) falls back to dense ``scipy.linalg.eigh``, which also
     solves every smaller problem. Residuals of either branch are
-    checked against ``RESIDUAL_RTOL * ||H||_inf``. With ``sector`` set to
+    checked against ``RESIDUAL_RTOL * ||H||_inf``, on the CSR form; a
+    non-finite ||H||_inf raises SpectrumError. With ``sector`` set to
     ``"even"`` or ``"odd"``, a (phi, theta)-basis operator is restricted
     to the corresponding (n_phi + n_theta) parity block before solving;
     eigenvectors are embedded back into the full basis. Degenerate
@@ -194,16 +197,20 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
     basis is known, even-parity state first, for deterministic labeling.
     """
     if isinstance(op, HermitianOperator):
-        matrix = op.matrix
-        basis = op.basis
+        h, basis = op.csr, op.basis
     else:
         matrix = np.asarray(op)
         scale = np.abs(matrix).max()
         if scale > 0 and np.abs(matrix - matrix.conj().T).max() > 1e-10 * scale:
             raise SpectrumError("input operator is not Hermitian")
-    dim = matrix.shape[0]
+        h = scipy.sparse.csr_array(matrix)
+    dim = h.shape[0]
     if not (1 <= k <= dim):
         raise SpectrumError(f"k = {k} out of range for dimension {dim}")
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        norm = float(abs(h).sum(axis=1).max())
+    if not math.isfinite(norm):
+        raise SpectrumError(f"||H||_inf = {norm} is not finite")
     if sector is not None:
         if sector not in _SECTOR_PARITY:
             raise SpectrumError(f"sector must be None, 'even' or 'odd', got {sector!r}")
@@ -212,14 +219,12 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
         idx = physical_sector_indices(basis, _SECTOR_PARITY[sector])
         if k > idx.size:
             raise SpectrumError(f"k = {k} exceeds the {idx.size} states of the {sector} sector")
-        sub = matrix[np.ix_(idx, idx)]
-        energies, sub_states = _lowest_k(sub, k)
+        energies, sub_states = _lowest_k(h[idx][:, idx], k)
         states = np.zeros((dim, energies.size), dtype=sub_states.dtype)
         states[idx] = sub_states
     else:
-        energies, states = _lowest_k(matrix, k)
-    norm = np.linalg.norm(matrix, ord=np.inf)
-    residual = np.linalg.norm(matrix @ states - states * energies, axis=0)
+        energies, states = _lowest_k(h, k)
+    residual = np.linalg.norm(h @ states - states * energies, axis=0)
     if norm > 0 and residual.max() > RESIDUAL_RTOL * norm:
         raise SpectrumError(
             f"eigensolver residuals too large: max {residual.max():.3e} "
@@ -245,7 +250,7 @@ def _order_degenerate_by_parity(sol: EigenSolution) -> None:
         if cluster.stop - cluster.start == 1:
             continue
         block = sol.states[:, cluster]
-        pvals, rot = np.linalg.eigh(block.conj().T @ (p @ block))
+        pvals, rot = np.linalg.eigh(block.conj().T @ block[p])
         order = np.argsort(-pvals)  # even (+1) first
         sol.states[:, cluster] = block @ rot[:, order]
 

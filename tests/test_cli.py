@@ -90,6 +90,31 @@ def test_validate_config_rejects_bad_structure(tmp_path):
     validate_config(_gate_config(cutoff=23))
 
 
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("key", ["ej", "ec", "ng_phi", "phi_ext"])
+def test_non_finite_circuit_number_is_a_config_error(tmp_path, key, value):
+    # json.loads reads Infinity and NaN as floats
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_gate_config(**{key: float(value)})))
+    assert value in path.read_text()
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_hamiltonian_norm_overflow_is_a_numerical_failure(tmp_path):
+    # finite entries whose row sums overflow: ||H||_inf = inf bounds no residual
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "experiment": "spectrum_vs_alpha",
+        "circuit": {"ej": 1e308, "ec": 0.1, "cutoff": 3},
+        "params": {"points": 1},
+    }))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 3
+
+
 def _rerun_files(cfg: dict, tmp_path) -> list[str]:
     """Run ``cfg`` twice; check that every CSV comes out byte-identical."""
     first = run(cfg, output=str(tmp_path / "a"))

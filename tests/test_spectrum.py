@@ -9,13 +9,21 @@ import scipy.sparse.linalg
 
 from dsfq import spectrum
 from dsfq.circuit import (
+    CircuitError,
     CircuitSpec,
+    HermitianOperator,
     Variant,
     build_hamiltonian,
     build_operator,
     hamiltonian_decomposition,
+    parity_permutation,
+    phase_grid_points,
     physical_sector_indices,
 )
+from dsfq.coherence import coherence_report
+from dsfq.evolve import _CircuitEngine
+from dsfq.gates import Gamma1Interpolator
+from dsfq.readout import ResonatorSpec, dispersive_shift
 from dsfq.spectrum import (
     EigenSolution,
     GaugeAlignmentError,
@@ -432,3 +440,81 @@ def test_inertia_count_and_its_refusals():
     for reason, (h, tau) in refusals.items():
         with pytest.raises(spectrum._SparseRefused, match=reason):
             spectrum._levels_below(scipy.sparse.csc_matrix(h.astype(complex)), tau, 3.0)
+
+
+def test_no_full_basis_operator_is_made_dense(monkeypatch):
+    # every package path takes the CSR form; a dense copy is made only on
+    # request (HermitianOperator.matrix) or inside a dense eigh of a sector
+    def refuse(self):
+        raise AssertionError(f"dense copy of {self.label!r}")
+
+    monkeypatch.setattr(HermitianOperator, "matrix", property(refuse))
+    grad = CircuitSpec(variant=Variant.GRADIOMETRIC, ej=10.0, ec=0.1, cutoff=12)
+    assert grad.basis.dim == 625 and spectrum._use_sparse(grad.basis.dim, 3)
+    assert qubit_eigensolution(grad, 3).energies.size == 3
+    assert coherence_report(DEFAULT).t1 > 0
+    assert np.isfinite(dispersive_shift(DEFAULT, ResonatorSpec(), levels=25).chi)
+    engine = _CircuitEngine(DEFAULT)
+    assert np.all(Gamma1Interpolator(DEFAULT, 0.9, _engine=engine).rates > 0)
+    assert engine.fallbacks == 0
+
+
+def test_hermiticity_and_finiteness_checks_act_on_the_stored_entries():
+    basis = CircuitSpec(cutoff=1).basis
+    m = np.diag(np.arange(9.0)).astype(complex)
+    m[0, 4] = m[4, 0] = 1e-3j  # symmetric, not Hermitian
+    for form in (m, scipy.sparse.csr_array(m)):
+        with pytest.raises(CircuitError, match="not Hermitian"):
+            HermitianOperator("bad", basis, form)
+    m[4, 0] = -1e-3j
+    op = HermitianOperator("good", basis, scipy.sparse.csr_array(m))
+    assert isinstance(op.csr, scipy.sparse.csr_array)
+    assert op.csr.nnz == 10  # the explicit zero at (0, 0) is eliminated
+    assert np.array_equal(op.matrix, m)
+    m[2, 2] = np.nan
+    with pytest.raises(CircuitError, match="non-finite"):
+        HermitianOperator("nan", basis, m)
+
+
+def test_non_finite_norm_is_refused():
+    h = np.diag([0.0, 1.0, 1e308]) + np.diag([1e308, 1e308], 1) + np.diag([1e308, 1e308], -1)
+    with pytest.raises(SpectrumError, match="not finite"):
+        diagonalize(h, 1)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_hamiltonian_is_one_csr_that_the_decomposition_sums_to(variant):
+    spec = CircuitSpec(variant=variant, alpha=0.8, alpha1=0.8, alpha2=0.8,
+                       ng_phi=0.1, cutoff=4)
+    h = build_hamiltonian(spec)
+    assert isinstance(h.csr, scipy.sparse.csr_array) and h.csr.has_canonical_format
+    assert np.array_equal(h.matrix, h.csr.toarray())
+    h0, h1 = hamiltonian_decomposition(spec)
+    assert isinstance(h0, scipy.sparse.csr_array) and isinstance(h1, scipy.sparse.csr_array)
+    assert np.abs(h.matrix - (h0 + 0.8 * h1).toarray()).max() < 1e-12
+
+
+def test_parity_permutation_is_the_reflection():
+    basis = CircuitSpec(cutoff=3).basis
+    d = basis.dim_per_mode
+    reflection = np.kron(np.eye(d)[::-1], np.eye(d))
+    v = np.random.default_rng(1).standard_normal((basis.dim, 2))
+    assert np.array_equal(v[parity_permutation(basis)], reflection @ v)
+
+
+@pytest.mark.parametrize("variant", [Variant.SINGLE_LOOP, Variant.NODE_BASIS])
+def test_phi_grid_matches_the_dense_quadrature(variant):
+    # the dense grid transform of psi(x1, x2) -> phi(x1, x2) psi(x1, x2)
+    spec = CircuitSpec(variant=variant, cutoff=3)
+    points = 64
+    x = phase_grid_points(points)
+    f = np.exp(1j * np.outer(x, spec.basis.charges())) / math.sqrt(2.0 * math.pi)
+    j1, j2 = np.meshgrid(np.arange(points), np.arange(points), indexing="ij")
+    if variant is Variant.SINGLE_LOOP:
+        phi = x[j1]
+    else:  # wrap(x1 - x2)/2 on [-pi, pi), the difference wrapped in grid steps
+        phi = 0.5 * x[(j1 - j2 + points // 2) % points]
+    synth = np.kron(f, f)  # (grid point, basis state)
+    dense = (2.0 * math.pi / points) ** 2 * synth.conj().T @ (phi.ravel()[:, None] * synth)
+    op = build_operator("phi_grid", spec, grid_points=points)
+    assert np.abs(op.matrix - 0.5 * (dense + dense.conj().T)).max() < 1e-12
