@@ -178,6 +178,10 @@ class CoupledSpec:
         ``energies[q]`` are the kept levels of qubit q and ``n1[q]`` its
         coupled-node charge in those levels:
         kron(E1, 1) + kron(1, E2) + coupling_energy * kron(n1_1, n1_2).
+        Where both qubits' levels are real vectors in
+        ``charge_inversion_basis``, each n1[q] is i times a real
+        antisymmetric matrix, and the result has an exactly zero imaginary
+        part.
         """
         h = self.coupling_energy * np.kron(n1[0], n1[1])
         h[np.diag_indices_from(h)] += np.add.outer(energies[0], energies[1]).ravel()
@@ -415,6 +419,30 @@ def parity_permutation(basis: ChargeBasis) -> np.ndarray:
     permutation: P @ v is v[parity_permutation(basis)]."""
     d = basis.dim_per_mode
     return np.arange(basis.dim).reshape(d, d)[::-1].ravel()
+
+
+def charge_inversion_basis(basis: ChargeBasis) -> scipy.sparse.csr_array:
+    """Unitary S whose columns are their own images under C*K.
+
+    C is the charge inversion n -> -n of every mode, which reverses the
+    basis order, and K is complex conjugation. For p below the middle
+    index and q = dim - 1 - p, column p is (|p> + |q>)/sqrt(2) and column
+    q is i*(|p> - |q>)/sqrt(2); the middle column is the all-zero charge
+    state. An H with C H* C = H, such as every H(alpha) at ng = 0, is
+    real symmetric in this basis (an antiunitary symmetry that squares to
+    +1: Haake, Quantum Signatures of Chaos, ch. 2), and a charge, which C
+    reverses, is i times a real antisymmetric matrix. Pairs (p, q) keep
+    their indices, so S restricted to a (n_phi + n_theta) parity sector is
+    the same basis for that sector.
+    """
+    dim, mid = basis.dim, basis.dim // 2
+    p = np.arange(mid)
+    q = dim - 1 - p
+    r = np.full(mid, 1.0 / math.sqrt(2.0))
+    rows = np.concatenate([p, q, p, q, [mid]])
+    cols = np.concatenate([p, p, q, q, [mid]])
+    values = np.concatenate([r, r, 1j * r, -1j * r, [1.0]])
+    return scipy.sparse.coo_array((values, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
 def phase_grid_points(grid_points: int) -> np.ndarray:

@@ -13,6 +13,17 @@ and checks each solution against the full H; at the window's snapshot
 alphas it returns their dense solutions; otherwise, and as the fallback,
 it calls ``spectrum.qubit_eigensolution``.
 
+The engines of the two-qubit frames and of the ZZ statics work in the
+real basis ``circuit.charge_inversion_basis`` wherever their h0 and h1
+satisfy C h* C = h, C the charge inversion (every ng = 0 qubit): there every
+H(alpha) is real symmetric and n1 is i times a real antisymmetric
+matrix, so their solves, overlaps and product Hamiltonians are all
+float64. Elsewhere the working basis is the charge basis and the same
+code runs on complex data. A driven gate's engine stays in the charge
+basis because its alpha = 1 eigenvector phases, those of
+``spectrum.qubit_eigensolution`` in the charge basis, fix what its
+target means; the real basis sets other phases.
+
 Every ``propagate_state`` step is one fourth-order commutator-free Magnus
 step, whose two half-step exponentials ``_CircuitEngine.expi_apply``
 sums as Taylor series about the lowest sampled level, each stopped once
@@ -40,6 +51,7 @@ from .circuit import (
     CoupledSpec,
     Variant,
     build_operator,
+    charge_inversion_basis,
     hamiltonian_decomposition,
     physical_sector_indices,
 )
@@ -47,6 +59,7 @@ from .spectrum import (
     RESIDUAL_RTOL,
     EigenSolution,
     _check_pair_continuity,
+    _lowest_k,
     align_gauge,
     qubit_eigensolution,
 )
@@ -291,15 +304,41 @@ class _Window(NamedTuple):
     snapshots: dict
 
 
+def _common_pattern(*mats) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """The union CSR pattern of square sparse matrices and the diagonal:
+    (indptr, indices, row of each entry, each matrix's data on it)."""
+    dim = mats[0].shape[0]
+    pattern = scipy.sparse.eye_array(dim, format="csr")
+    for m in mats:
+        pattern = pattern + abs(m)
+    rows = np.repeat(np.arange(dim), np.diff(pattern.indptr))
+    return pattern.indptr, pattern.indices, rows, [m[rows, pattern.indices] for m in mats]
+
+
+def _inversion_symmetric(h: scipy.sparse.csr_array) -> bool:
+    """Whether C h* C equals h exactly, C the index reversal, in O(nnz)."""
+    rev = np.arange(h.shape[0])[::-1]
+    return not (h[rev][:, rev].conj() - h).count_nonzero()
+
+
 class _CircuitEngine:
     """H(alpha, drive) = h0 + alpha*h1 + drive*n1 of one circuit, in its
     physical sector where it has one, held only in CSR form.
 
-    The three pieces share one sparsity pattern, that of h0 and h1 plus
-    the diagonal, so any H(alpha, drive) is one linear combination of
-    three data vectors. ``n1`` is diagonal in the charge basis and kept
-    as a vector. A dense H exists only inside a dense solve, which is
-    ``spectrum.qubit_eigensolution`` of the circuit at alpha.
+    The three pieces share one sparsity pattern, that of h0, h1 and n1
+    plus the diagonal, so any H(alpha, drive) is one linear combination of
+    three data vectors. A dense H exists only inside a dense solve.
+
+    The working basis is the charge basis unless ``real`` is set and h0
+    and h1 commute with the charge inversion C (C h* C = h, checked
+    exactly): then it is ``circuit.charge_inversion_basis`` S, in which
+    h0 and h1 are real, ``n1`` holds the real antisymmetric A of the
+    charge i*A, ``real`` is True, and every solve, reduced basis and
+    residual is float64 (see the module docstring for which engines ask
+    for it). ``charge_states`` maps working coordinates to the charge
+    basis. A dense solve is ``spectrum.qubit_eigensolution`` in the
+    working basis, and every residual bound is ``RESIDUAL_RTOL`` times
+    ||H(alpha)||_inf of the charge-basis H.
 
     ``set_window`` states an alpha window of many lowest-k solves to come;
     ``lowest`` then solves inside it in a reduced basis (eigenvector
@@ -310,9 +349,10 @@ class _CircuitEngine:
     ``expi_apply`` rewrites one CSR matrix in place and ``set_window``
     replaces the window, so an engine that does either serves one thread
     at a time; the ``zz_map`` points share engines that only solve densely.
+    ``propagate_state`` takes a charge-basis engine.
     """
 
-    def __init__(self, spec: CircuitSpec, charging_scale: float = 1.0):
+    def __init__(self, spec: CircuitSpec, charging_scale: float = 1.0, real: bool = False):
         self._spec, self.charging_scale = spec, charging_scale
         h0, h1 = hamiltonian_decomposition(spec, charging_scale)
         self.full_dim = h0.shape[0]
@@ -320,16 +360,20 @@ class _CircuitEngine:
             self.indices = physical_sector_indices(spec.basis, 0)
         else:
             self.indices = np.arange(self.full_dim)
-        self.n1 = build_operator("n1", spec).csr.diagonal()[self.indices]
         self.dim = self.indices.size
-        h0, h1 = h0[self.indices][:, self.indices], h1[self.indices][:, self.indices]
-        pattern = abs(h0) + abs(h1) + scipy.sparse.eye_array(self.dim, format="csr")
-        self._indptr, self._indices = pattern.indptr, pattern.indices
-        rows = np.repeat(np.arange(self.dim), np.diff(self._indptr))
+        h0, h1, n1 = (m[self.indices][:, self.indices]
+                      for m in (h0, h1, build_operator("n1", spec).csr))
+        # the charge-basis H, whose ||H(alpha)||_inf scales every residual bound
+        _, _, self._norm_rows, self._norm_data = _common_pattern(h0, h1)
+        self._basis = None
+        self.real = real and _inversion_symmetric(h0) and _inversion_symmetric(h1)
+        if self.real:
+            s = self._basis = charge_inversion_basis(spec.basis)[self.indices][:, self.indices]
+            h0, h1 = ((s.conj().T @ h @ s).real for h in (h0, h1))
+            n1 = (s.conj().T @ n1 @ s).imag
+        self.n1 = n1
+        self._indptr, self._indices, rows, self._data = _common_pattern(h0, h1, n1)
         self._diag = np.flatnonzero(rows == self._indices)
-        dn = np.zeros(self._indices.size, dtype=complex)
-        dn[self._diag] = self.n1
-        self._data = [h0[rows, self._indices], h1[rows, self._indices], dn]
         # the generator of expi_apply; each call overwrites its data
         self._step = self._csr(np.zeros(self._indices.size, dtype=complex))
         self._window: _Window | None = None
@@ -370,7 +414,7 @@ class _CircuitEngine:
         np.multiply(d1, alpha, out=a.data)
         a.data += d0
         if drive != 0.0:
-            a.data += drive * dn
+            a.data += (drive * 1j if self.real else drive) * dn
         a.data[self._diag] -= shift
         norm = 2.0 * math.pi * dt * float(
             np.bincount(a.indices, weights=np.abs(a.data), minlength=self.dim).max()
@@ -408,8 +452,10 @@ class _CircuitEngine:
 
         The residual check of ``lowest`` cannot see a level missing from
         the basis, so the basis is also checked once here: midway between
-        each pair of snapshots its lowest k energies must match a dense
-        solve to ``RESIDUAL_RTOL * ||H||_inf``, or no basis is kept.
+        each pair of snapshots its lowest k energies must match those of
+        the full H, solved for eigenvalues only by the dense or the
+        shift-invert branch of ``spectrum.diagonalize``, to
+        ``RESIDUAL_RTOL * ||H||_inf``, or no basis is kept.
         """
         w = self._window
         if w is not None and w.lo <= lo and hi <= w.hi and k <= w.k:
@@ -424,14 +470,25 @@ class _CircuitEngine:
         g0, g1 = (q.conj().T @ (self._csr(d) @ q) for d in self._data[:2])
         for a in 0.5 * (alphas[1:] + alphas[:-1]):
             reduced = scipy.linalg.eigvalsh(g0 + a * g1, subset_by_index=(0, k - 1))
-            bound = RESIDUAL_RTOL * abs(self.sparse_hamiltonian(a)).sum(axis=1).max()
-            if np.abs(reduced - self._dense_lowest(float(a), k)[0]).max() > bound:
+            full = _lowest_k(self.sparse_hamiltonian(a), k, eigvals_only=True)
+            if np.abs(reduced - full).max() > RESIDUAL_RTOL * self._norm(a):
                 return
         self._window = _Window(lo, hi, k, q, g0, g1, snapshots)
 
+    def _norm(self, alpha: float) -> float:
+        """||H(alpha)||_inf of the charge-basis H."""
+        c0, c1 = self._norm_data
+        return float(np.bincount(self._norm_rows, weights=np.abs(c0 + alpha * c1),
+                                 minlength=self.dim).max())
+
     def _dense_lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-        sol = qubit_eigensolution(self._spec.with_alpha(alpha), k, self.charging_scale)
-        return sol.energies, sol.states[self.indices]
+        sol = qubit_eigensolution(self._spec.with_alpha(alpha), k, self.charging_scale,
+                                  _real_basis=self._basis)
+        return sol.energies, sol.states if self.real else sol.states[self.indices]
+
+    def charge_states(self, states: np.ndarray) -> np.ndarray:
+        """Columns of working-basis coordinates as charge-basis (sector) vectors."""
+        return states if self._basis is None else self._basis @ states
 
     def _reduced_lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Lowest k eigenpairs of H(alpha) projected on the window's basis, lifted."""
@@ -456,7 +513,7 @@ class _CircuitEngine:
             energies, states = self._reduced_lowest(alpha, k)
             h = self.sparse_hamiltonian(alpha)
             residual = np.linalg.norm(h @ states - states * energies, axis=0).max()
-            if residual <= RESIDUAL_RTOL * abs(h).sum(axis=1).max():
+            if residual <= RESIDUAL_RTOL * self._norm(alpha):
                 return energies, states
             self.fallbacks += 1
         return self._dense_lowest(alpha, k)
@@ -620,13 +677,24 @@ def propagate_state(
 
 def _qubit_levels(engine: _CircuitEngine, alpha: float, m: int,
                   prev: tuple | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lowest m energies of a circuit, its states (gauge-aligned to ``prev``
-    = (energies, states) when given) and the charge n1 among them."""
+    """Lowest m energies of a circuit, its states in the engine's working
+    basis (gauge-aligned to ``prev`` = (energies, states) when given) and
+    the charge n1 among them, i*A where ``engine.real``."""
     e, b = engine.lowest(alpha, m)
     if prev is not None:
         b = align_gauge(EigenSolution(*prev, None, m), EigenSolution(e, b, None, m),
                         min_overlap=0.0).states
-    return e, b, b.conj().T @ (engine.n1[:, None] * b)
+    n1 = b.conj().T @ (engine.n1 @ b)
+    return e, b, 1j * n1 if engine.real else n1
+
+
+def _product_hamiltonian(coupled: CoupledSpec, levels, engines) -> np.ndarray:
+    """``coupled.product_hamiltonian`` of two qubits' ``_qubit_levels`` from
+    their ``engines``; float64 where both engines are real, as
+    kron(i*A1, i*A2) = -kron(A1, A2) has an exactly zero imaginary part."""
+    eps, _, n1 = zip(*levels)
+    h = coupled.product_hamiltonian(eps, n1)
+    return h.real if all(engine.real for engine in engines) else h
 
 
 class TwoQubitFrame:
@@ -639,6 +707,11 @@ class TwoQubitFrame:
     cached on an alpha grid and gauge-aligned sequentially from
     alpha = 1 downward. ``engines`` maps each distinct qubit to its
     ``_CircuitEngine``, which a caller may share for other solves of it.
+    Each engine works in the real basis where its qubit allows it (see
+    ``_CircuitEngine``), so for a pair at ng = 0 the per-qubit states, the
+    product Hamiltonian, the coupled states W and every frame overlap are
+    float64. The frame switch between two neighbouring nodes is formed
+    once (``switch``), however many gates cross it.
     """
 
     def __init__(self, coupled: CoupledSpec, settings: PropagationSettings):
@@ -647,9 +720,10 @@ class TwoQubitFrame:
         self.k = settings.subspace_k
         self.grid = settings.alpha_grid
         self.identical = coupled.qubit1 == coupled.qubit2
-        self.engines = {q: _CircuitEngine(q, coupled.charging_scale)
+        self.engines = {q: _CircuitEngine(q, coupled.charging_scale, real=True)
                         for q in dict.fromkeys((coupled.qubit1, coupled.qubit2))}
         self._nodes: dict[int, dict] = {}
+        self._switches: dict[int, np.ndarray] = {}
 
     def _node_key(self, alpha: float) -> int:
         return int(round(alpha / self.grid))
@@ -660,8 +734,8 @@ class TwoQubitFrame:
                   for iq, engine in enumerate(self.engines.values())]
         if self.identical:  # second qubit shares the first one's eigenframe
             levels.append(levels[0])
-        eps, bs, n1p = zip(*levels)
-        h = self.coupled.product_hamiltonian(eps, n1p)
+        eps, bs, _ = zip(*levels)
+        h = _product_hamiltonian(self.coupled, levels, self.engines.values())
         e_c, w = scipy.linalg.eigh(h, subset_by_index=(0, self.k - 1))
         if prev is not None:
             # Align W in the shared product label space after correcting
@@ -712,6 +786,23 @@ class TwoQubitFrame:
         o1 = node_a["b"][0].conj().T @ node_b["b"][0]
         o2 = node_a["b"][1].conj().T @ node_b["b"][1]
         return node_a["w"].conj().T @ (np.kron(o1, o2) @ node_b["w"])
+
+    def switch(self, key_old: int, key_new: int) -> np.ndarray:
+        """R of the frame switch U <- R U from node ``key_old`` to its
+        neighbour ``key_new``: the unitary part of V(new)^dag V(old).
+
+        It is formed once per pair of nodes j, j + 1, as the polar factor
+        of V(j)^dag V(j + 1), the switch downward; the switch upward is its
+        adjoint, since polar(M^dag) = polar(M)^dag. Threads that share the
+        frame may both form a pair's factor, from the same nodes, and store
+        the same value.
+        """
+        j = min(key_old, key_new)
+        r = self._switches.get(j)
+        if r is None:
+            r = self._switches[j] = _unitary_part(
+                self.frame_overlap(self.node(j * self.grid), self.node((j + 1) * self.grid)))
+        return r if key_new == j else r.conj().T
 
     def computational_projector(self, node: dict) -> np.ndarray:
         """k x 4 dressed computational basis (columns 00, 01, 10, 11) in frame coords.
@@ -776,7 +867,8 @@ def propagate_subspace_unitary(
 
     The frame is that of the nearest node of the alpha grid. It switches
     at the exact time alpha(t) passes the midpoint between two nodes,
-    where U <- R U with R the unitary part of V(new)^dag V(old). Between
+    where U <- R U with R the unitary part of V(new)^dag V(old)
+    (``TwoQubitFrame.switch``). Between
     switches the generator is diagonal, 2*pi*E(alpha(t)) with E
     interpolated linearly between nodes, and its phases are integrated
     in closed form; U therefore does not depend on the step grid, which
@@ -818,9 +910,7 @@ def propagate_subspace_unitary(
             pending[:] = 0.0
             step_key = 1 if new_key > key else -1
             for k_from in range(key, new_key, step_key):
-                overlap = frame.frame_overlap(frame.node(k_from * frame.grid),
-                                              frame.node((k_from + step_key) * frame.grid))
-                u = _unitary_part(overlap.conj().T) @ u
+                u = frame.switch(k_from, k_from + step_key) @ u
             key = new_key
         e_next = frame.energies(profile.alpha(t_next))
         increment = math.pi * (e_t + e_next) * (t_next - t)

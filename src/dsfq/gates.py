@@ -32,6 +32,7 @@ from .evolve import (
     _CircuitEngine,
     _computational_levels,
     _propagation_window,
+    _product_hamiltonian,
     _qubit_levels,
     propagate_state,
     propagate_subspace_unitary,
@@ -258,6 +259,7 @@ class Gamma1Interpolator:
     in its sector: dH/dphi_ext comes from the barrier junction, whose terms
     are linear in alpha (``circuit.hamiltonian_decomposition``), so it is
     alpha times its alpha = 1 value, and the others do not depend on alpha.
+    The engine's states are taken to the charge basis of the operators.
     An alpha outside the grid raises ``GateError``: it is not extrapolated.
     """
 
@@ -285,7 +287,8 @@ class Gamma1Interpolator:
             a = float(a)
             operators = {kind: a * op if kind == "dH_dphi_ext" else op
                          for kind, op in unit.items()}
-            sol = EigenSolution(*engine.lowest(a, 3), None, 3)
+            energies, states = engine.lowest(a, 3)
+            sol = EigenSolution(energies, engine.charge_states(states), None, 3)
             rep = relaxation_rates(spec.with_alpha(a), channels, env, conventions, solution=sol,
                                    _elements=_level_elements(operators, sol, (0, 1)))
             rates.append(rep.gamma1_total)
@@ -540,10 +543,11 @@ def _coupled_hamiltonian(
     """m^2-dimensional coupled Hamiltonian in the bare-product basis.
 
     Each qubit's levels come from ``evolve._qubit_levels``, as at the nodes
-    of a ``TwoQubitFrame``. ``levels`` keeps each qubit's engine, keyed by
-    (qubit, charging_scale), and its levels, keyed by (qubit,
-    charging_scale, alpha, m). Points run at once may both miss a key and
-    repeat its work, with identical results.
+    of a ``TwoQubitFrame``, in the real basis where the qubit allows it, so
+    that a pair at ng = 0 gives a real H. ``levels`` keeps each qubit's
+    engine, keyed by (qubit, charging_scale), and its levels, keyed by
+    (qubit, charging_scale, alpha, m). Points run at once may both miss a
+    key and repeat its work, with identical results.
     """
     levels = {} if levels is None else levels
     scale = coupled.charging_scale
@@ -552,10 +556,11 @@ def _coupled_hamiltonian(
         key = (q, scale, a, m)
         if key not in levels:
             if (q, scale) not in levels:
-                levels[q, scale] = _CircuitEngine(q, scale)
+                levels[q, scale] = _CircuitEngine(q, scale, real=True)
             levels[key] = _qubit_levels(levels[q, scale], a, m)
         pair.append(levels[key])
-    return coupled.product_hamiltonian([e for e, _, _ in pair], [n1 for _, _, n1 in pair])
+    engines = [levels[q, scale] for q in (coupled.qubit1, coupled.qubit2)]
+    return _product_hamiltonian(coupled, pair, engines)
 
 
 def zz_strength(

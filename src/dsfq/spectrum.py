@@ -164,19 +164,23 @@ def _shift_invert_lowest(h: scipy.sparse.csc_array, k: int,
     return energies[:k], q @ coords[:, :k]
 
 
-def _lowest_k(h: scipy.sparse.csr_array, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _lowest_k(h: scipy.sparse.csr_array, k: int, eigvals_only: bool = False):
+    """Lowest k eigenpairs of h by the branch that ``diagonalize`` names, or
+    their energies alone with ``eigvals_only``."""
     dim = h.shape[0]
     if _use_sparse(dim, k):
         try:
-            return _shift_invert_lowest(h.tocsc(), k, _start_vector(dim))
+            energies, states = _shift_invert_lowest(h.tocsc(), k, _start_vector(dim))
+            return energies if eigvals_only else (energies, states)
         except _SparseRefused:
             pass
-    return scipy.linalg.eigh(h.toarray(), subset_by_index=(0, k - 1))
+    return scipy.linalg.eigh(h.toarray(), subset_by_index=(0, k - 1), eigvals_only=eigvals_only)
 
 
 def diagonalize(op: HermitianOperator | np.ndarray, k: int,
                 basis: ChargeBasis | None = None,
-                sector: str | None = None) -> EigenSolution:
+                sector: str | None = None, *,
+                _real_basis: scipy.sparse.csr_array | None = None) -> EigenSolution:
     """Lowest-k eigensolution of a Hermitian operator.
 
     Above ``DENSE_DIM_LIMIT`` states, and while k is at most
@@ -195,6 +199,11 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
     eigenvectors are embedded back into the full basis. Degenerate
     clusters are rotated to eigenstates of the phi -> -phi parity when a
     basis is known, even-parity state first, for deterministic labeling.
+
+    ``_real_basis`` is a real working basis S of the (sector) matrix, in which
+    it is real symmetric (``circuit.charge_inversion_basis``): then the
+    real CSR S^dag H S is solved, its eigenvectors are returned in S and
+    not embedded, and the residual bound is still that of H.
     """
     if isinstance(op, HermitianOperator):
         h, basis = op.csr, op.basis
@@ -219,17 +228,24 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
         idx = physical_sector_indices(basis, _SECTOR_PARITY[sector])
         if k > idx.size:
             raise SpectrumError(f"k = {k} exceeds the {idx.size} states of the {sector} sector")
-        energies, sub_states = _lowest_k(h[idx][:, idx], k)
+        sub = h[idx][:, idx]
+    else:
+        sub = h
+    if _real_basis is not None:
+        sub = (_real_basis.conj().T @ sub @ _real_basis).real
+    energies, states = _lowest_k(sub, k)
+    residual = np.linalg.norm(sub @ states - states * energies, axis=0)
+    if sector is not None and _real_basis is None:
+        sub_states = states
         states = np.zeros((dim, energies.size), dtype=sub_states.dtype)
         states[idx] = sub_states
-    else:
-        energies, states = _lowest_k(h, k)
-    residual = np.linalg.norm(h @ states - states * energies, axis=0)
     if norm > 0 and residual.max() > RESIDUAL_RTOL * norm:
         raise SpectrumError(
             f"eigensolver residuals too large: max {residual.max():.3e} "
             f"vs bound {RESIDUAL_RTOL * norm:.3e}"
         )
+    if _real_basis is not None:  # the states are coordinates in S, not charge-basis vectors
+        basis = None
     sol = EigenSolution(energies=energies, states=states, basis=basis, k=k)
     if basis is not None and basis.modes[0] in ("phi", "phi1") and len(basis.modes) == 2:
         _order_degenerate_by_parity(sol)
@@ -255,17 +271,19 @@ def _order_degenerate_by_parity(sol: EigenSolution) -> None:
         sol.states[:, cluster] = block @ rot[:, order]
 
 
-def qubit_eigensolution(spec: CircuitSpec, k: int = 5,
-                        charging_scale: float = 1.0) -> EigenSolution:
+def qubit_eigensolution(spec: CircuitSpec, k: int = 5, charging_scale: float = 1.0, *,
+                        _real_basis: scipy.sparse.csr_array | None = None) -> EigenSolution:
     """Physical lowest-k eigensolution of a circuit.
 
     For the single-loop variant this restricts to the even
     (n_phi + n_theta) sector; the node-variable variants have no
-    redundant sector and are solved in full.
+    redundant sector and are solved in full. ``_real_basis`` is the real
+    working basis S of an ``evolve._CircuitEngine`` on that sector
+    (``diagonalize``); the states are then coordinates in S.
     """
     h = build_hamiltonian(spec, charging_scale=charging_scale)
     sector = "even" if spec.variant is Variant.SINGLE_LOOP else None
-    return diagonalize(h, k, sector=sector)
+    return diagonalize(h, k, sector=sector, _real_basis=_real_basis)
 
 
 def qubit_params(sol: EigenSolution) -> QubitParams:

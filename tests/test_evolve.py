@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,9 @@ from dsfq.circuit import (
     CircuitSpec,
     CoupledSpec,
     Variant,
+    build_hamiltonian,
     build_operator,
+    charge_inversion_basis,
     hamiltonian_decomposition,
     physical_sector_indices,
 )
@@ -24,7 +28,7 @@ from dsfq.evolve import (
     propagate_state,
     propagate_subspace_unitary,
 )
-from dsfq.gates import _computational_block
+from dsfq.gates import _computational_block, _coupled_hamiltonian
 from dsfq.spectrum import qubit_eigensolution
 
 SPEC = CircuitSpec(ej=10.0, ec=0.1, alpha=1.0, phi_ext=0.995 * math.pi, cutoff=12)
@@ -138,27 +142,32 @@ def test_expi_apply_matches_dense_expm():
     # columns fill the whole spectrum, so the tail bound is nearly reached;
     # the error stays below TAYLOR_TOL per substep. The reference H comes
     # from the circuit module, restricted to the sector, not from the engine.
+    # An engine in the real basis, where the drive term is i times its n1,
+    # is compared through its map to the charge basis.
     spec = replace(SPEC, cutoff=5)
-    engine = evolve._CircuitEngine(spec)
     sector = physical_sector_indices(spec.basis, 0)
-    np.testing.assert_array_equal(engine.indices, sector)
     h0, h1 = (h[np.ix_(sector, sector)] for h in hamiltonian_decomposition(spec))
     n1 = np.diag(build_operator("n1", spec).matrix)[sector]
     rng = np.random.default_rng(5)
-    psi = rng.normal(size=(engine.dim, 2)) + 1j * rng.normal(size=(engine.dim, 2))
+    psi = rng.normal(size=(sector.size, 2)) + 1j * rng.normal(size=(sector.size, 2))
     psi /= np.linalg.norm(psi, axis=0)
     substeps = set()
-    for alpha, drive in ((1.0, 0.0), (0.7, 0.4), (0.85, -1.0)):
-        shift = float(qubit_eigensolution(spec.with_alpha(alpha), 1).energies[0])
-        h = h0 + alpha * h1 + np.diag(drive * n1 - shift)
-        for dt in (0.5 / 857, 0.5 / evolve.MIN_STEPS_PER_NS, 0.05, 0.12):
-            nu = 2.0 * math.pi * dt * np.abs(h).sum(axis=0).max()
-            s = math.ceil(nu / evolve.TAYLOR_SUBSTEP_NORM)
-            substeps.add(s)
-            exact = np.exp(-2j * math.pi * shift * dt) * (
-                scipy.linalg.expm(-2j * math.pi * dt * h) @ psi)
-            error = np.linalg.norm(engine.expi_apply(alpha, drive, dt, psi, shift) - exact)
-            assert error <= s * evolve.TAYLOR_TOL * np.linalg.norm(psi), (alpha, drive, dt)
+    for engine in (evolve._CircuitEngine(spec), evolve._CircuitEngine(spec, real=True)):
+        np.testing.assert_array_equal(engine.indices, sector)
+        lift = engine.charge_states(np.eye(engine.dim))
+        for alpha, drive in ((1.0, 0.0), (0.7, 0.4), (0.85, -1.0)):
+            shift = float(qubit_eigensolution(spec.with_alpha(alpha), 1).energies[0])
+            h = h0 + alpha * h1 + np.diag(drive * n1 - shift)
+            for dt in (0.5 / 857, 0.5 / evolve.MIN_STEPS_PER_NS, 0.05, 0.12):
+                h_work = lift.conj().T @ h @ lift
+                nu = 2.0 * math.pi * dt * np.abs(h_work).sum(axis=0).max()
+                s = math.ceil(nu / evolve.TAYLOR_SUBSTEP_NORM)
+                substeps.add(s)
+                exact = np.exp(-2j * math.pi * shift * dt) * (
+                    scipy.linalg.expm(-2j * math.pi * dt * h) @ (lift @ psi))
+                error = np.linalg.norm(
+                    lift @ engine.expi_apply(alpha, drive, dt, psi, shift) - exact)
+                assert error <= s * evolve.TAYLOR_TOL * np.linalg.norm(psi), (alpha, drive, dt)
     assert min(substeps) == 1 and max(substeps) >= 3
 
 
@@ -451,6 +460,140 @@ def test_frame_built_through_the_basis_matches_a_dense_frame(coupled_frame):
             step = built.frame_overlap(built.node(a), built.node(b))
             step_dense = dense.frame_overlap(dense.node(a), dense.node(b))
             assert np.abs(step - gauge[key].conj() @ step_dense @ gauge[key - 1]).max() < 1e-9
+
+
+def test_charge_inversion_basis_makes_h_real_at_zero_offset_charge():
+    # At ng = 0 the charge inversion C (n -> -n) maps H(alpha) to its
+    # complex conjugate, so in S = charge_inversion_basis, H is real
+    # symmetric and the coupled-node charge is i times a real antisymmetric
+    # matrix; an offset charge breaks the symmetry and the engine keeps
+    # the charge basis.
+    q = replace(q_node(), cutoff=6)
+    scale = CoupledSpec(q, q).charging_scale
+    s = charge_inversion_basis(q.basis).toarray()
+    assert np.abs(s.conj().T @ s - np.eye(q.basis.dim)).max() < 1e-15
+    for alpha in (0.6, 0.85, 1.0):
+        h = build_hamiltonian(q.with_alpha(alpha), charging_scale=scale).matrix
+        hr = s.conj().T @ h @ s
+        assert np.abs(hr.imag).max() < 1e-13 and np.abs(hr - hr.T).max() < 1e-13
+        dense = qubit_eigensolution(q.with_alpha(alpha), 8, charging_scale=scale)
+        assert np.abs(np.linalg.eigvalsh(hr.real)[:8] - dense.energies).max() < 1e-10
+    n1 = s.conj().T @ build_operator("n1", q).matrix @ s
+    assert np.abs(n1.real).max() < 1e-15 and np.abs(n1 + n1.T).max() < 1e-15
+    # an engine's dense solve in that basis, on the full node basis and on
+    # the even sector of a single loop
+    loop = CircuitSpec(ej=10.0, ec=0.1, phi_ext=0.995 * math.pi, cutoff=6)
+    for spec, charging_scale in ((q, scale), (loop, 1.0)):
+        engine = evolve._CircuitEngine(spec, charging_scale, real=True)
+        assert engine.real and engine.n1.dtype == np.float64
+        energies, states = engine.lowest(0.85, 8)
+        assert states.dtype == np.float64
+        dense = qubit_eigensolution(spec.with_alpha(0.85), 8, charging_scale=charging_scale)
+        assert np.abs(energies - dense.energies).max() < 1e-10
+        overlaps = dense.states[engine.indices].conj().T @ engine.charge_states(states)
+        assert np.abs(np.abs(np.diag(overlaps)) - 1.0).max() < 1e-10
+    shifted = replace(q, ng_theta=0.05)
+    h = build_hamiltonian(shifted, charging_scale=scale).matrix
+    assert np.abs((s.conj().T @ h @ s).imag).max() > 1e-3
+    assert not evolve._CircuitEngine(shifted, scale, real=True).real
+
+
+def test_symmetric_pair_product_hamiltonian_is_real():
+    q = replace(q_node(), cutoff=6)
+    coupled = CoupledSpec(q, replace(q, ej=10.5), cg_ratio=0.3)
+    frame = TwoQubitFrame(coupled, PropagationSettings(per_qubit_m=4, subspace_k=8))
+    levels = [evolve._qubit_levels(e, 0.9, 4) for e in frame.engines.values()]
+    h = evolve._product_hamiltonian(coupled, levels, frame.engines.values())
+    assert all(e.real for e in frame.engines.values()) and h.dtype == np.float64
+    # each qubit's charge among its real levels is i times a real matrix
+    assert all(n1.dtype == np.complex128 and not n1.real.any() for _, _, n1 in levels)
+    # the same H from charge-basis levels, up to the per-level gauge
+    charge = [evolve._qubit_levels(evolve._CircuitEngine(qq, coupled.charging_scale), 0.9, 4)
+              for qq in (coupled.qubit1, coupled.qubit2)]
+    h_charge = coupled.product_hamiltonian([c[0] for c in charge], [c[2] for c in charge])
+    assert h_charge.dtype == np.complex128
+    assert np.abs(np.linalg.eigvalsh(h) - np.linalg.eigvalsh(h_charge)).max() < 1e-10
+    assert frame.node(1.0)["w"].dtype == np.float64
+    # the ZZ statics build theirs from real levels too
+    zz = _coupled_hamiltonian(coupled, 0.9, 0.9, m=4)
+    assert zz.dtype == np.float64
+    assert np.abs(np.linalg.eigvalsh(zz) - np.linalg.eigvalsh(h_charge)).max() < 1e-10
+
+
+@pytest.mark.parametrize("ng_thetas", [(0.0, 0.0), (0.05, 0.05), (0.0, 0.05)],
+                         ids=["real", "complex", "mixed"])
+def test_frame_matches_a_charge_basis_reference(ng_thetas):
+    # Node energies and |frame overlaps| between neighbouring nodes against
+    # a product H of qubit_eigensolution's charge-basis states, solved by
+    # numpy. The frame solves each detuned qubit in its reduced basis; at
+    # ng = 0 in the real basis, at ng_theta = 0.05 in the charge basis, and
+    # the mixed pair one qubit in each.
+    q = replace(q_node(), cutoff=6, ng_theta=ng_thetas[0])
+    coupled = CoupledSpec(q, replace(q, ej=10.5, ng_theta=ng_thetas[1]), cg_ratio=0.3)
+    m, k = 4, 8
+    frame = TwoQubitFrame(coupled, PropagationSettings(per_qubit_m=m, subspace_k=k,
+                                                       alpha_grid=5e-3))
+    frame.ensure_range(0.9)
+    assert [e.real for e in frame.engines.values()] == [ng == 0.0 for ng in ng_thetas]
+    assert all(e._window is not None and e.fallbacks == 0 for e in frame.engines.values())
+    real = ng_thetas == (0.0, 0.0)
+
+    def reference(alpha):
+        per_qubit = []
+        for qq in (coupled.qubit1, coupled.qubit2):
+            sol = qubit_eigensolution(qq.with_alpha(alpha), m, coupled.charging_scale)
+            b = sol.states
+            n1 = build_operator("n1", qq).matrix
+            per_qubit.append((sol.energies, b, b.conj().T @ n1 @ b))
+        (e1, b1, n11), (e2, b2, n12) = per_qubit
+        h = coupled.coupling_energy * np.kron(n11, n12)
+        h += np.diag(np.add.outer(e1, e2).ravel())
+        e, w = np.linalg.eigh(h)
+        return e[:k], (b1, b2), w[:, :k]
+
+    keys = range(frame._node_key(1.0), frame._node_key(0.9) - 1, -1)
+    refs = {key: reference(key * frame.grid) for key in keys}
+    for key in keys:
+        node = frame.node(key * frame.grid)
+        assert node["w"].dtype == (np.float64 if real else np.complex128)
+        assert np.abs(node["e"] - refs[key][0]).max() < 1e-9
+    for key in keys[:-1]:
+        (_, (a1, a2), wa), (_, (b1, b2), wb) = refs[key], refs[key - 1]
+        ref = wa.conj().T @ np.kron(a1.conj().T @ b1, a2.conj().T @ b2) @ wb
+        step = frame.frame_overlap(frame.node(key * frame.grid),
+                                   frame.node((key - 1) * frame.grid))
+        assert np.abs(np.abs(step) - np.abs(ref)).max() < 1e-9
+        # the switch between the two nodes is the unitary part of V(new)^dag V(old)
+        down = frame.switch(key, key - 1)
+        assert np.abs(down @ frame.switch(key - 1, key) - np.eye(k)).max() < 1e-12
+        assert np.abs(down - evolve._unitary_part(step.conj().T)).max() < 1e-12
+
+
+def test_frame_switches_shared_by_threads_match_a_serial_run():
+    # The cli pool's threads share one frame, whose switch between two
+    # nodes is formed by whichever gate first crosses them: every gate must
+    # get the U of a frame that no other thread touched.
+    q = replace(q_node(), cutoff=5)
+    coupled = CoupledSpec(q, q, cg_ratio=0.3)
+    settings = PropagationSettings(steps_per_ns=50, per_qubit_m=6, subspace_k=12,
+                                   alpha_grid=5e-3, sample_interval_ns=5.0)
+    profile = AlphaProfile.two_qubit(20.0, 2.0)
+    serial = TwoQubitFrame(coupled, settings)
+    expected = propagate_subspace_unitary(coupled, profile, settings, frame=serial).final
+    shared = TwoQubitFrame(coupled, settings)
+    shared.ensure_range(profile.alpha_min)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(propagate_subspace_unitary, coupled, profile, settings,
+                                   frame=shared) for _ in range(6)]
+            finals = [f.result(timeout=120).final for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(shared._switches) == sorted(serial._switches)
+    for final in finals:
+        assert np.abs(final - expected).max() < 1e-13
 
 
 def test_computational_projector_is_dressed_basis():

@@ -248,14 +248,19 @@ def test_gamma1_rates_from_the_engine_match_dense_solves(monkeypatch, spec, alph
         reference.append(relaxation_rates(spec_a, channels, solution=sol,
                                           _elements=elements).gamma1_total)
     assert np.abs(gamma1.rates / np.array(reference) - 1.0).max() < 1e-10
-    # a caller's k = 8 window over the range serves the rates as it is
-    engine = evolve._CircuitEngine(spec, charging_scale)
-    engine.set_window(alpha_lo, 1.0, 8, 1000)
-    window = engine._window
-    assert window is not None
-    shared = Gamma1Interpolator(spec, alpha_lo, charging_scale=charging_scale, _engine=engine)
-    assert engine._window is window and engine.fallbacks == 0
-    assert np.abs(shared.rates / np.array(reference) - 1.0).max() < 1e-10
+    # a caller's k = 8 window over the range serves the rates as it is, from
+    # the charge-basis engine of a driven gate and from the real working
+    # basis that the two-qubit frames use
+    for real in (False, True):
+        engine = evolve._CircuitEngine(spec, charging_scale, real=real)
+        assert engine.real is real
+        engine.set_window(alpha_lo, 1.0, 8, 1000)
+        window = engine._window
+        assert window is not None
+        shared = Gamma1Interpolator(spec, alpha_lo, charging_scale=charging_scale,
+                                    _engine=engine)
+        assert engine._window is window and engine.fallbacks == 0
+        assert np.abs(shared.rates / np.array(reference) - 1.0).max() < 1e-10
 
 
 @pytest.mark.parametrize("spec", [
