@@ -13,21 +13,25 @@ and checks each solution against the full H; at the window's snapshot
 alphas it returns their dense solutions; otherwise, and as the fallback,
 it calls ``spectrum.qubit_eigensolution``.
 
-The engines of the two-qubit frames and of the ZZ statics work in the
-real basis ``circuit.charge_inversion_basis`` wherever their h0 and h1
-satisfy C h* C = h, C the charge inversion (every ng = 0 qubit): there every
-H(alpha) is real symmetric and n1 is i times a real antisymmetric
-matrix, so their solves, overlaps and product Hamiltonians are all
-float64. Elsewhere the working basis is the charge basis and the same
-code runs on complex data. A driven gate's engine stays in the charge
-basis because its alpha = 1 eigenvector phases, those of
-``spectrum.qubit_eigensolution`` in the charge basis, fix what its
-target means; the real basis sets other phases.
+Every engine that the package builds asks for the real basis
+``circuit.charge_inversion_basis`` and works in it wherever its h0 and h1
+satisfy C h* C = h, C the charge inversion (every ng = 0 qubit): there
+every H(alpha) is real symmetric and n1 is i times a real antisymmetric
+matrix, so the solves, overlaps and product Hamiltonians of the
+two-qubit frames, the ZZ statics and a driven gate's window, samples and
+Gamma_1 grid are all float64. Elsewhere the working basis is the charge
+basis and the same code runs on complex data. The states that a driven
+gate propagates, and the alpha = 1 states it is scored in, are
+charge-basis vectors in either case: the phases of those states, set by
+``spectrum.qubit_eigensolution`` in the charge basis
+(``_CircuitEngine.charge_gauge_states``), fix what a gate's target
+means, and the real basis would set other phases.
 
 Every ``propagate_state`` step is one fourth-order commutator-free Magnus
 step, whose two half-step exponentials ``_CircuitEngine.expi_apply``
-sums as Taylor series about the lowest sampled level, each stopped once
-a strict bound on its tail falls below ``TAYLOR_TOL`` of the sum.
+sums as Taylor series about the lowest sampled level on the charge-basis
+generator, each stopped once a strict bound on its tail falls below
+``TAYLOR_TOL`` of the state's norm.
 
 Phases follow the h GHz / ns unit system: a step propagator is
 exp(-i * 2*pi * H * dt) with H in h GHz and dt in ns. The moving-frame
@@ -45,6 +49,8 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
+# the CSR multivector kernel that ``A @ X`` reaches after scipy's dispatch
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .circuit import (
     CircuitSpec,
@@ -86,9 +92,10 @@ SNAPSHOT_PAD = 4
 # One more pair of snapshots per this much window width (see _snapshot_count).
 SNAPSHOT_WIDTH = 0.175
 # expi_apply: a Taylor sum stops once its tail bound is at most TAYLOR_TOL of
-# the sum's norm. Its generator is cut into substeps of 1-norm at most
-# TAYLOR_SUBSTEP_NORM, where the tail bound falls below TAYLOR_TOL before
-# TAYLOR_MAX_ORDER (3**31/31! = 7.5e-20), which therefore only guards the loop.
+# the norm of the state it acts on. Its generator is cut into substeps of
+# 1-norm at most TAYLOR_SUBSTEP_NORM, where the tail bound falls below
+# TAYLOR_TOL before TAYLOR_MAX_ORDER (3**31/31! = 7.5e-20), which therefore
+# only guards the loop.
 TAYLOR_TOL = 1e-13
 TAYLOR_SUBSTEP_NORM = 3.0
 TAYLOR_MAX_ORDER = 30
@@ -325,20 +332,21 @@ class _CircuitEngine:
     """H(alpha, drive) = h0 + alpha*h1 + drive*n1 of one circuit, in its
     physical sector where it has one, held only in CSR form.
 
-    The three pieces share one sparsity pattern, that of h0, h1 and n1
-    plus the diagonal, so any H(alpha, drive) is one linear combination of
-    three data vectors. A dense H exists only inside a dense solve.
+    The working basis, in which ``lowest`` solves, is the charge basis
+    unless ``real`` is set and h0 and h1 commute with the charge inversion
+    C (C h* C = h, checked exactly): then it is
+    ``circuit.charge_inversion_basis`` S, in which h0 and h1 are real,
+    ``n1`` holds the real antisymmetric A of the charge i*A, ``real`` is
+    True, and every solve, reduced basis and residual is float64 (see the
+    module docstring for which engines ask for it). ``charge_states`` maps
+    working coordinates to the charge basis. A dense solve is
+    ``spectrum.qubit_eigensolution`` in the working basis, and every
+    residual bound is ``RESIDUAL_RTOL`` times ||H(alpha)||_inf of the
+    charge-basis H.
 
-    The working basis is the charge basis unless ``real`` is set and h0
-    and h1 commute with the charge inversion C (C h* C = h, checked
-    exactly): then it is ``circuit.charge_inversion_basis`` S, in which
-    h0 and h1 are real, ``n1`` holds the real antisymmetric A of the
-    charge i*A, ``real`` is True, and every solve, reduced basis and
-    residual is float64 (see the module docstring for which engines ask
-    for it). ``charge_states`` maps working coordinates to the charge
-    basis. A dense solve is ``spectrum.qubit_eigensolution`` in the
-    working basis, and every residual bound is ``RESIDUAL_RTOL`` times
-    ||H(alpha)||_inf of the charge-basis H.
+    ``expi_apply`` acts on charge-basis (sector) vectors in either working
+    basis: its generator is the charge-basis h0 and h1 on their pattern
+    plus the diagonal, and the charge n1, which is diagonal.
 
     ``set_window`` states an alpha window of many lowest-k solves to come;
     ``lowest`` then solves inside it in a reduced basis (eigenvector
@@ -346,10 +354,10 @@ class _CircuitEngine:
     & Lee, PRL 126, 032501 (2021)). ``fallbacks`` counts the reduced
     solutions that failed their residual check and were solved densely.
 
-    ``expi_apply`` rewrites one CSR matrix in place and ``set_window``
-    replaces the window, so an engine that does either serves one thread
-    at a time; the ``zz_map`` points share engines that only solve densely.
-    ``propagate_state`` takes a charge-basis engine.
+    ``expi_apply`` rewrites its generator's data in place and
+    ``set_window`` replaces the window, so an engine that does either
+    serves one thread at a time; the ``zz_map`` points share engines that
+    only solve densely.
     """
 
     def __init__(self, spec: CircuitSpec, charging_scale: float = 1.0, real: bool = False):
@@ -363,20 +371,26 @@ class _CircuitEngine:
         self.dim = self.indices.size
         h0, h1, n1 = (m[self.indices][:, self.indices]
                       for m in (h0, h1, build_operator("n1", spec).csr))
-        # the charge-basis H, whose ||H(alpha)||_inf scales every residual bound
-        _, _, self._norm_rows, self._norm_data = _common_pattern(h0, h1)
+        # the charge-basis generator of expi_apply, whose h0 and h1 also give
+        # ||H(alpha)||_inf, which scales every residual bound
+        (self._gen_indptr, self._gen_indices, self._gen_rows,
+         self._gen_data) = _common_pattern(h0, h1)
+        self._gen_diag = np.flatnonzero(self._gen_rows == self._gen_indices)
+        self._gen_n1 = n1.diagonal()
+        self._gen_step = np.zeros(self._gen_indices.size, dtype=complex)  # rewritten per call
         self._basis = None
         self.real = real and _inversion_symmetric(h0) and _inversion_symmetric(h1)
         if self.real:
             s = self._basis = charge_inversion_basis(spec.basis)[self.indices][:, self.indices]
             h0, h1 = ((s.conj().T @ h @ s).real for h in (h0, h1))
-            n1 = (s.conj().T @ n1 @ s).imag
-        self.n1 = n1
-        self._indptr, self._indices, rows, self._data = _common_pattern(h0, h1, n1)
-        self._diag = np.flatnonzero(rows == self._indices)
-        # the generator of expi_apply; each call overwrites its data
-        self._step = self._csr(np.zeros(self._indices.size, dtype=complex))
+            self.n1 = (s.conj().T @ n1 @ s).imag
+            self._indptr, self._indices, _, self._data = _common_pattern(h0, h1)
+        else:
+            self.n1 = n1
+            self._indptr, self._indices, self._data = (self._gen_indptr, self._gen_indices,
+                                                       self._gen_data)
         self._window: _Window | None = None
+        self._gauge_states: dict = {}
         self.fallbacks = 0
 
     def _csr(self, data: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -384,58 +398,70 @@ class _CircuitEngine:
                                        shape=(self.dim, self.dim))
 
     def sparse_hamiltonian(self, alpha: float) -> scipy.sparse.csr_matrix:
-        """The drive-free H(alpha) in CSR form."""
-        d0, d1, _ = self._data
+        """The drive-free H(alpha) in CSR form, in the working basis."""
+        d0, d1 = self._data
         return self._csr(d0 + alpha * d1)
 
     def expi_apply(self, alpha: float, drive: float, dt: float, psi: np.ndarray,
                    shift: float) -> np.ndarray:
         """exp(-i*2*pi*H(alpha, drive)*dt) @ psi by scaled Taylor sums.
 
-        ``psi`` is a vector or a block of columns. The phase of ``shift``,
-        the lowest level of the latest sample, is split off analytically,
-        so the sums expand exp(tau*A) with A = -i*2*pi*(H - shift) about
-        the levels that hold the state, whose terms fall fast. nu, the
-        1-norm of tau*A, bounds its 2-norm (H is Hermitian); A is cut into
-        s = ceil(nu / TAYLOR_SUBSTEP_NORM) substeps. Once
-        r = nu_s/(k + 1) < 1, the terms after t_k sum to at most
-        ||t_k|| r/(1 - r) (Frobenius norm for a block), and a substep stops
-        at the first k where that is at most TAYLOR_TOL ||sum||
-        (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)). The CSR
-        matrix of A is this engine's one generator, rewritten in place.
+        ``psi`` is a charge-basis (sector) vector or block of columns, for
+        an engine in either working basis, and so is the result. The phase
+        of ``shift``, the lowest level of the latest sample, is split off
+        analytically, so the sums expand exp(tau*A) with
+        A = -i*2*pi*(H - shift) about the levels that hold the state, whose
+        terms fall fast. nu, the 1-norm of tau*A, bounds its 2-norm (H is
+        Hermitian); A is cut into s = ceil(nu / TAYLOR_SUBSTEP_NORM)
+        substeps. Once r = nu_s/(k + 1) < 1, the terms after t_k sum to at
+        most ||t_k|| r/(1 - r) (Frobenius norm for a block), and a substep
+        stops at the first k where that is at most TAYLOR_TOL ||psi||,
+        psi the state the substep starts from, whose norm exp(tau*A)
+        keeps (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 
-        On the driven-gate benchmark circuit (cutoff 12, 100 steps per ns:
-        nu = 2.7, one substep) a half step takes 10.0 terms on average,
-        13.3 at a tolerance of 2**-53, against the 20 of the fixed order-20
-        sum about the diagonal mean that this replaces.
+        Each term is one call of the CSR multivector kernel between two
+        swapped buffers, added into the sum in place, so a term makes no
+        temporary array. On the driven-gate benchmark circuit (cutoff 12,
+        100 steps per ns: nu = 2.7, one substep) a half step takes 10.0
+        terms on average, 13.3 at a tolerance of 2**-53, against the 20 of
+        the fixed order-20 sum about the diagonal mean that this replaces.
         """
-        a = self._step
-        d0, d1, dn = self._data
-        np.multiply(d1, alpha, out=a.data)
-        a.data += d0
-        if drive != 0.0:
-            a.data += (drive * 1j if self.real else drive) * dn
-        a.data[self._diag] -= shift
+        a = self._gen_step
+        d0, d1 = self._gen_data
+        np.multiply(d1, alpha, out=a)
+        a += d0
+        a[self._gen_diag] = a[self._gen_diag] + drive * self._gen_n1 - shift
         norm = 2.0 * math.pi * dt * float(
-            np.bincount(a.indices, weights=np.abs(a.data), minlength=self.dim).max()
+            np.bincount(self._gen_indices, weights=np.abs(a), minlength=self.dim).max()
         )
         s = max(1, math.ceil(norm / TAYLOR_SUBSTEP_NORM))
         nu = norm / s
-        a.data *= -2j * math.pi * dt / s
+        a *= -2j * math.pi * dt / s
+        psi = np.array(psi, dtype=complex, order="C")
+        if psi.shape[0] != self.dim:  # the kernel reads dim rows of every column
+            raise PropagationError(f"state has {psi.shape[0]} rows, the sector {self.dim}")
+        n_vecs = psi.size // self.dim
+        acc = psi.reshape(-1)  # the sum, in place in psi
+        # two term buffers, each as (complex, float64) views: scaling the
+        # float64 view by 1/k rounds as dividing the complex one by k does,
+        # and its dot with itself is the squared (Frobenius) norm
+        buffers = np.empty((2, acc.size), dtype=complex)
+        (term, term_re), (out, out_re) = zip(buffers, buffers.view(np.float64))
         for _ in range(s):
-            term = psi
-            acc = psi.copy()
+            tol = TAYLOR_TOL ** 2 * np.vdot(acc, acc).real  # squared, as the check is
+            term[:] = acc
             for k in range(1, TAYLOR_MAX_ORDER + 1):
-                term = a @ term
-                term /= k
-                acc += term
+                out.fill(0.0)  # the kernel adds A @ term into out
+                csr_matvecs(self.dim, self.dim, n_vecs, self._gen_indptr, self._gen_indices,
+                            a, term, out)
+                out_re *= 1.0 / k
+                acc += out
+                (term, term_re), (out, out_re) = (out, out_re), (term, term_re)
                 r = nu / (k + 1)
-                # squared norms; vdot flattens a block, so they are Frobenius
-                if r < 1.0 and (np.vdot(term, term).real * (r / (1.0 - r)) ** 2
-                                <= TAYLOR_TOL ** 2 * np.vdot(acc, acc).real):
+                if r < 1.0 and np.dot(term_re, term_re) * (r / (1.0 - r)) ** 2 <= tol:
                     break
-            psi = acc
-        return np.exp(-2j * math.pi * shift * dt) * psi
+        psi *= np.exp(-2j * math.pi * shift * dt)
+        return psi
 
     def set_window(self, lo: float, hi: float, k: int, solves: int) -> None:
         """State that ``solves`` calls of ``lowest(alpha, k)`` with alpha in
@@ -477,8 +503,8 @@ class _CircuitEngine:
 
     def _norm(self, alpha: float) -> float:
         """||H(alpha)||_inf of the charge-basis H."""
-        c0, c1 = self._norm_data
-        return float(np.bincount(self._norm_rows, weights=np.abs(c0 + alpha * c1),
+        c0, c1 = self._gen_data
+        return float(np.bincount(self._gen_rows, weights=np.abs(c0 + alpha * c1),
                                  minlength=self.dim).max())
 
     def _dense_lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -489,6 +515,24 @@ class _CircuitEngine:
     def charge_states(self, states: np.ndarray) -> np.ndarray:
         """Columns of working-basis coordinates as charge-basis (sector) vectors."""
         return states if self._basis is None else self._basis @ states
+
+    def charge_gauge_states(self, alpha: float, m: int) -> np.ndarray:
+        """The lowest m eigenvectors of H(alpha) as charge-basis (sector)
+        columns, in the phase gauge of a charge-basis
+        ``spectrum.qubit_eigensolution``, for an engine in either working
+        basis. Where ``lowest(alpha, m)`` would return a snapshot of the
+        window, the solve takes the snapshot's k + SNAPSHOT_PAD levels, as
+        the charge-basis snapshot itself does; otherwise m. Each (alpha, m)
+        is solved once per engine.
+        """
+        key = (alpha, m)
+        if key not in self._gauge_states:
+            w = self._window
+            snapshot = w is not None and m <= w.k and alpha in w.snapshots
+            k = w.k + SNAPSHOT_PAD if snapshot else m
+            sol = qubit_eigensolution(self._spec.with_alpha(alpha), k, self.charging_scale)
+            self._gauge_states[key] = sol.states[self.indices, :m]
+        return self._gauge_states[key]
 
     def _reduced_lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Lowest k eigenpairs of H(alpha) projected on the window's basis, lifted."""
@@ -585,13 +629,17 @@ def propagate_state(
     grid, along with accumulated eigenphases. The samples state the
     profile's alpha range as the engine's window, so with enough of them
     they are solved in a reduced basis, each checked against the full H
-    and solved densely when its residual is too large. Each sample is gauge-aligned to the one before,
-    and a crossing of the qubit pair raises ``GaugeAlignmentError``.
-    ``_engine``, when given, is the ``_CircuitEngine`` of (spec,
-    charging_scale) that the caller shares with its other solves.
+    and solved densely when its residual is too large. Each sample is
+    gauge-aligned to the one before, and a crossing of the qubit pair
+    raises ``GaugeAlignmentError``. The states are propagated in the
+    charge basis and the samples solved in the engine's working basis
+    (real where the circuit allows it), whose eigenvectors are taken to
+    the charge basis for the weights. ``_engine``, when given, is the
+    ``_CircuitEngine`` of (spec, charging_scale) that the caller shares
+    with its other solves.
     """
     settings = settings or PropagationSettings()
-    engine = _engine or _CircuitEngine(spec, charging_scale)
+    engine = _engine or _CircuitEngine(spec, charging_scale, real=True)
     psi0 = np.asarray(psi0, dtype=complex)
     block = psi0.ndim == 2
     psi = engine.restrict(psi0 if block else psi0[:, None])
@@ -616,7 +664,8 @@ def propagate_state(
     norms = [np.ones(psi.shape[1])]
     ref_alpha = profile.alpha(profile.t_start)
     ref = lowest(ref_alpha)
-    weights.append(np.abs(ref.states.conj().T @ psi) ** 2)
+    ref_states = engine.charge_states(ref.states)
+    weights.append(np.abs(ref_states.conj().T @ psi) ** 2)
     sampled_energies = [ref.energies.copy()]
 
     t = profile.t_start
@@ -644,7 +693,8 @@ def propagate_state(
                 sol = align_gauge(ref, lowest(alpha), min_overlap=0.0)
                 _check_pair_continuity(ref, sol, f"t = {t:.2f} ns")
                 ref, ref_alpha = sol, alpha
-            weights.append(np.abs(ref.states.conj().T @ psi) ** 2)
+                ref_states = engine.charge_states(ref.states)
+            weights.append(np.abs(ref_states.conj().T @ psi) ** 2)
             sampled_energies.append(ref.energies.copy())
             times.append(t)
             states[len(times) - 1, engine.indices] = psi

@@ -278,7 +278,7 @@ class Gamma1Interpolator:
     ):
         self.alphas = np.linspace(alpha_lo, alpha_hi, n_grid)
         channels = channels if channels is not None else default_channels()
-        engine = _engine or _CircuitEngine(spec, charging_scale)
+        engine = _engine or _CircuitEngine(spec, charging_scale, real=True)
         engine.set_window(alpha_lo, alpha_hi, 3, n_grid)
         unit = _noise_operators(spec.with_alpha(1.0), [ch.kind for ch in channels],
                                 engine.charging_scale, engine.indices)
@@ -315,11 +315,13 @@ def _t1_limited_fidelity(profile: AlphaProfile, gamma1: tuple) -> float:
 
 def _gate_engine(spec: CircuitSpec, profile: AlphaProfile,
                  settings: PropagationSettings) -> _CircuitEngine:
-    """The one engine of a driven gate's circuit, its window the schedule's
-    alpha range with ``spectral_k`` levels. Where that window holds a basis,
-    the propagation's samples and the rate grid are solved in it, and the
-    plateau and alpha = 1 solves are its end snapshots."""
-    engine = _CircuitEngine(spec)
+    """The one engine of a driven gate's circuit, in the real working basis
+    where the circuit allows it, its window the schedule's alpha range with
+    ``spectral_k`` levels. Where that window holds a basis, the
+    propagation's samples and the rate grid are solved in it, and the
+    plateau solve is its end snapshot. The gate's alpha = 1 states are the
+    engine's ``charge_gauge_states``, solved once for all its gates."""
+    engine = _CircuitEngine(spec, real=True)
     _propagation_window(engine, profile, settings)
     return engine
 
@@ -359,7 +361,11 @@ def run_single_qubit_gate(
     is the plain average gate fidelity against ``target`` after dropping
     a global phase. The rates (when built here), the alpha = 1 states and
     the propagation solve through one engine, ``_engine`` when the caller
-    shares its own (see ``_gate_engine``).
+    shares its own (see ``_gate_engine``). The alpha = 1 states are
+    ``_CircuitEngine.charge_gauge_states``, charge-basis vectors in the
+    gauge of a charge-basis ``spectrum.qubit_eigensolution`` whatever the
+    engine's working basis, since their phases set the axes the target
+    names.
     """
     if not profile.is_gate_schedule():
         raise GateError("gate schedules must start and end at alpha = 1")
@@ -372,7 +378,7 @@ def run_single_qubit_gate(
                                     _engine=engine)
     t1_limited = _t1_limited_fidelity(profile, (gamma1,))
     states = np.zeros((engine.full_dim, 2), dtype=complex)
-    states[engine.indices] = engine.lowest(1.0, 2)[1]
+    states[engine.indices] = engine.charge_gauge_states(1.0, 2)
     traj = propagate_state(spec, profile, pulse, states, settings, _engine=engine)
     u_frame, raw, leakage = _assemble_two_level_map(states, traj)
     if leakage > 0.05:
@@ -419,7 +425,7 @@ def calibrate_drive(
         return replace(pulse_template, amplitude=0.0)
     settings = settings or PropagationSettings()
     # without a scan, the one plateau solve needs no window
-    engine = _engine or (_CircuitEngine(spec) if target is None
+    engine = _engine or (_CircuitEngine(spec, real=True) if target is None
                          else _gate_engine(spec, profile, settings))
     element = abs(_qubit_levels(engine, profile.alpha_min, 3)[2][0, 1])
     if element < 1e-12:

@@ -348,6 +348,46 @@ def test_calibration_scan_shares_one_engine(monkeypatch):
     assert all(engine is scan[0][0] and rates is scan[0][1] for engine, rates in scan)
 
 
+def test_gate_scores_in_the_charge_basis_gauge_in_either_engine_basis():
+    # A gate's 2x2 map is scored in its alpha = 1 states, whose phases fix
+    # the axes the target names; an eigensolver in another basis sets other
+    # phases and moves the score. The gate's engine solves in the real basis
+    # but takes those states from a charge-basis qubit_eigensolution, so it
+    # scores the gate as a charge-basis engine with the same window does.
+    spec = CircuitSpec(ej=10.0, ec=0.1, phi_ext=0.995 * math.pi, cutoff=10)
+    profile = AlphaProfile.single_qubit(ramp_ns=2.0, plateau_ns=4.0)
+    settings = PropagationSettings(steps_per_ns=50)
+
+    def gate(spec, engine):
+        levels = qubit_eigensolution(spec.with_alpha(profile.alpha_min), 2).energies
+        template = DrivePulse(amplitude=0.0, carrier_freq=0.979 * (levels[1] - levels[0]),
+                              ramp_ns=1.0, flat_ns=2.0, t_start=2.0)
+        pulse = gates.calibrate_drive(spec, profile, template, math.pi)
+        return gates.run_single_qubit_gate(spec, profile, pulse, gates.SIGMA_X, settings,
+                                           _engine=engine)
+
+    real = gates._gate_engine(spec, profile, settings)
+    charge = evolve._CircuitEngine(spec)
+    evolve._propagation_window(charge, profile, settings)
+    assert real.real and not charge.real
+    ours, theirs = (gate(spec, engine) for engine in (real, charge))
+    for engine in (real, charge):
+        k = engine._window.k + evolve.SNAPSHOT_PAD
+        states = qubit_eigensolution(spec.with_alpha(1.0), k).states[engine.indices, :2]
+        np.testing.assert_array_equal(engine.charge_gauge_states(1.0, 2), states)
+    np.testing.assert_allclose(ours.extras["raw_map"], theirs.extras["raw_map"], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ours.extras["trajectory"].spectral_weights,
+                               theirs.extras["trajectory"].spectral_weights, rtol=0, atol=1e-12)
+    for name in ("coherent_fidelity", "leakage", "t1_limited_fidelity"):
+        assert abs(getattr(ours, name) - getattr(theirs, name)) < 1e-12, name
+    # off ng = 0 the charge inversion is no symmetry: the gate's engine stays
+    # in the charge basis and still makes a gate
+    offset = replace(spec, ng_theta=0.05)
+    engine = gates._gate_engine(offset, profile, settings)
+    assert not engine.real
+    assert gate(offset, engine).leakage < 0.05
+
+
 def test_rates_outside_their_grid_are_an_error():
     # rates built for a T_a = 20 ns gate do not reach the lower barrier of a
     # T_a = 40 ns gate, and are not extrapolated to it
