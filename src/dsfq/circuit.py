@@ -33,6 +33,7 @@ A dense full-basis matrix exists only on request, as
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -421,19 +422,23 @@ def parity_permutation(basis: ChargeBasis) -> np.ndarray:
     return np.arange(basis.dim).reshape(d, d)[::-1].ravel()
 
 
-def charge_inversion_basis(basis: ChargeBasis) -> scipy.sparse.csr_array:
+@functools.lru_cache(maxsize=16)
+def charge_inversion_basis(basis: ChargeBasis,
+                           parity: int | None = None) -> scipy.sparse.csr_array:
     """Unitary S whose columns are their own images under C*K.
 
     C is the charge inversion n -> -n of every mode, which reverses the
     basis order, and K is complex conjugation. For p below the middle
     index and q = dim - 1 - p, column p is (|p> + |q>)/sqrt(2) and column
     q is i*(|p> - |q>)/sqrt(2); the middle column is the all-zero charge
-    state. An H with C H* C = H, such as every H(alpha) at ng = 0, is
-    real symmetric in this basis (an antiunitary symmetry that squares to
-    +1: Haake, Quantum Signatures of Chaos, ch. 2), and a charge, which C
-    reverses, is i times a real antisymmetric matrix. Pairs (p, q) keep
-    their indices, so S restricted to a (n_phi + n_theta) parity sector is
-    the same basis for that sector.
+    state. An H with C H* C = H (``inversion_symmetric``), such as every
+    H(alpha) at ng = 0, is real symmetric in this basis (an antiunitary
+    symmetry that squares to +1: Haake, Quantum Signatures of Chaos,
+    ch. 2), and a charge, which C reverses, is i times a real
+    antisymmetric matrix. Pairs (p, q) keep their indices, so S restricted
+    to a (n_phi + n_theta) parity sector, which ``parity`` asks for, is
+    the same basis for that sector. Each (basis, parity) is built once and
+    shared: callers must not modify the result.
     """
     dim, mid = basis.dim, basis.dim // 2
     p = np.arange(mid)
@@ -442,7 +447,30 @@ def charge_inversion_basis(basis: ChargeBasis) -> scipy.sparse.csr_array:
     rows = np.concatenate([p, q, p, q, [mid]])
     cols = np.concatenate([p, p, q, q, [mid]])
     values = np.concatenate([r, r, 1j * r, -1j * r, [1.0]])
-    return scipy.sparse.coo_array((values, (rows, cols)), shape=(dim, dim)).tocsr()
+    s = scipy.sparse.coo_array((values, (rows, cols)), shape=(dim, dim)).tocsr()
+    if parity is None:
+        return s
+    idx = physical_sector_indices(basis, parity)
+    return s[idx][:, idx]
+
+
+def inversion_symmetric(h: scipy.sparse.csr_array) -> bool:
+    """Whether C h* C equals h exactly, C the index reversal, in O(nnz).
+
+    C is the charge inversion of a basis or of one of its parity sectors
+    (``charge_inversion_basis``). C h* C holds the conjugate of h's entry
+    (i, j) at (D-1-i, D-1-j): in CSR form with sorted columns it has h's
+    rows in reverse order, each with its entries reversed. So h passes
+    when its arrays equal their own reversal, the data conjugated. An
+    explicit zero without a mirror fails the test.
+    """
+    if not h.has_canonical_format:
+        h = h.copy()
+        h.sum_duplicates()
+    dim = h.shape[0]
+    return (np.array_equal(h.indptr, h.indptr[-1] - h.indptr[::-1])
+            and np.array_equal(h.indices, dim - 1 - h.indices[::-1])
+            and np.array_equal(h.data, h.data[::-1].conj()))
 
 
 def phase_grid_points(grid_points: int) -> np.ndarray:

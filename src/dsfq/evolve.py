@@ -19,13 +19,14 @@ satisfy C h* C = h, C the charge inversion (every ng = 0 qubit): there
 every H(alpha) is real symmetric and n1 is i times a real antisymmetric
 matrix, so the solves, overlaps and product Hamiltonians of the
 two-qubit frames, the ZZ statics and a driven gate's window, samples and
-Gamma_1 grid are all float64. Elsewhere the working basis is the charge
-basis and the same code runs on complex data. The states that a driven
-gate propagates, and the alpha = 1 states it is scored in, are
+Gamma_1 grid are all float64, as is every ng = 0 static solve of
+``spectrum.qubit_eigensolution``. Elsewhere the working basis is the
+charge basis and the same code runs on complex data. The states that a
+driven gate propagates, and the alpha = 1 states it is scored in, are
 charge-basis vectors in either case: the phases of those states, set by
-``spectrum.qubit_eigensolution`` in the charge basis
-(``_CircuitEngine.charge_gauge_states``), fix what a gate's target
-means, and the real basis would set other phases.
+a complex charge-basis solve (``_CircuitEngine.charge_gauge_states``),
+fix what a gate's target means, and the real basis would set other
+phases. That solve is the only one at ng = 0 that runs on complex data.
 
 Every ``propagate_state`` step is one fourth-order commutator-free Magnus
 step, whose two half-step exponentials ``_CircuitEngine.expi_apply``
@@ -59,6 +60,7 @@ from .circuit import (
     build_operator,
     charge_inversion_basis,
     hamiltonian_decomposition,
+    inversion_symmetric,
     physical_sector_indices,
 )
 from .spectrum import (
@@ -322,10 +324,15 @@ def _common_pattern(*mats) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     return pattern.indptr, pattern.indices, rows, [m[rows, pattern.indices] for m in mats]
 
 
-def _inversion_symmetric(h: scipy.sparse.csr_array) -> bool:
-    """Whether C h* C equals h exactly, C the index reversal, in O(nnz)."""
-    rev = np.arange(h.shape[0])[::-1]
-    return not (h[rev][:, rev].conj() - h).count_nonzero()
+def _offdiagonal_column_sums(indices: np.ndarray, diag: np.ndarray, data, dim: int) -> list:
+    """Column sums of |m| off the diagonal, for each data array m on one
+    CSR pattern whose diagonal entries sit at the positions ``diag``."""
+    sums = []
+    for d in data:
+        weights = np.abs(d)
+        weights[diag] = 0.0
+        sums.append(np.bincount(indices, weights=weights, minlength=dim))
+    return sums
 
 
 class _CircuitEngine:
@@ -340,9 +347,9 @@ class _CircuitEngine:
     True, and every solve, reduced basis and residual is float64 (see the
     module docstring for which engines ask for it). ``charge_states`` maps
     working coordinates to the charge basis. A dense solve is
-    ``spectrum.qubit_eigensolution`` in the working basis, and every
-    residual bound is ``RESIDUAL_RTOL`` times ||H(alpha)||_inf of the
-    charge-basis H.
+    ``spectrum.qubit_eigensolution`` (as coordinates in S for a real
+    engine), and every residual bound is ``RESIDUAL_RTOL`` times
+    ||H(alpha)||_inf of the charge-basis H.
 
     ``expi_apply`` acts on charge-basis (sector) vectors in either working
     basis: its generator is the charge-basis h0 and h1 on their pattern
@@ -364,10 +371,11 @@ class _CircuitEngine:
         self._spec, self.charging_scale = spec, charging_scale
         h0, h1 = hamiltonian_decomposition(spec, charging_scale)
         self.full_dim = h0.shape[0]
-        if spec.variant is Variant.SINGLE_LOOP:
-            self.indices = physical_sector_indices(spec.basis, 0)
-        else:
+        parity = 0 if spec.variant is Variant.SINGLE_LOOP else None
+        if parity is None:
             self.indices = np.arange(self.full_dim)
+        else:
+            self.indices = physical_sector_indices(spec.basis, parity)
         self.dim = self.indices.size
         h0, h1, n1 = (m[self.indices][:, self.indices]
                       for m in (h0, h1, build_operator("n1", spec).csr))
@@ -376,12 +384,14 @@ class _CircuitEngine:
         (self._gen_indptr, self._gen_indices, self._gen_rows,
          self._gen_data) = _common_pattern(h0, h1)
         self._gen_diag = np.flatnonzero(self._gen_rows == self._gen_indices)
+        self._gen_off = _offdiagonal_column_sums(self._gen_indices, self._gen_diag,
+                                                 self._gen_data, self.dim)
         self._gen_n1 = n1.diagonal()
         self._gen_step = np.zeros(self._gen_indices.size, dtype=complex)  # rewritten per call
         self._basis = None
-        self.real = real and _inversion_symmetric(h0) and _inversion_symmetric(h1)
+        self.real = real and inversion_symmetric(h0) and inversion_symmetric(h1)
         if self.real:
-            s = self._basis = charge_inversion_basis(spec.basis)[self.indices][:, self.indices]
+            s = self._basis = charge_inversion_basis(spec.basis, parity)
             h0, h1 = ((s.conj().T @ h @ s).real for h in (h0, h1))
             self.n1 = (s.conj().T @ n1 @ s).imag
             self._indptr, self._indices, _, self._data = _common_pattern(h0, h1)
@@ -411,13 +421,14 @@ class _CircuitEngine:
         of ``shift``, the lowest level of the latest sample, is split off
         analytically, so the sums expand exp(tau*A) with
         A = -i*2*pi*(H - shift) about the levels that hold the state, whose
-        terms fall fast. nu, the 1-norm of tau*A, bounds its 2-norm (H is
-        Hermitian); A is cut into s = ceil(nu / TAYLOR_SUBSTEP_NORM)
-        substeps. Once r = nu_s/(k + 1) < 1, the terms after t_k sum to at
-        most ||t_k|| r/(1 - r) (Frobenius norm for a block), and a substep
-        stops at the first k where that is at most TAYLOR_TOL ||psi||,
-        psi the state the substep starts from, whose norm exp(tau*A)
-        keeps (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+        terms fall fast. nu, the 1-norm of tau*A (``_generator_norm``),
+        bounds its 2-norm (H is Hermitian); A is cut into
+        s = ceil(nu / TAYLOR_SUBSTEP_NORM) substeps. Once
+        r = nu_s/(k + 1) < 1, the terms after t_k sum to at most
+        ||t_k|| r/(1 - r) (Frobenius norm for a block), and a substep stops
+        at the first k where that is at most TAYLOR_TOL ||psi||, psi the
+        state the substep starts from, whose norm exp(tau*A) keeps
+        (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 
         Each term is one call of the CSR multivector kernel between two
         swapped buffers, added into the sum in place, so a term makes no
@@ -430,10 +441,9 @@ class _CircuitEngine:
         d0, d1 = self._gen_data
         np.multiply(d1, alpha, out=a)
         a += d0
-        a[self._gen_diag] = a[self._gen_diag] + drive * self._gen_n1 - shift
-        norm = 2.0 * math.pi * dt * float(
-            np.bincount(self._gen_indices, weights=np.abs(a), minlength=self.dim).max()
-        )
+        diag = a[self._gen_diag] + drive * self._gen_n1 - shift
+        a[self._gen_diag] = diag
+        norm = 2.0 * math.pi * dt * self._generator_norm(alpha, diag)
         s = max(1, math.ceil(norm / TAYLOR_SUBSTEP_NORM))
         nu = norm / s
         a *= -2j * math.pi * dt / s
@@ -462,6 +472,14 @@ class _CircuitEngine:
                     break
         psi *= np.exp(-2j * math.pi * shift * dt)
         return psi
+
+    def _generator_norm(self, alpha: float, diag: np.ndarray) -> float:
+        """1-norm of h0 + alpha*h1 with the diagonal ``diag``, from the
+        kept off-diagonal column sums of |h0| and |h1|: exact up to
+        rounding where their off-diagonal patterns are disjoint, as on
+        every circuit variant, and an upper bound otherwise."""
+        off0, off1 = self._gen_off
+        return float((off0 + abs(alpha) * off1 + np.abs(diag)).max())
 
     def set_window(self, lo: float, hi: float, k: int, solves: int) -> None:
         """State that ``solves`` calls of ``lowest(alpha, k)`` with alpha in
@@ -509,7 +527,7 @@ class _CircuitEngine:
 
     def _dense_lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
         sol = qubit_eigensolution(self._spec.with_alpha(alpha), k, self.charging_scale,
-                                  _real_basis=self._basis)
+                                  _coordinates=self.real)
         return sol.energies, sol.states if self.real else sol.states[self.indices]
 
     def charge_states(self, states: np.ndarray) -> np.ndarray:
@@ -518,19 +536,20 @@ class _CircuitEngine:
 
     def charge_gauge_states(self, alpha: float, m: int) -> np.ndarray:
         """The lowest m eigenvectors of H(alpha) as charge-basis (sector)
-        columns, in the phase gauge of a charge-basis
-        ``spectrum.qubit_eigensolution``, for an engine in either working
-        basis. Where ``lowest(alpha, m)`` would return a snapshot of the
-        window, the solve takes the snapshot's k + SNAPSHOT_PAD levels, as
-        the charge-basis snapshot itself does; otherwise m. Each (alpha, m)
-        is solved once per engine.
+        columns, in the phase gauge of a complex charge-basis solve
+        (``spectrum.qubit_eigensolution`` with ``_real=False``), for an
+        engine in either working basis. Where ``lowest(alpha, m)`` would
+        return a snapshot of the window, the solve takes the snapshot's
+        k + SNAPSHOT_PAD levels, the dense problem of the snapshot itself;
+        otherwise m. Each (alpha, m) is solved once per engine.
         """
         key = (alpha, m)
         if key not in self._gauge_states:
             w = self._window
             snapshot = w is not None and m <= w.k and alpha in w.snapshots
             k = w.k + SNAPSHOT_PAD if snapshot else m
-            sol = qubit_eigensolution(self._spec.with_alpha(alpha), k, self.charging_scale)
+            sol = qubit_eigensolution(self._spec.with_alpha(alpha), k, self.charging_scale,
+                                      _real=False)
             self._gauge_states[key] = sol.states[self.indices, :m]
         return self._gauge_states[key]
 

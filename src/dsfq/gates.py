@@ -363,9 +363,8 @@ def run_single_qubit_gate(
     the propagation solve through one engine, ``_engine`` when the caller
     shares its own (see ``_gate_engine``). The alpha = 1 states are
     ``_CircuitEngine.charge_gauge_states``, charge-basis vectors in the
-    gauge of a charge-basis ``spectrum.qubit_eigensolution`` whatever the
-    engine's working basis, since their phases set the axes the target
-    names.
+    gauge of a complex charge-basis solve whatever the engine's working
+    basis, since their phases set the axes the target names.
     """
     if not profile.is_gate_schedule():
         raise GateError("gate schedules must start and end at alpha = 1")

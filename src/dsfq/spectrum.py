@@ -1,7 +1,8 @@
 """Hermitian eigensolutions with gauge continuity, plus derived qubit numbers.
 
 ``diagonalize`` finds the lowest k levels by one of two branches, chosen
-by one rule in (dim, k): above ``DENSE_DIM_LIMIT`` states and for
+by one rule in (dim, k, dtype): above ``DENSE_DIM_LIMIT`` states for a
+complex matrix, or ``REAL_DENSE_DIM_LIMIT`` for a real one, and for
 k <= dim / ``SPARSE_STATES_PER_LEVEL``, shift-invert Lanczos on the CSC
 form of the (sector) matrix; otherwise dense ``scipy.linalg.eigh``. The
 sector is sliced from the operator's CSR, and only the dense branch makes
@@ -11,6 +12,13 @@ generic vector. A level it missed would not show in any residual, so a
 Sylvester inertia count of the levels below (E_{k-1} + E_k)/2 must come
 out at exactly k. Whenever it cannot show that, the dense branch solves
 the problem instead.
+
+``qubit_eigensolution`` solves in real arithmetic wherever the circuit
+allows it: a (sector) H with C H* C = H, C the charge inversion (every
+ng = 0 circuit), is real symmetric in ``circuit.charge_inversion_basis``
+S, where a dense ``eigh`` costs a quarter of the complex one and
+shift-invert runs symmetric ARPACK. The states are taken back to the
+charge basis, so every caller sees the same kind of ``EigenSolution``.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ from .circuit import (
     HermitianOperator,
     Variant,
     build_hamiltonian,
+    charge_inversion_basis,
+    inversion_symmetric,
     parity_permutation,
     physical_sector_indices,
 )
@@ -47,10 +57,16 @@ __all__ = [
 
 # Solver rule, measured on the circuits' matrices (2 vCPU, BLAS on one
 # thread). Dense eigh costs about dim**3 whatever k is; shift-invert costs a
-# sparse LU plus about 1.5 ms per level. At k = 3 the two tie near 300 states
-# and shift-invert wins above (313: 20 -> 17 ms, 625: 136 -> 32 ms); dense
-# wins again from k = 12 on 313 states and from k = 16 on 361.
-DENSE_DIM_LIMIT = 300  # at or below it every solve is dense
+# sparse LU plus about 1.5 ms per level. Complex matrices: at k = 3 the two
+# tie near 300 states and shift-invert wins above (313: 20 -> 17 ms, 625:
+# 136 -> 32 ms); dense wins again from k = 12 on 313 states and from k = 16
+# on 361. Real matrices (S^dag H S): a dense eigh costs a quarter of the
+# complex one, so dense wins at k = 3 on 313 states (3.9 against 7.1 ms
+# shift-invert) and 361 (4.3 against 7.9), the two tie from about 420 to
+# 545 (545: 14-18 against 11-16 ms), and shift-invert wins at 625 (21
+# against 13 ms) and above.
+DENSE_DIM_LIMIT = 300  # at or below it every complex solve is dense
+REAL_DENSE_DIM_LIMIT = 560  # at or below it every real solve is dense
 SPARSE_STATES_PER_LEVEL = 40  # above it, shift-invert while k <= dim / 40
 RESIDUAL_RTOL = 1e-9
 DEGENERACY_TOL = 1e-9
@@ -91,8 +107,9 @@ class _SparseRefused(SpectrumError):
     """The sparse branch could not show that its levels are the lowest k."""
 
 
-def _use_sparse(dim: int, k: int) -> bool:
-    return dim > DENSE_DIM_LIMIT and k * SPARSE_STATES_PER_LEVEL <= dim
+def _use_sparse(dim: int, k: int, dtype=complex) -> bool:
+    limit = DENSE_DIM_LIMIT if np.dtype(dtype).kind == "c" else REAL_DENSE_DIM_LIMIT
+    return dim > limit and k * SPARSE_STATES_PER_LEVEL <= dim
 
 
 def _start_vector(dim: int) -> np.ndarray:
@@ -168,7 +185,7 @@ def _lowest_k(h: scipy.sparse.csr_array, k: int, eigvals_only: bool = False):
     """Lowest k eigenpairs of h by the branch that ``diagonalize`` names, or
     their energies alone with ``eigvals_only``."""
     dim = h.shape[0]
-    if _use_sparse(dim, k):
+    if _use_sparse(dim, k, h.dtype):
         try:
             energies, states = _shift_invert_lowest(h.tocsc(), k, _start_vector(dim))
             return energies if eigvals_only else (energies, states)
@@ -180,10 +197,11 @@ def _lowest_k(h: scipy.sparse.csr_array, k: int, eigvals_only: bool = False):
 def diagonalize(op: HermitianOperator | np.ndarray, k: int,
                 basis: ChargeBasis | None = None,
                 sector: str | None = None, *,
-                _real_basis: scipy.sparse.csr_array | None = None) -> EigenSolution:
+                _real: bool = False, _coordinates: bool = False) -> EigenSolution:
     """Lowest-k eigensolution of a Hermitian operator.
 
-    Above ``DENSE_DIM_LIMIT`` states, and while k is at most
+    Above ``DENSE_DIM_LIMIT`` states (``REAL_DENSE_DIM_LIMIT`` for a real
+    matrix), and while k is at most
     dim / ``SPARSE_STATES_PER_LEVEL``, the (sector) matrix is solved in
     CSC form by shift-invert Lanczos, shifted to its Gershgorin lower
     bound and started from a fixed vector, so reruns repeat. Its levels
@@ -200,10 +218,13 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
     clusters are rotated to eigenstates of the phi -> -phi parity when a
     basis is known, even-parity state first, for deterministic labeling.
 
-    ``_real_basis`` is a real working basis S of the (sector) matrix, in which
-    it is real symmetric (``circuit.charge_inversion_basis``): then the
-    real CSR S^dag H S is solved, its eigenvectors are returned in S and
-    not embedded, and the residual bound is still that of H.
+    With ``_real``, a (sector) matrix of a known basis that passes
+    ``circuit.inversion_symmetric`` is solved as the real CSR S^dag H S,
+    S its ``circuit.charge_inversion_basis``, and its eigenvectors are
+    taken back to the charge basis; the residuals are those of the real
+    problem, against the bound of H. ``_coordinates`` asks for the
+    eigenvectors as coordinates in S, not embedded, and raises
+    SpectrumError where the real solve cannot be made.
     """
     if isinstance(op, HermitianOperator):
         h, basis = op.csr, op.basis
@@ -220,32 +241,41 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
         norm = float(abs(h).sum(axis=1).max())
     if not math.isfinite(norm):
         raise SpectrumError(f"||H||_inf = {norm} is not finite")
+    parity = None
     if sector is not None:
         if sector not in _SECTOR_PARITY:
             raise SpectrumError(f"sector must be None, 'even' or 'odd', got {sector!r}")
         if basis is None:
             raise SpectrumError("sector restriction requires a basis descriptor")
-        idx = physical_sector_indices(basis, _SECTOR_PARITY[sector])
+        parity = _SECTOR_PARITY[sector]
+        idx = physical_sector_indices(basis, parity)
         if k > idx.size:
             raise SpectrumError(f"k = {k} exceeds the {idx.size} states of the {sector} sector")
         sub = h[idx][:, idx]
     else:
         sub = h
-    if _real_basis is not None:
-        sub = (_real_basis.conj().T @ sub @ _real_basis).real
+    s = None
+    if _real and basis is not None and inversion_symmetric(sub):
+        s = charge_inversion_basis(basis, parity)
+        sub = (s.conj().T @ sub @ s).real
+    elif _coordinates:
+        raise SpectrumError("the matrix is not real in the charge-inversion basis")
     energies, states = _lowest_k(sub, k)
     residual = np.linalg.norm(sub @ states - states * energies, axis=0)
-    if sector is not None and _real_basis is None:
-        sub_states = states
-        states = np.zeros((dim, energies.size), dtype=sub_states.dtype)
-        states[idx] = sub_states
     if norm > 0 and residual.max() > RESIDUAL_RTOL * norm:
         raise SpectrumError(
             f"eigensolver residuals too large: max {residual.max():.3e} "
             f"vs bound {RESIDUAL_RTOL * norm:.3e}"
         )
-    if _real_basis is not None:  # the states are coordinates in S, not charge-basis vectors
+    if _coordinates:  # coordinates in S, not charge-basis vectors
         basis = None
+    else:
+        if s is not None:
+            states = s @ states
+        if sector is not None:
+            sub_states = states
+            states = np.zeros((dim, energies.size), dtype=sub_states.dtype)
+            states[idx] = sub_states
     sol = EigenSolution(energies=energies, states=states, basis=basis, k=k)
     if basis is not None and basis.modes[0] in ("phi", "phi1") and len(basis.modes) == 2:
         _order_degenerate_by_parity(sol)
@@ -272,18 +302,23 @@ def _order_degenerate_by_parity(sol: EigenSolution) -> None:
 
 
 def qubit_eigensolution(spec: CircuitSpec, k: int = 5, charging_scale: float = 1.0, *,
-                        _real_basis: scipy.sparse.csr_array | None = None) -> EigenSolution:
+                        _real: bool = True, _coordinates: bool = False) -> EigenSolution:
     """Physical lowest-k eigensolution of a circuit.
 
     For the single-loop variant this restricts to the even
     (n_phi + n_theta) sector; the node-variable variants have no
-    redundant sector and are solved in full. ``_real_basis`` is the real
-    working basis S of an ``evolve._CircuitEngine`` on that sector
-    (``diagonalize``); the states are then coordinates in S.
+    redundant sector and are solved in full. Where the (sector) H commutes
+    with C*K, C the charge inversion (every ng = 0 circuit), it is solved
+    in real arithmetic (``diagonalize`` with ``_real``), and each returned
+    vector is C*K-invariant: its phase is fixed up to a sign. Elsewhere,
+    and with ``_real=False``, the solve runs on complex data and the
+    eigensolver sets the phases. ``_coordinates`` returns the states as
+    coordinates in ``circuit.charge_inversion_basis`` of the sector, as an
+    ``evolve._CircuitEngine`` in that basis works.
     """
     h = build_hamiltonian(spec, charging_scale=charging_scale)
     sector = "even" if spec.variant is Variant.SINGLE_LOOP else None
-    return diagonalize(h, k, sector=sector, _real_basis=_real_basis)
+    return diagonalize(h, k, sector=sector, _real=_real, _coordinates=_coordinates)
 
 
 def qubit_params(sol: EigenSolution) -> QubitParams:

@@ -189,6 +189,42 @@ def test_csr_kernel_reproduces_the_sparse_product():
         engine.expi_apply(1.0, 0.0, 0.01, x[:-1], 0.0)
 
 
+@pytest.mark.parametrize("spec", [replace(SPEC, cutoff=8), replace(q_node(), cutoff=6)],
+                         ids=["single_loop", "node_basis"])
+def test_generator_norm_is_exact_on_disjoint_patterns_and_a_bound_otherwise(spec):
+    # expi_apply sizes its Taylor substeps by the 1-norm of h0 + alpha*h1
+    # plus its diagonal, taken from off-diagonal column sums of |h0| and |h1|
+    # kept once; h0 and h1 share no off-diagonal entry, so it is exact
+    engine = evolve._CircuitEngine(spec, real=True)
+    d0, d1 = engine._gen_data
+    at = engine._gen_diag
+
+    def exact(d0, d1, alpha, diag):
+        a = d0 + alpha * d1
+        a[at] = diag
+        m = scipy.sparse.csr_array((a, engine._gen_indices, engine._gen_indptr),
+                                   shape=(engine.dim, engine.dim))
+        return np.abs(m.toarray()).sum(axis=0).max()
+
+    cases = [(alpha, drive * engine._gen_n1 - shift)
+             for alpha, drive, shift in ((1.0, 0.0, -12.4), (0.7, 0.3, -11.0), (0.43, -0.2, 0.0))]
+    for alpha, extra in cases:
+        diag = d0[at] + alpha * d1[at] + extra
+        assert engine._generator_norm(alpha, diag) == pytest.approx(
+            exact(d0, d1, alpha, diag), rel=1e-14, abs=0)
+    # give h1 entries on h0's off-diagonal pattern, which partly cancel:
+    # the kept sums then bound the norm from above
+    rng = np.random.default_rng(4)
+    mixed = d1 + (d0 != 0) * (rng.normal(size=d0.size) + 1j * rng.normal(size=d0.size))
+    mixed[at] = d1[at]
+    engine._gen_off = evolve._offdiagonal_column_sums(engine._gen_indices, at, (d0, mixed),
+                                                      engine.dim)
+    for alpha, extra in cases:
+        diag = d0[at] + alpha * mixed[at] + extra
+        bound, norm = engine._generator_norm(alpha, diag), exact(d0, mixed, alpha, diag)
+        assert norm < bound < 2 * norm
+
+
 def test_ramp_leakage_and_transition_scales():
     # 7 ns ramp 1 -> 0.7: leakage ~ 1e-4, inter-level transition ~ 1e-3
     sol = qubit_eigensolution(SPEC, 3)

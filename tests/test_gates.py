@@ -18,7 +18,7 @@ from dsfq.evolve import (
     TwoQubitFrame,
     _computational_levels,
 )
-from dsfq.spectrum import qubit_eigensolution
+from dsfq.spectrum import diagonalize, qubit_eigensolution
 from dsfq.gates import (
     GateError,
     Gamma1Interpolator,
@@ -352,8 +352,8 @@ def test_gate_scores_in_the_charge_basis_gauge_in_either_engine_basis():
     # A gate's 2x2 map is scored in its alpha = 1 states, whose phases fix
     # the axes the target names; an eigensolver in another basis sets other
     # phases and moves the score. The gate's engine solves in the real basis
-    # but takes those states from a charge-basis qubit_eigensolution, so it
-    # scores the gate as a charge-basis engine with the same window does.
+    # but takes those states from a complex charge-basis solve, so it scores
+    # the gate as a charge-basis engine with the same window does.
     spec = CircuitSpec(ej=10.0, ec=0.1, phi_ext=0.995 * math.pi, cutoff=10)
     profile = AlphaProfile.single_qubit(ramp_ns=2.0, plateau_ns=4.0)
     settings = PropagationSettings(steps_per_ns=50)
@@ -373,7 +373,8 @@ def test_gate_scores_in_the_charge_basis_gauge_in_either_engine_basis():
     ours, theirs = (gate(spec, engine) for engine in (real, charge))
     for engine in (real, charge):
         k = engine._window.k + evolve.SNAPSHOT_PAD
-        states = qubit_eigensolution(spec.with_alpha(1.0), k).states[engine.indices, :2]
+        sol = diagonalize(build_hamiltonian(spec.with_alpha(1.0)), k, sector="even")
+        states = sol.states[engine.indices, :2]
         np.testing.assert_array_equal(engine.charge_gauge_states(1.0, 2), states)
     np.testing.assert_allclose(ours.extras["raw_map"], theirs.extras["raw_map"], rtol=0, atol=1e-12)
     np.testing.assert_allclose(ours.extras["trajectory"].spectral_weights,

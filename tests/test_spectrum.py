@@ -15,7 +15,9 @@ from dsfq.circuit import (
     Variant,
     build_hamiltonian,
     build_operator,
+    charge_inversion_basis,
     hamiltonian_decomposition,
+    inversion_symmetric,
     parity_permutation,
     phase_grid_points,
     physical_sector_indices,
@@ -326,6 +328,92 @@ def test_solver_rule_keeps_small_and_many_level_solves_dense():
     for dim, k in ((300, 1), (289, 3), (313, 8), (313, 12), (361, 12), (361, 16),
                    (313, 25), (625, 16)):
         assert not spectrum._use_sparse(dim, k)
+    # real matrices (S^T H S at ng = 0): a dense eigh costs a quarter of the
+    # complex one, so the k = 3 solves on 313, 361 and 545 states stay dense
+    # and shift-invert takes over from the 625-state gradiometric basis on
+    for dim, k in ((625, 3), (625, 15), (2209, 3)):
+        assert spectrum._use_sparse(dim, k, np.float64)
+    for dim, k in ((313, 3), (361, 3), (545, 3), (545, 12), (313, 25), (625, 16)):
+        assert not spectrum._use_sparse(dim, k, np.float64)
+
+
+REAL_ROUTE = {
+    "single_loop": replace(DEFAULT, alpha=0.8),
+    "gradiometric": CircuitSpec(variant=Variant.GRADIOMETRIC, ej=10.0, ec=0.1, alpha1=1.0,
+                                alpha2=0.95, phi_ext1=0.99 * math.pi,
+                                phi_ext2=-1.01 * math.pi, cutoff=12),
+    "node_basis": CircuitSpec(variant=Variant.NODE_BASIS, ej=10.0, ec=0.1, alpha=0.9,
+                              phi_ext=0.99 * math.pi, cutoff=9),
+}
+
+
+def _record_solved_dtypes(monkeypatch) -> list:
+    """Record the dtype of every matrix that a lowest-k solve takes."""
+    dtypes = []
+    lowest_k = spectrum._lowest_k
+
+    def recorded(h, k, **kwargs):
+        dtypes.append(h.dtype)
+        return lowest_k(h, k, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_lowest_k", recorded)
+    return dtypes
+
+
+@pytest.mark.parametrize("shape", sorted(REAL_ROUTE))
+def test_qubit_eigensolution_solves_in_real_arithmetic_at_zero_offset_charge(
+        shape, monkeypatch):
+    # at ng = 0 the (sector) H passes the charge-inversion test and is solved
+    # as the real S^T H S; the states come back as charge-basis vectors,
+    # C*K-invariant, equal to those of the complex solve up to a phase
+    spec = REAL_ROUTE[shape]
+    sector = "even" if spec.variant is Variant.SINGLE_LOOP else None
+    dtypes = _record_solved_dtypes(monkeypatch)
+    for k in (3, 8):
+        sol = qubit_eigensolution(spec, k)
+        ref = diagonalize(build_hamiltonian(spec), k, sector=sector)
+        assert dtypes.pop(0) == np.float64 and dtypes.pop(0) == np.complex128
+        assert sol.basis == spec.basis and sol.states.shape == ref.states.shape
+        assert sol.energies == pytest.approx(ref.energies, abs=1e-10)
+        overlaps = np.abs(np.sum(ref.states.conj() * sol.states, axis=0))
+        assert overlaps == pytest.approx(np.ones(k), abs=1e-10)
+        assert np.abs(sol.states[::-1].conj() - sol.states).max() < 1e-14
+    # an offset charge breaks the symmetry: the solve stays complex
+    offset = replace(spec, ng_theta=0.05)
+    sol = qubit_eigensolution(offset, 3)
+    assert dtypes == [np.complex128]
+    ref = diagonalize(build_hamiltonian(offset), 3, sector=sector)
+    np.testing.assert_array_equal(sol.states, ref.states)
+    with pytest.raises(SpectrumError, match="not real"):
+        qubit_eigensolution(offset, 3, _coordinates=True)
+
+
+def test_inversion_test_is_exact_and_matches_its_dense_definition():
+    spec = REAL_ROUTE["single_loop"]
+    idx = physical_sector_indices(spec.basis, 0)
+
+    def dense_definition(h):
+        m = h.toarray()
+        return np.array_equal(m[::-1, ::-1].conj(), m)
+
+    h = build_hamiltonian(spec).csr
+    cases = [h, h[idx][:, idx], build_hamiltonian(replace(spec, ng_phi=0.05)).csr]
+    tilted = h.copy()
+    tilted.data[7] *= 1 + 1e-15  # one entry off its mirror by a rounding
+    cases.append(tilted)
+    # the same matrix with each row's entries in a random order
+    rng = np.random.default_rng(5)
+    order = np.concatenate([rng.permutation(np.arange(a, b))
+                            for a, b in zip(h.indptr, h.indptr[1:])])
+    cases.append(scipy.sparse.csr_array((h.data[order], h.indices[order], h.indptr),
+                                        shape=h.shape))
+    assert [inversion_symmetric(m) for m in cases] == [True, True, False, False, True]
+    assert [dense_definition(m) for m in cases] == [True, True, False, False, True]
+    # the sector basis is built once and is the full basis restricted
+    s = charge_inversion_basis(spec.basis, 0)
+    assert s is charge_inversion_basis(spec.basis, 0)
+    full = charge_inversion_basis(spec.basis).toarray()
+    np.testing.assert_array_equal(s.toarray(), full[np.ix_(idx, idx)])
 
 
 def test_doubly_degenerate_levels_get_the_dense_energies():
