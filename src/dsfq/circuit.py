@@ -193,11 +193,12 @@ class CoupledSpec:
 class HermitianOperator:
     """A labeled Hermitian operator in a declared charge basis.
 
-    It is stored once, as ``csr``: a CSR array with its explicit zeros
-    eliminated. The third argument may be that array, another scipy sparse
-    form or a dense matrix. Hermiticity and finiteness are checked on the
-    stored entries, in O(nnz). ``matrix`` is a dense copy, made on each
-    access.
+    It is stored once, as ``csr``: a canonical CSR array (duplicates
+    summed, columns sorted) with its explicit zeros eliminated. The third
+    argument may be that array, another scipy sparse form or a dense
+    matrix. Finiteness and Hermiticity are checked on the stored entries,
+    the latter by comparing each with its mirror (a lone entry counts with
+    its own magnitude). ``matrix`` is a dense copy, made on each access.
     """
 
     label: str
@@ -210,11 +211,14 @@ class HermitianOperator:
             raise CircuitError(
                 f"matrix shape {m.shape} does not match basis dimension {self.basis.dim}"
             )
+        m.sum_duplicates()
         m.eliminate_zeros()
         if not np.isfinite(m.data).all():
             raise CircuitError(f"operator {self.label!r} has non-finite entries")
         bound = HERMITICITY_RTOL * np.abs(m.data).max(initial=0.0)
-        if np.abs((m - m.conj().T).data).max(initial=0.0) > bound:
+        # each stored entry against its mirror, which reads 0 where none is stored
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        if np.abs(m.data - m[m.indices, rows].conj()).max(initial=0.0) > bound:
             raise CircuitError(f"operator {self.label!r} is not Hermitian")
         self.csr = m
 
@@ -454,6 +458,13 @@ def charge_inversion_basis(basis: ChargeBasis,
     return s[idx][:, idx]
 
 
+def _canonical(h: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
+    if not h.has_canonical_format:
+        h = h.copy()
+        h.sum_duplicates()
+    return h
+
+
 def inversion_symmetric(h: scipy.sparse.csr_array) -> bool:
     """Whether C h* C equals h exactly, C the index reversal, in O(nnz).
 
@@ -464,13 +475,97 @@ def inversion_symmetric(h: scipy.sparse.csr_array) -> bool:
     when its arrays equal their own reversal, the data conjugated. An
     explicit zero without a mirror fails the test.
     """
-    if not h.has_canonical_format:
-        h = h.copy()
-        h.sum_duplicates()
+    h = _canonical(h)
     dim = h.shape[0]
     return (np.array_equal(h.indptr, h.indptr[-1] - h.indptr[::-1])
             and np.array_equal(h.indices, dim - 1 - h.indices[::-1])
             and np.array_equal(h.data, h.data[::-1].conj()))
+
+
+def _theta_permutation(basis: ChargeBasis, parity: int | None = None) -> np.ndarray:
+    """The reflection n_theta -> -n_theta (P_theta) as an index permutation
+    of a basis or of one of its (n_phi + n_theta) parity sectors, which it
+    maps onto themselves; P_theta keeps n_phi. In node variables it is
+    (n1, n2) -> (-n2, -n1)."""
+    d = basis.dim_per_mode
+    grid = np.arange(basis.dim).reshape(d, d)
+    perm = (grid[:, ::-1] if basis.modes == ("phi", "theta") else grid.T[::-1, ::-1]).ravel()
+    if parity is None:
+        return perm
+    idx = physical_sector_indices(basis, parity)
+    return np.searchsorted(idx, perm[idx])
+
+
+def _entry_images(h: scipy.sparse.csr_array, perm: np.ndarray) -> np.ndarray | None:
+    """For each stored entry (i, j) of a canonical CSR h, the position of
+    the stored entry (perm[i], perm[j]), perm an involution; None when
+    one of them is not stored. O(nnz) for rows of bounded length.
+
+    Row i of P h P is row perm[i] of h with its columns mapped by perm;
+    sorting those columns, with each entry's position in h carried
+    along, lists the images in h's order when the patterns agree.
+    """
+    counts = np.diff(h.indptr)
+    if not np.array_equal(counts[perm], counts):
+        return None
+    src = np.arange(h.nnz) + np.repeat(h.indptr[:-1][perm] - h.indptr[:-1], counts)
+    m = scipy.sparse.csr_array((src, perm[h.indices[src]], h.indptr), shape=h.shape)
+    m.has_sorted_indices = False
+    m.sort_indices()
+    return m.data if np.array_equal(m.indices, h.indices) else None
+
+
+def _theta_symmetric(h: scipy.sparse.csr_array, perm: np.ndarray) -> bool:
+    """Whether P h P equals h exactly, P the involution of the index
+    permutation ``perm`` (``_theta_permutation``), by ``_entry_images``: each
+    stored entry (i, j) must have its image (perm[i], perm[j]) stored
+    with the same value. An explicit zero without an image fails the
+    test.
+    """
+    h = _canonical(h)
+    images = _entry_images(h, perm)
+    return images is not None and np.array_equal(h.data[images], h.data)
+
+
+@functools.lru_cache(maxsize=16)
+def _theta_blocks(basis: ChargeBasis, parity: int | None = None
+                  ) -> tuple[tuple[scipy.sparse.csr_array, scipy.sparse.csr_array], ...]:
+    """The two P_theta parity blocks of a basis or sector in
+    ``charge_inversion_basis`` S, even block first, built once and shared:
+    for each, the lifts of its coordinates to coordinates in S and to
+    charge-basis (sector) vectors. Callers must not modify them.
+
+    P_theta commutes with the charge inversion C, so in S it is a signed
+    permutation: it maps each column of S to +-1 times a column. A column
+    it maps to e times itself is a block vector of parity e; a pair of
+    columns with P_theta u = e*v gives (u + e*v)/sqrt(2) to the even block
+    and (u - e*v)/sqrt(2) to the odd one. Each block vector thus combines
+    at most 4 charge states, one orbit of C and P_theta, and an H that
+    commutes with both is real in each block (symmetry blocks of exact
+    diagonalization: Sandvik, AIP Conf. Proc. 1297, 135 (2010)).
+    """
+    s = charge_inversion_basis(basis, parity)
+    dim = s.shape[0]
+    perm = _theta_permutation(basis, parity)
+    signed = (s.conj().T @ s[perm]).real.tocoo()  # P_theta in S: column j -> sign * image
+    image = np.empty(dim, dtype=np.int64)
+    sign = np.empty(dim)
+    keep = np.abs(signed.data) > 0.5
+    image[signed.col[keep]] = signed.row[keep]
+    sign[signed.col[keep]] = np.rint(signed.data[keep])
+    lead = np.flatnonzero(image >= np.arange(dim))  # a fixed column or the first of a pair
+    paired = image[lead] != lead
+    r = 1.0 / math.sqrt(2.0)
+    blocks = []
+    for parity_sign in (1.0, -1.0):
+        members = lead[paired | (sign[lead] == parity_sign)]
+        pair = image[members] != members
+        rows = np.concatenate([members, image[members[pair]]])
+        cols = np.concatenate([np.arange(members.size), np.flatnonzero(pair)])
+        values = np.concatenate([np.where(pair, r, 1.0), parity_sign * sign[members[pair]] * r])
+        lift_s = scipy.sparse.csr_array((values, (rows, cols)), shape=(dim, members.size))
+        blocks.append((lift_s, (s @ lift_s).tocsr()))
+    return tuple(blocks)
 
 
 def phase_grid_points(grid_points: int) -> np.ndarray:

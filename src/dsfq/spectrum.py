@@ -17,14 +17,22 @@ the problem instead.
 allows it: a (sector) H with C H* C = H, C the charge inversion (every
 ng = 0 circuit), is real symmetric in ``circuit.charge_inversion_basis``
 S, where a dense ``eigh`` costs a quarter of the complex one and
-shift-invert runs symmetric ARPACK. The states are taken back to the
-charge basis, so every caller sees the same kind of ``EigenSolution``.
+shift-invert runs symmetric ARPACK. Where H also commutes with P_theta,
+the reflection n_theta -> -n_theta (at ng = 0 every circuit but the
+coupled qubits' node basis), S^dag H S splits into two real P_theta
+parity blocks of about half the size, each summed straight from H's CSR
+and solved by the rule above on its own (313 sector states: 163 + 150).
+The states are taken back to the charge basis, so every caller sees the
+same kind of ``EigenSolution``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, replace as dc_replace, fields as dc_fields
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +44,9 @@ from .circuit import (
     CircuitSpec,
     HermitianOperator,
     Variant,
+    _entry_images,
+    _theta_blocks,
+    _theta_permutation,
     build_hamiltonian,
     charge_inversion_basis,
     inversion_symmetric,
@@ -64,7 +75,8 @@ __all__ = [
 # complex one, so dense wins at k = 3 on 313 states (3.9 against 7.1 ms
 # shift-invert) and 361 (4.3 against 7.9), the two tie from about 420 to
 # 545 (545: 14-18 against 11-16 ms), and shift-invert wins at 625 (21
-# against 13 ms) and above.
+# against 13 ms) and above. The rule applies to each P_theta parity block
+# of a real solve on its own.
 DENSE_DIM_LIMIT = 300  # at or below it every complex solve is dense
 REAL_DENSE_DIM_LIMIT = 560  # at or below it every real solve is dense
 SPARSE_STATES_PER_LEVEL = 40  # above it, shift-invert while k <= dim / 40
@@ -191,7 +203,149 @@ def _lowest_k(h: scipy.sparse.csr_array, k: int, eigvals_only: bool = False):
             return energies if eigvals_only else (energies, states)
         except _SparseRefused:
             pass
-    return scipy.linalg.eigh(h.toarray(), subset_by_index=(0, k - 1), eigvals_only=eigvals_only)
+    # a Fortran-ordered copy that LAPACK may overwrite: the same input as a
+    # copy of the C-ordered one, without a second dense copy
+    return scipy.linalg.eigh(h.toarray(order="F"), subset_by_index=(0, k - 1),
+                             eigvals_only=eigvals_only, overwrite_a=True)
+
+
+class _Assembly(NamedTuple):
+    """The P_theta parity blocks of one CSR pattern of a full-basis H.
+
+    ``images`` holds the position of each stored entry's image under the
+    charge inversion C and under P_theta. ``weights`` maps H's data, read
+    as interleaved (re, im) floats, to the blocks' stored entries, and
+    ``blocks`` holds each block's (start, stop) in that output and its
+    CSR indptr and indices.
+    """
+
+    images: tuple[np.ndarray, np.ndarray]
+    weights: scipy.sparse.csr_array
+    blocks: tuple
+
+    def commutes(self, data: np.ndarray) -> bool:
+        """Whether C H* C = H and P_theta H P_theta = H hold exactly for H
+        with this pattern and ``data``, as ``circuit.inversion_symmetric``
+        and ``circuit._theta_symmetric`` test them."""
+        inversion, theta = self.images
+        return (np.array_equal(data[inversion].conj(), data)
+                and np.array_equal(data[theta], data))
+
+
+_ASSEMBLY_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=16)
+def _block_assembly(basis: ChargeBasis, parity: int | None, index_dtype: str,
+                    indptr: bytes, indices: bytes) -> _Assembly | None:
+    """The ``_Assembly`` of the blocks of ``circuit._theta_blocks`` for one
+    canonical CSR pattern of a full-basis H, given by its index arrays'
+    bytes, built once and shared (callers must not modify it); None when C
+    or P_theta does not map the pattern onto itself.
+
+    Block entry (a, b) is the sum of conj(w_ia) * h_ij * w_jb over the
+    stored entries (i, j), w the block vectors in the charge basis; its
+    real part is what is kept. Each charge state lies in at most 4 block
+    vectors, so each stored entry adds to at most 4 entries of each block.
+    Terms joining different blocks sum to zero for an H that commutes
+    with P_theta, and are left out.
+    """
+    indptr, indices = (np.frombuffer(a, dtype=index_dtype) for a in (indptr, indices))
+    dim = indptr.size - 1
+    pattern = scipy.sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(dim, dim))
+    images = tuple(_entry_images(pattern, perm)
+                   for perm in (np.arange(dim)[::-1], _theta_permutation(basis)))
+    if any(image is None for image in images):
+        return None
+    # for each charge state, the (at most 4) block vectors holding it: their
+    # column over both blocks (the even block's first, -1 for none) and the
+    # state's coefficient in each
+    (_, even), (_, odd) = _theta_blocks(basis, parity)
+    lifts = scipy.sparse.hstack([even, odd], format="csr")
+    n_even, n = even.shape[1], lifts.shape[1]
+    counts = np.diff(lifts.indptr)
+    state = np.repeat(np.arange(lifts.shape[0]), counts)
+    if parity is not None:
+        state = physical_sector_indices(basis, parity)[state]
+    slots = np.arange(lifts.nnz) - np.repeat(lifts.indptr[:-1], counts)
+    column = np.full((dim, 4), -1, dtype=np.int64)
+    weight = np.zeros((dim, 4), dtype=complex)
+    column[state, slots] = lifts.indices
+    weight[state, slots] = lifts.data
+    rows = np.repeat(np.arange(dim), np.diff(indptr))
+    # Re(c * h) = Re(c) * Re(h) - Im(c) * Im(h): a term on the (re, im) pairs
+    # of h's data for each nonzero part of each weight c = conj(w_ia) * w_jb
+    keys, terms, values = [], [], []
+    for slot_i in range(4):
+        a = column[rows, slot_i]
+        for slot_j in range(4):
+            b = column[indices, slot_j]
+            keep = np.flatnonzero((a >= 0) & (b >= 0) & ((a < n_even) == (b < n_even)))
+            product = weight[rows[keep], slot_i].conj() * weight[indices[keep], slot_j]
+            for offset, part in ((0, product.real), (1, -product.imag)):
+                nonzero = part != 0
+                keys.append(a[keep[nonzero]] * n + b[keep[nonzero]])
+                terms.append(2 * keep[nonzero] + offset)
+                values.append(part[nonzero])
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys, terms, values = keys[order], np.concatenate(terms)[order], np.concatenate(values)[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))  # the first term of each block entry
+    targets = keys[first]
+    weights = scipy.sparse.csr_array((values, terms, np.append(first, keys.size)),
+                                     shape=(targets.size, 2 * indices.size))
+    row, col = np.divmod(targets, n)
+    split = int(np.searchsorted(row, n_even))
+    blocks = []
+    for start, stop, offset, size in ((0, split, 0, n_even),
+                                      (split, targets.size, n_even, n - n_even)):
+        counts = np.bincount(row[start:stop] - offset, minlength=size)
+        blocks.append((start, stop, np.concatenate([[0], np.cumsum(counts)]),
+                       col[start:stop] - offset))
+    return _Assembly(images, weights, tuple(blocks))
+
+
+def _theta_parity_blocks(h: scipy.sparse.csr_array, basis: ChargeBasis, parity: int | None,
+                         coordinates: bool) -> list | None:
+    """The real P_theta parity blocks of a canonical full-basis H and their
+    lifts, to coordinates in S with ``coordinates`` and to charge-basis
+    (sector) vectors otherwise; None unless H commutes exactly with both
+    the charge inversion C*K and P_theta."""
+    with _ASSEMBLY_LOCK:  # pool threads that miss the cache together build once
+        assembly = _block_assembly(basis, parity, h.indptr.dtype.str, h.indptr.tobytes(),
+                                   h.indices.tobytes())
+    data = h.data.astype(complex, copy=False)
+    if assembly is None or not assembly.commutes(data):
+        return None
+    values = assembly.weights @ data.view(np.float64)
+    return [(scipy.sparse.csr_array((values[start:stop], block_indices, block_indptr),
+                                    shape=(lift.shape[1],) * 2), lift_s if coordinates else lift)
+            for (start, stop, block_indptr, block_indices), (lift_s, lift)
+            in zip(assembly.blocks, _theta_blocks(basis, parity))]
+
+
+def _solve_blocks(blocks: list, k: int, norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest levels over a list of (matrix, lift) blocks of one H.
+
+    Each block keeps min(k, its size) levels, by ``_lowest_k``, and each
+    pair is checked against its own block, to RESIDUAL_RTOL * ``norm``; a
+    lift (None for none) maps its states to the output coordinates. The k
+    lowest are merged in a stable order, an earlier block first on a tie.
+    """
+    energies, states = [], []
+    for m, lift in blocks:
+        e, v = _lowest_k(m, min(k, m.shape[0]))
+        residual = np.linalg.norm(m @ v - v * e, axis=0)
+        if norm > 0 and residual.max() > RESIDUAL_RTOL * norm:
+            raise SpectrumError(
+                f"eigensolver residuals too large: max {residual.max():.3e} "
+                f"vs bound {RESIDUAL_RTOL * norm:.3e}"
+            )
+        energies.append(e)
+        states.append(v if lift is None else lift @ v)
+    energies = np.concatenate(energies)
+    order = np.argsort(energies, kind="stable")[:k]
+    return energies[order], np.hstack(states)[:, order]
 
 
 def diagonalize(op: HermitianOperator | np.ndarray, k: int,
@@ -222,9 +376,17 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
     ``circuit.inversion_symmetric`` is solved as the real CSR S^dag H S,
     S its ``circuit.charge_inversion_basis``, and its eigenvectors are
     taken back to the charge basis; the residuals are those of the real
-    problem, against the bound of H. ``_coordinates`` asks for the
-    eigenvectors as coordinates in S, not embedded, and raises
-    SpectrumError where the real solve cannot be made.
+    problem, against the bound of H. Where the full-basis H also commutes
+    exactly with P_theta (the test of ``circuit._theta_symmetric``, made
+    from entry images kept per CSR pattern), S^dag H S is solved as its
+    two P_theta parity blocks (``circuit._theta_blocks``), each summed
+    from H's CSR in O(nnz): each block keeps min(k, its size)
+    levels by the rule above, its residuals are checked against the same
+    bound, and the k lowest of both are kept. The symmetry tests are
+    exact, so a block's residual is that of the full problem.
+    ``_coordinates`` asks for the eigenvectors as coordinates in S, not
+    embedded, and raises SpectrumError where the real solve cannot be
+    made.
     """
     if isinstance(op, HermitianOperator):
         h, basis = op.csr, op.basis
@@ -237,11 +399,12 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
     dim = h.shape[0]
     if not (1 <= k <= dim):
         raise SpectrumError(f"k = {k} out of range for dimension {dim}")
+    rows = np.repeat(np.arange(dim), np.diff(h.indptr))
     with np.errstate(over="ignore"):  # an overflow is refused just below
-        norm = float(abs(h).sum(axis=1).max())
+        norm = float(np.bincount(rows, weights=np.abs(h.data), minlength=dim).max())
     if not math.isfinite(norm):
         raise SpectrumError(f"||H||_inf = {norm} is not finite")
-    parity = None
+    parity = idx = None
     if sector is not None:
         if sector not in _SECTOR_PARITY:
             raise SpectrumError(f"sector must be None, 'even' or 'odd', got {sector!r}")
@@ -251,31 +414,25 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
         idx = physical_sector_indices(basis, parity)
         if k > idx.size:
             raise SpectrumError(f"k = {k} exceeds the {idx.size} states of the {sector} sector")
-        sub = h[idx][:, idx]
-    else:
-        sub = h
-    s = None
-    if _real and basis is not None and inversion_symmetric(sub):
-        s = charge_inversion_basis(basis, parity)
-        sub = (s.conj().T @ sub @ s).real
-    elif _coordinates:
-        raise SpectrumError("the matrix is not real in the charge-inversion basis")
-    energies, states = _lowest_k(sub, k)
-    residual = np.linalg.norm(sub @ states - states * energies, axis=0)
-    if norm > 0 and residual.max() > RESIDUAL_RTOL * norm:
-        raise SpectrumError(
-            f"eigensolver residuals too large: max {residual.max():.3e} "
-            f"vs bound {RESIDUAL_RTOL * norm:.3e}"
-        )
+    blocks = None
+    if _real and basis is not None:
+        blocks = _theta_parity_blocks(h, basis, parity, _coordinates)
+    if blocks is None:
+        sub = h if idx is None else h[idx][:, idx]
+        if _real and basis is not None and inversion_symmetric(sub):
+            s = charge_inversion_basis(basis, parity)
+            blocks = [((s.conj().T @ sub @ s).real, None if _coordinates else s)]
+        elif _coordinates:
+            raise SpectrumError("the matrix is not real in the charge-inversion basis")
+        else:
+            blocks = [(sub, None)]
+    energies, states = _solve_blocks(blocks, k, norm)
     if _coordinates:  # coordinates in S, not charge-basis vectors
         basis = None
-    else:
-        if s is not None:
-            states = s @ states
-        if sector is not None:
-            sub_states = states
-            states = np.zeros((dim, energies.size), dtype=sub_states.dtype)
-            states[idx] = sub_states
+    elif idx is not None:
+        sub_states = states
+        states = np.zeros((dim, energies.size), dtype=sub_states.dtype)
+        states[idx] = sub_states
     sol = EigenSolution(energies=energies, states=states, basis=basis, k=k)
     if basis is not None and basis.modes[0] in ("phi", "phi1") and len(basis.modes) == 2:
         _order_degenerate_by_parity(sol)
@@ -310,9 +467,13 @@ def qubit_eigensolution(spec: CircuitSpec, k: int = 5, charging_scale: float = 1
     redundant sector and are solved in full. Where the (sector) H commutes
     with C*K, C the charge inversion (every ng = 0 circuit), it is solved
     in real arithmetic (``diagonalize`` with ``_real``), and each returned
-    vector is C*K-invariant: its phase is fixed up to a sign. Elsewhere,
-    and with ``_real=False``, the solve runs on complex data and the
-    eigensolver sets the phases. ``_coordinates`` returns the states as
+    vector is C*K-invariant: its phase is fixed up to a sign. Where H also
+    commutes with P_theta, n_theta -> -n_theta (at ng = 0 every circuit
+    but the node basis at a ``charging_scale`` other than 1), it is solved
+    as two P_theta parity blocks, and every vector outside a degenerate
+    cluster is a P_theta eigenstate. Without C*K symmetry, and with
+    ``_real=False``, the solve runs on complex data and the eigensolver
+    sets the phases. ``_coordinates`` returns the states as
     coordinates in ``circuit.charge_inversion_basis`` of the sector, as an
     ``evolve._CircuitEngine`` in that basis works.
     """

@@ -15,6 +15,9 @@ from dsfq.circuit import (
     Variant,
     build_hamiltonian,
     build_operator,
+    _theta_blocks,
+    _theta_permutation,
+    _theta_symmetric,
     charge_inversion_basis,
     hamiltonian_decomposition,
     inversion_symmetric,
@@ -25,6 +28,12 @@ from dsfq.circuit import (
 from dsfq.coherence import coherence_report
 from dsfq.evolve import _CircuitEngine
 from dsfq.gates import Gamma1Interpolator
+from dsfq.gradiometric import (
+    LoopGeometry,
+    _grad_spec_at,
+    compensated_operating_flux,
+    compensation_delta,
+)
 from dsfq.readout import ResonatorSpec, dispersive_shift
 from dsfq.spectrum import (
     EigenSolution,
@@ -320,21 +329,33 @@ def test_shift_invert_matches_dense_at_near_degenerate_points(shape, k):
 
 
 def test_solver_rule_keeps_small_and_many_level_solves_dense():
-    # (dim, k) of the benchmark's solves: static_sweep's k = 3 solves on
-    # 313 and 625 states go sparse; engine snapshots (k + 4 = 12, 16) on
-    # 313 and 361, and dispersive_shift's 25 levels on 313, stay dense
+    # (dim, k) of complex solves: k = 3 on 313 and 625 states goes sparse;
+    # k + 4 = 12, 16 levels on 313 and 361, and 25 levels on 313, stay dense
     for dim, k in ((313, 3), (313, 7), (625, 3), (625, 15), (2209, 3)):
         assert spectrum._use_sparse(dim, k)
     for dim, k in ((300, 1), (289, 3), (313, 8), (313, 12), (361, 12), (361, 16),
                    (313, 25), (625, 16)):
         assert not spectrum._use_sparse(dim, k)
-    # real matrices (S^T H S at ng = 0): a dense eigh costs a quarter of the
-    # complex one, so the k = 3 solves on 313, 361 and 545 states stay dense
-    # and shift-invert takes over from the 625-state gradiometric basis on
+    # real matrices (a P_theta parity block of S^T H S at ng = 0): a dense
+    # eigh costs a quarter of the complex one, so k = 3 on 313, 361 and 545
+    # states stays dense and shift-invert takes over above 560 states. The
+    # benchmark's static blocks all stay dense: 163 + 150 states of the
+    # single-loop sector, 325 + 300 of the 625-state gradiometric basis;
+    # large_basis (2209 states) solves 1128 + 1081 by shift-invert
     for dim, k in ((625, 3), (625, 15), (2209, 3)):
         assert spectrum._use_sparse(dim, k, np.float64)
     for dim, k in ((313, 3), (361, 3), (545, 3), (545, 12), (313, 25), (625, 16)):
         assert not spectrum._use_sparse(dim, k, np.float64)
+
+
+def _compensated_gradiometric() -> CircuitSpec:
+    # loops of unequal area (r = 0.01) at the compensating junction
+    # asymmetry and the shifted operating flux: alpha1 != alpha2 and
+    # phi_ext1 != -phi_ext2
+    r = 0.01
+    base = CircuitSpec(variant=Variant.GRADIOMETRIC, ej=10.0, ec=0.1, cutoff=12)
+    return _grad_spec_at(base, LoopGeometry(a1=1.0 + r, a2=1.0 - r),
+                         compensation_delta(r)[0], compensated_operating_flux(r))
 
 
 REAL_ROUTE = {
@@ -344,6 +365,8 @@ REAL_ROUTE = {
                                 phi_ext2=-1.01 * math.pi, cutoff=12),
     "node_basis": CircuitSpec(variant=Variant.NODE_BASIS, ej=10.0, ec=0.1, alpha=0.9,
                               phi_ext=0.99 * math.pi, cutoff=9),
+    "compensated": _compensated_gradiometric(),
+    "small": replace(DEFAULT, cutoff=2),  # a 13-state sector
 }
 
 
@@ -363,21 +386,35 @@ def _record_solved_dtypes(monkeypatch) -> list:
 @pytest.mark.parametrize("shape", sorted(REAL_ROUTE))
 def test_qubit_eigensolution_solves_in_real_arithmetic_at_zero_offset_charge(
         shape, monkeypatch):
-    # at ng = 0 the (sector) H passes the charge-inversion test and is solved
-    # as the real S^T H S; the states come back as charge-basis vectors,
-    # C*K-invariant, equal to those of the complex solve up to a phase
+    # at ng = 0 the (sector) H passes the charge-inversion and P_theta tests
+    # and is solved as the two real P_theta parity blocks of S^T H S, one
+    # float64 solve per block; the states come back as charge-basis
+    # vectors, C*K-invariant P_theta eigenstates, equal to those of the
+    # complex solve up to a phase
     spec = REAL_ROUTE[shape]
     sector = "even" if spec.variant is Variant.SINGLE_LOOP else None
+    perm = _theta_permutation(spec.basis)
+    n_even, n_odd = (lift.shape[1] for _, lift in _theta_blocks(spec.basis, 0 if sector else None))
     dtypes = _record_solved_dtypes(monkeypatch)
-    for k in (3, 8):
+    # k = 13 solves the whole 13-state sector at cutoff 2, where each block
+    # (7 and 6 states) keeps all of its levels, fewer than k
+    for k in (1, 2, 3, 8, 13):
         sol = qubit_eigensolution(spec, k)
         ref = diagonalize(build_hamiltonian(spec), k, sector=sector)
-        assert dtypes.pop(0) == np.float64 and dtypes.pop(0) == np.complex128
+        assert dtypes[:3] == [np.float64, np.float64, np.complex128]
+        del dtypes[:3]
         assert sol.basis == spec.basis and sol.states.shape == ref.states.shape
         assert sol.energies == pytest.approx(ref.energies, abs=1e-10)
         overlaps = np.abs(np.sum(ref.states.conj() * sol.states, axis=0))
         assert overlaps == pytest.approx(np.ones(k), abs=1e-10)
         assert np.abs(sol.states[::-1].conj() - sol.states).max() < 1e-14
+        parities = np.sum(sol.states.conj() * sol.states[perm], axis=0).real
+        assert np.abs(sol.states[perm] - sol.states * parities).max() < 1e-14
+        assert np.abs(np.abs(parities) - 1.0).max() < 1e-14
+        assert np.count_nonzero(parities > 0) <= n_even
+        assert np.count_nonzero(parities < 0) <= n_odd
+        if k == 2 and shape != "small":  # the qubit pair comes from one block
+            assert np.sign(parities[0]) == np.sign(parities[1])
     # an offset charge breaks the symmetry: the solve stays complex
     offset = replace(spec, ng_theta=0.05)
     sol = qubit_eigensolution(offset, 3)
@@ -414,6 +451,56 @@ def test_inversion_test_is_exact_and_matches_its_dense_definition():
     assert s is charge_inversion_basis(spec.basis, 0)
     full = charge_inversion_basis(spec.basis).toarray()
     np.testing.assert_array_equal(s.toarray(), full[np.ix_(idx, idx)])
+
+
+def test_theta_test_is_exact_and_matches_its_dense_definition():
+    single, node = REAL_ROUTE["single_loop"], REAL_ROUTE["node_basis"]
+    grad = _compensated_gradiometric()
+    assert grad.alpha1 != grad.alpha2 and grad.phi_ext1 != -grad.phi_ext2
+    idx = physical_sector_indices(single.basis, 0)
+    h = build_hamiltonian(single).csr
+    tilted = h.copy()
+    tilted.data[7] *= 1 + 1e-15  # one entry off its image by a rounding
+    # the same matrix with each row's entries in a random order
+    rng = np.random.default_rng(5)
+    order = np.concatenate([rng.permutation(np.arange(a, b))
+                            for a, b in zip(h.indptr, h.indptr[1:])])
+    shuffled = scipy.sparse.csr_array((h.data[order], h.indices[order], h.indptr),
+                                      shape=h.shape)
+    cases = [  # (matrix, basis, parity sector, commutes with P_theta)
+        (h, single.basis, None, True),
+        (h[idx][:, idx], single.basis, 0, True),
+        (build_hamiltonian(grad).csr, grad.basis, None, True),
+        (build_hamiltonian(node).csr, node.basis, None, True),
+        (build_hamiltonian(replace(single, ng_theta=0.05)).csr, single.basis, None, False),
+        (build_hamiltonian(node, charging_scale=0.8125).csr, node.basis, None, False),
+        (tilted, single.basis, None, False),
+        (shuffled, single.basis, None, True),
+    ]
+    for m, basis, parity, commutes in cases:
+        perm = _theta_permutation(basis, parity)
+        dense = m.toarray()
+        assert np.array_equal(dense[np.ix_(perm, perm)], dense) == commutes
+        assert _theta_symmetric(m, perm) == commutes
+        if parity is None and m.has_canonical_format:
+            # the real route's test, from images kept per pattern, agrees
+            # (every case here but the offset charge passes the C*K test)
+            sector = 0 if basis.modes == ("phi", "theta") else None
+            blocks = spectrum._theta_parity_blocks(m, basis, sector, False)
+            assert (blocks is not None) == (commutes and inversion_symmetric(m))
+
+
+def test_qubit_pair_shares_its_theta_parity_at_zero_offset_charge():
+    # n_theta is odd under P_theta (n_theta -> -n_theta), so a qubit pair of
+    # one P_theta parity has no n_theta matrix element; an offset charge
+    # breaks the symmetry and the element appears
+    for alpha in (1.0, 0.8, 0.6):
+        for ng_theta, inside in ((0.0, True), (0.05, False)):
+            spec = replace(DEFAULT, alpha=alpha, ng_theta=ng_theta)
+            sol = qubit_eigensolution(spec, 2)
+            element = abs(sol.state(0).conj() @ (build_operator("n_theta", spec).csr
+                                                 @ sol.state(1)))
+            assert (element < 1e-12) if inside else (element > 1e-8)
 
 
 def test_doubly_degenerate_levels_get_the_dense_energies():
@@ -474,15 +561,18 @@ def test_arpack_failure_falls_back_to_dense(monkeypatch):
         raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
                                                       np.empty((0, 0)))
 
-    spec, sector = NEAR_DEGENERATE["gradiometric"]
-    m = _solved_matrix(spec, sector)
+    # at cutoff 17 both P_theta blocks of the gradiometric basis (630 and
+    # 595 of its 1225 states) go to shift-invert, and each falls back alone
+    spec = replace(NEAR_DEGENERATE["gradiometric"][0], cutoff=17)
+    m = _solved_matrix(spec, None)
+    expected = scipy.linalg.eigvalsh(m, subset_by_index=(0, 2))
     monkeypatch.setattr(spectrum.scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(spectrum._SparseRefused, match="no convergence"):
         _sparse_solve(m, 3)
     dense_solves = _count_dense_solves(monkeypatch)
     sol = qubit_eigensolution(spec, 3)
-    assert dense_solves == [m.shape[0]]
-    assert sol.energies == pytest.approx(scipy.linalg.eigvalsh(m)[:3], abs=1e-10)
+    assert dense_solves == [lift.shape[1] for _, lift in _theta_blocks(spec.basis)] == [630, 595]
+    assert sol.energies == pytest.approx(expected, abs=1e-10)
 
 
 def test_levels_too_close_for_the_inertia_shift_fall_back_to_dense(monkeypatch):
@@ -495,8 +585,9 @@ def test_levels_too_close_for_the_inertia_shift_fall_back_to_dense(monkeypatch):
     assert _sparse_solve(m, 2)[0] == pytest.approx(scipy.linalg.eigvalsh(m)[:2], abs=1e-10)
     with pytest.raises(spectrum._SparseRefused, match="too close"):
         _sparse_solve(m, 3)
+    # the public complex route solves the 625 states in one piece
     dense_solves = _count_dense_solves(monkeypatch)
-    sol = qubit_eigensolution(spec, 3)
+    sol = diagonalize(build_hamiltonian(spec), 3, sector=sector)
     assert dense_solves == [m.shape[0]]
     assert sol.energies == pytest.approx(scipy.linalg.eigvalsh(m)[:3], abs=1e-10)
 
@@ -559,6 +650,20 @@ def test_hermiticity_and_finiteness_checks_act_on_the_stored_entries():
     assert isinstance(op.csr, scipy.sparse.csr_array)
     assert op.csr.nnz == 10  # the explicit zero at (0, 0) is eliminated
     assert np.array_equal(op.matrix, m)
+    # the bound is HERMITICITY_RTOL times the largest entry, 8: an entry
+    # off its mirror, or with no stored mirror, passes just below it
+    bound = 1e-12 * 8.0
+    for scale, hermitian in ((0.9, True), (1.1, False)):
+        off = m.copy()
+        off[0, 4] += scale * bound
+        lone = m.copy()
+        lone[0, 5] = scale * bound
+        for bad in (off, lone):
+            if hermitian:
+                HermitianOperator("near", basis, scipy.sparse.csr_array(bad))
+            else:
+                with pytest.raises(CircuitError, match="not Hermitian"):
+                    HermitianOperator("off", basis, scipy.sparse.csr_array(bad))
     m[2, 2] = np.nan
     with pytest.raises(CircuitError, match="non-finite"):
         HermitianOperator("nan", basis, m)
