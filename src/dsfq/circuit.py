@@ -621,11 +621,17 @@ def _phi_operator(spec: CircuitSpec, grid_points: int) -> scipy.sparse.csr_array
         # and reduce to one 1-D quadrature over the wrapped difference.
         # <n1 n2|phi|m1 m2> = delta_{n1-m1, m2-n2} * c_{n1-m1}, with
         # c_k = (1/2pi) int wrap(u)/2 e^{-i k u} du evaluated on the grid:
-        # the sum of c_k kron(S_k, S_-k), S_k the shift n -> n + k.
+        # the sum of c_k kron(S_k, S_-k), S_k the shift n -> n + k, written
+        # straight into CSR from its index arrays, as _assemble writes cosines.
         k = np.arange(-2 * spec.cutoff, 2 * spec.cutoff + 1)
         wrapped = 0.5 * (np.mod(x + math.pi, 2.0 * math.pi) - math.pi)
         c = (wrapped[None, :] * np.exp(-1j * np.outer(k, x))).sum(axis=1) / grid_points
-        m = sum(c_k * scipy.sparse.kron(scipy.sparse.eye_array(d, k=-k_a),
-                                        scipy.sparse.eye_array(d, k=k_a), format="csr")
-                for k_a, c_k in zip(k, c))
+        n_a, n_b = _mode_charges(spec.basis)
+        src = [np.flatnonzero((np.abs(n_a + k_a) <= spec.cutoff)
+                              & (np.abs(n_b - k_a) <= spec.cutoff)) for k_a in k]
+        counts = [s.size for s in src]
+        cols = np.concatenate(src)
+        rows = cols + np.repeat(k * (d - 1), counts)
+        values = np.repeat(c, counts)
+        m = scipy.sparse.csr_array((values, (rows, cols)), shape=(spec.basis.dim,) * 2)
     return 0.5 * (m + m.conj().T)

@@ -48,7 +48,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse
 # the CSR multivector kernel that ``A @ X`` reaches after scipy's dispatch
 from scipy.sparse._sparsetools import csr_matvecs
@@ -66,8 +65,11 @@ from .circuit import (
 from .spectrum import (
     RESIDUAL_RTOL,
     EigenSolution,
+    _SparseRefused,
     _check_pair_continuity,
+    _levels_below,
     _lowest_k,
+    _merge_lowest,
     align_gauge,
     qubit_eigensolution,
 )
@@ -495,11 +497,18 @@ class _CircuitEngine:
         hi among them, and keeps those dense solutions for ``lowest``.
 
         The residual check of ``lowest`` cannot see a level missing from
-        the basis, so the basis is also checked once here: midway between
-        each pair of snapshots its lowest k energies must match those of
-        the full H, solved for eigenvalues only by the dense or the
-        shift-invert branch of ``spectrum.diagonalize``, to
-        ``RESIDUAL_RTOL * ||H||_inf``, or no basis is kept.
+        the basis, so the basis is also checked once here, midway between
+        each pair of snapshots (``_midpoint_proven``): the lowest k of k + 1
+        reduced pairs must pass the residual check, and a Sylvester
+        inertia count of the full H midway between the Ritz values E_{k-1}
+        and E_k must find exactly k levels below it. Ritz values lie above
+        the levels they approximate, so that count proves that no level is
+        missing. Where it cannot be proven, the midpoint's lowest k
+        energies must match those of the full H, solved for eigenvalues
+        only by the dense or the shift-invert branch of
+        ``spectrum.diagonalize``, to ``RESIDUAL_RTOL * ||H||_inf``, or no
+        basis is kept. On the 361-state node basis of a frame (k = 12) a
+        proven midpoint took 2.7 ms, the dense comparison 6 ms.
         """
         w = self._window
         if w is not None and w.lo <= lo and hi <= w.hi and k <= w.k:
@@ -512,12 +521,49 @@ class _CircuitEngine:
         snapshots = {float(a): self._dense_lowest(float(a), k + SNAPSHOT_PAD) for a in alphas}
         q = np.linalg.qr(np.hstack([states for _, states in snapshots.values()]))[0]
         g0, g1 = (q.conj().T @ (self._csr(d) @ q) for d in self._data[:2])
+        window = _Window(lo, hi, k, q, g0, g1, snapshots)
         for a in 0.5 * (alphas[1:] + alphas[:-1]):
+            if self._midpoint_proven(window, a):
+                continue
             reduced = scipy.linalg.eigvalsh(g0 + a * g1, subset_by_index=(0, k - 1))
             full = _lowest_k(self.sparse_hamiltonian(a), k, eigvals_only=True)
             if np.abs(reduced - full).max() > RESIDUAL_RTOL * self._norm(a):
                 return
-        self._window = _Window(lo, hi, k, q, g0, g1, snapshots)
+        self._window = window
+
+    def _midpoint_proven(self, window: _Window, alpha: float) -> bool:
+        """Whether the window's basis provably holds the lowest k levels of
+        H(alpha): its lowest k Ritz pairs pass the residual check of
+        ``lowest``, and H has exactly k levels below the midpoint of the
+        Ritz values E_{k-1} and E_k (``spectrum._levels_below``). False
+        where the count is refused or differs, or the two Ritz values lie
+        within 2 * RESIDUAL_RTOL * ||H||_inf of each other."""
+        k, norm = window.k, self._norm(alpha)
+        energies, coords = scipy.linalg.eigh(window.g0 + alpha * window.g1,
+                                             subset_by_index=(0, k))
+        if energies[k] - energies[k - 1] <= 2 * RESIDUAL_RTOL * norm:
+            return False
+        if self._residual(alpha, energies[:k], window.q @ coords[:, :k]) > RESIDUAL_RTOL * norm:
+            return False
+        # H's CSR read as CSC is H^T, which has H's eigenvalues
+        d0, d1 = self._data
+        h_t = scipy.sparse.csc_array((d0 + alpha * d1, self._indices, self._indptr),
+                                     shape=(self.dim, self.dim))
+        try:
+            return _levels_below(h_t, 0.5 * (energies[k - 1] + energies[k]), norm) == k
+        except _SparseRefused:
+            return False
+
+    def _residual(self, alpha: float, energies: np.ndarray, states: np.ndarray) -> float:
+        """Largest ||H(alpha) v - E v|| over the pairs, through the kept CSR
+        pattern by the CSR multivector kernel, as ``expi_apply`` works."""
+        d0, d1 = self._data
+        states = np.ascontiguousarray(states)
+        hv = np.zeros_like(states)
+        csr_matvecs(self.dim, self.dim, states.shape[1], self._indptr, self._indices,
+                    d0 + alpha * d1, states, hv)
+        hv -= states * energies
+        return float(np.linalg.norm(hv, axis=0).max())
 
     def _norm(self, alpha: float) -> float:
         """||H(alpha)||_inf of the charge-basis H."""
@@ -574,9 +620,7 @@ class _CircuitEngine:
             if snapshot is not None:
                 return snapshot[0][:k].copy(), snapshot[1][:, :k].copy()
             energies, states = self._reduced_lowest(alpha, k)
-            h = self.sparse_hamiltonian(alpha)
-            residual = np.linalg.norm(h @ states - states * energies, axis=0).max()
-            if residual <= RESIDUAL_RTOL * self._norm(alpha):
+            if self._residual(alpha, energies, states) <= RESIDUAL_RTOL * self._norm(alpha):
                 return energies, states
             self.fallbacks += 1
         return self._dense_lowest(alpha, k)
@@ -766,6 +810,57 @@ def _product_hamiltonian(coupled: CoupledSpec, levels, engines) -> np.ndarray:
     return h.real if all(engine.real for engine in engines) else h
 
 
+def _kron_apply(o1: np.ndarray, o2: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """kron(o1, o2) @ w without forming the kron: each column of w, read as
+    the matrix X of its product labels a*m + b, becomes o1 X o2^T."""
+    k = w.shape[1]
+    x = w.T.reshape(k, o1.shape[1], o2.shape[1])
+    return (o1 @ x @ o2.T).reshape(k, -1).T
+
+
+class _ExchangeBlock(NamedTuple):
+    """The exchange-symmetric (sign +1) or -antisymmetric (sign -1) states
+    of two identical m-level qubits: (|ab> + sign |ba>)/sqrt(2) for a < b,
+    and |aa> in the symmetric block. For the states i = (a, b) and
+    j = (c, d), ``gather`` holds the flat positions of n_ac, n_bd, n_ad and
+    n_bc in an m x m matrix n, ``weights`` holds w_i w_j with w = 1 for
+    a < b and 1/sqrt(2) for a = b, and ``lift`` maps block coordinates to
+    the product labels a*m + b."""
+
+    sign: float
+    labels: tuple[np.ndarray, np.ndarray]  # (a, b) of each state
+    gather: tuple[np.ndarray, ...]
+    weights: np.ndarray
+    lift: np.ndarray
+
+    @staticmethod
+    def pair(m: int) -> tuple["_ExchangeBlock", "_ExchangeBlock"]:
+        """The symmetric and the antisymmetric block of m levels per qubit."""
+        blocks = []
+        for sign, offset in ((1.0, 0), (-1.0, 1)):
+            a, b = np.triu_indices(m, offset)
+            w = np.where(a == b, math.sqrt(0.5), 1.0)
+            lift = np.zeros((m * m, a.size))
+            cols = np.arange(a.size)
+            lift[a * m + b, cols] = np.where(a == b, 1.0, math.sqrt(0.5))
+            lift[b * m + a, cols] += np.where(a == b, 0.0, sign * math.sqrt(0.5))
+            gather = tuple(np.add.outer(m * x, y) for x, y in ((a, a), (b, b), (a, b), (b, a)))
+            blocks.append(_ExchangeBlock(sign, (a, b), gather, np.outer(w, w), lift))
+        return tuple(blocks)
+
+    def hamiltonian(self, coupling: float, eps: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """This block of diag(e_a + e_b) + coupling * kron(n, n), from the
+        levels ``eps`` and the charge ``n`` among them:
+        w_i w_j coupling (n_ac n_bd + sign n_ad n_bc) + delta_ij (e_a + e_b)."""
+        flat = n.ravel()
+        ac, bd, ad, bc = (flat[g] for g in self.gather)
+        h = ac * bd + self.sign * (ad * bc)
+        h *= coupling * self.weights
+        a, b = self.labels
+        h[np.diag_indices_from(h)] += eps[a] + eps[b]
+        return h
+
+
 class TwoQubitFrame:
     """Two-stage truncated eigenframe of two coupled qubits.
 
@@ -781,6 +876,18 @@ class TwoQubitFrame:
     product Hamiltonian, the coupled states W and every frame overlap are
     float64. The frame switch between two neighbouring nodes is formed
     once (``switch``), however many gates cross it.
+
+    An ``identical`` pair shares one set of levels, so its product
+    Hamiltonian commutes exactly with the exchange of the two qubits and
+    is solved as its exchange-symmetric and -antisymmetric blocks
+    (``_ExchangeBlock``; m = 12: 78 and 66 states), each for all its
+    levels by divide-and-conquer (``numpy.linalg.eigh``), and the k lowest
+    of both are kept, as ``spectrum.diagonalize`` merges its P_theta
+    blocks. On the benchmark pair both blocks took 1.5 ms, the 144-state
+    subset solve 1.8 ms. A detuned pair keeps the one product
+    block and its subset solve. The per-qubit overlaps enter the node
+    alignment and ``frame_overlap`` as o1 X o2^T on each column of W read
+    as an m x m matrix X (``_kron_apply``), never as a formed kron.
     """
 
     def __init__(self, coupled: CoupledSpec, settings: PropagationSettings):
@@ -791,6 +898,7 @@ class TwoQubitFrame:
         self.identical = coupled.qubit1 == coupled.qubit2
         self.engines = {q: _CircuitEngine(q, coupled.charging_scale, real=True)
                         for q in dict.fromkeys((coupled.qubit1, coupled.qubit2))}
+        self._exchange_blocks = _ExchangeBlock.pair(self.m) if self.identical else None
         self._nodes: dict[int, dict] = {}
         self._switches: dict[int, np.ndarray] = {}
 
@@ -803,18 +911,36 @@ class TwoQubitFrame:
                   for iq, engine in enumerate(self.engines.values())]
         if self.identical:  # second qubit shares the first one's eigenframe
             levels.append(levels[0])
+            e_c, w = self._exchange_lowest(*levels[0])
+        else:
+            h = _product_hamiltonian(self.coupled, levels, self.engines.values())
+            e_c, w = scipy.linalg.eigh(h, subset_by_index=(0, self.k - 1))
         eps, bs, _ = zip(*levels)
-        h = _product_hamiltonian(self.coupled, levels, self.engines.values())
-        e_c, w = scipy.linalg.eigh(h, subset_by_index=(0, self.k - 1))
         if prev is not None:
             # Align W in the shared product label space after correcting
             # for the underlying per-qubit basis change.
             o1 = prev["b"][0].conj().T @ bs[0]
             o2 = prev["b"][1].conj().T @ bs[1]
-            w_prev_here = np.kron(o1, o2).conj().T @ prev["w"]
+            w_prev_here = _kron_apply(o1.conj().T, o2.conj().T, prev["w"])
             w = align_gauge(EigenSolution(prev["e"], w_prev_here, None, self.k),
                             EigenSolution(e_c, w, None, self.k), min_overlap=0.0).states
         return {"eps": eps, "b": bs, "e": e_c, "w": w}
+
+    def _exchange_lowest(self, eps: np.ndarray, _, n1: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """The k lowest coupled levels of an identical pair whose qubits
+        share the levels ``eps`` and the charge ``n1`` among them, from its
+        two exchange blocks; W in the product labels."""
+        (engine,) = self.engines.values()
+        coupling = self.coupled.coupling_energy
+        if engine.real:  # n1 = i*A: n1_ac n1_bd = -A_ac A_bd, real
+            coupling, n1 = -coupling, n1.imag
+        energies, states = [], []
+        for block in self._exchange_blocks:
+            e, v = np.linalg.eigh(block.hamiltonian(coupling, eps, n1))
+            energies.append(e)
+            states.append(block.lift @ v)
+        return _merge_lowest(energies, states, self.k)
 
     def ensure_range(self, alpha_lo: float) -> None:
         """Build grid nodes from alpha = 1 down to the node at or below
@@ -854,7 +980,7 @@ class TwoQubitFrame:
         """V(a)^dag V(b) in the truncated frames (k x k)."""
         o1 = node_a["b"][0].conj().T @ node_b["b"][0]
         o2 = node_a["b"][1].conj().T @ node_b["b"][1]
-        return node_a["w"].conj().T @ (np.kron(o1, o2) @ node_b["w"])
+        return node_a["w"].conj().T @ _kron_apply(o1, o2, node_b["w"])
 
     def switch(self, key_old: int, key_new: int) -> np.ndarray:
         """R of the frame switch U <- R U from node ``key_old`` to its
@@ -897,8 +1023,10 @@ def _computational_levels(states: np.ndarray, m: int) -> tuple[np.ndarray, np.nd
     weight |<ab|state>|^2 (Hungarian assignment). Returns the picked
     column indices and the 4 x n overlaps <ab|state>.
     """
+    from scipy.optimize import linear_sum_assignment  # its import costs 0.1-0.2 s
+
     overlaps = states[[a * m + b for a in (0, 1) for b in (0, 1)]]
-    _, picked = scipy.optimize.linear_sum_assignment(-np.abs(overlaps) ** 2)
+    _, picked = linear_sum_assignment(-np.abs(overlaps) ** 2)
     return picked, overlaps
 
 

@@ -60,6 +60,11 @@ __all__ = [
 # alpha below 0.5.
 MAX_T_A_NS = 2.0 * FULL_LOWERING_NS
 
+# calibrate_drive scans +-5% about its seed amplitude and, while the best
+# score sits at an end of the scan, adds one point of the same step past that
+# end, at most this many times.
+MAX_SCAN_EXTENSIONS = 40
+
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
@@ -416,7 +421,11 @@ def calibrate_drive(
     Theta = 2*pi * |<0|n1|1>| * coupling * integral(eps dt) (the full
     Bloch angle; the generator carries half of it). The seed amplitude
     solves Theta = target; a +-5% scan maximizing the coherent fidelity
-    then refines it (skipped when no scoring target is given). The
+    then refines it (skipped when no scoring target is given). While the
+    scan's best score sits at one of its ends, one more point of the same
+    step is scored past that end, at most ``MAX_SCAN_EXTENSIONS`` times,
+    after which ``GateError`` names them; a parabola through the best point
+    and its neighbours gives the amplitude. The
     plateau solve, the rates and every scan gate share one engine,
     ``_engine`` when the caller shares its own (see ``_gate_engine``).
     """
@@ -448,14 +457,22 @@ def calibrate_drive(
             return 0.0
 
     values = amp0 * np.linspace(0.95, 1.05, scan_points)
-    scores = np.array([score(replace(pulse_template, amplitude=a)) for a in values])
-    best = int(np.argmax(scores))
-    if best in (0, len(values) - 1):
-        raise GateError("calibration scan failed to bracket a fidelity maximum")
+    step = values[1] - values[0]
+    scores = [score(replace(pulse_template, amplitude=a)) for a in values]
+    values = list(values)
+    for extension in range(MAX_SCAN_EXTENSIONS + 1):
+        best = int(np.argmax(scores))
+        if 0 < best < len(values) - 1:
+            break
+        if extension == MAX_SCAN_EXTENSIONS or (best == 0 and values[0] <= step):
+            raise GateError("calibration scan failed to bracket a fidelity maximum "
+                            f"after {extension} extensions of {step:.3e} past its ends")
+        end = 0 if best == 0 else len(values)
+        values.insert(end, values[0] - step if best == 0 else values[-1] + step)
+        scores.insert(end, score(replace(pulse_template, amplitude=values[end])))
     num = scores[best - 1] - scores[best + 1]
     den = scores[best - 1] - 2 * scores[best] + scores[best + 1]
     shift = 0.5 * num / den if den != 0 else 0.0
-    step = values[1] - values[0]
     return replace(pulse_template,
                    amplitude=float(values[best] + np.clip(shift, -1.0, 1.0) * step))
 

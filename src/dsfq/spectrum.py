@@ -343,6 +343,12 @@ def _solve_blocks(blocks: list, k: int, norm: float) -> tuple[np.ndarray, np.nda
             )
         energies.append(e)
         states.append(v if lift is None else lift @ v)
+    return _merge_lowest(energies, states, k)
+
+
+def _merge_lowest(energies: list, states: list, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest of the eigenpairs of several blocks of one problem, in
+    a stable order: an earlier block first on a tie."""
     energies = np.concatenate(energies)
     order = np.argsort(energies, kind="stable")[:k]
     return energies[order], np.hstack(states)[:, order]
@@ -492,14 +498,9 @@ def qubit_params(sol: EigenSolution) -> QubitParams:
 
 
 def _degenerate_clusters(energies: np.ndarray, tol: float) -> list[slice]:
-    clusters = []
-    start = 0
     scale = max(1.0, float(np.abs(energies).max()))
-    for i in range(1, len(energies) + 1):
-        if i == len(energies) or energies[i] - energies[i - 1] > tol * scale:
-            clusters.append(slice(start, i))
-            start = i
-    return clusters
+    bounds = [0, *(np.flatnonzero(np.diff(energies) > tol * scale) + 1).tolist(), len(energies)]
+    return [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
 def align_gauge(reference: EigenSolution, current: EigenSolution,
@@ -512,24 +513,30 @@ def align_gauge(reference: EigenSolution, current: EigenSolution,
     reference basis (polar decomposition of the overlap block).
     Energies are returned untouched. ``min_overlap <= 0`` disables the
     level-crossing check and aligns best-effort.
+
+    The phases of all single (non-degenerate) states are fixed in one
+    vectorized step; each degenerate cluster takes its own SVD.
     """
     if reference.k != current.k:
         raise SpectrumError("reference and current keep different state counts")
     if reference.states.shape != current.states.shape:
         raise SpectrumError("reference and current bases differ")
     states = current.states.copy()
-    for cluster in _degenerate_clusters(current.energies, DEGENERACY_TOL):
-        block = reference.states[:, cluster].conj().T @ states[:, cluster]
-        if cluster.stop - cluster.start == 1:
-            ov = block[0, 0]
-            if abs(ov) < min_overlap:
-                raise GaugeAlignmentError(
-                    f"overlap |<ref|cur>| = {abs(ov):.3f} < {min_overlap} for "
-                    f"state {cluster.start}; refine the parameter step"
-                )
-            if abs(ov) > 0:
-                states[:, cluster] *= ov.conj() / abs(ov)
-        else:
+    clusters = _degenerate_clusters(current.energies, DEGENERACY_TOL)
+    single = np.array([c.start for c in clusters if c.stop - c.start == 1], dtype=int)
+    ov = np.sum(reference.states[:, single].conj() * states[:, single], axis=0)
+    size = np.abs(ov)
+    low = np.flatnonzero(size < min_overlap)
+    if low.size:
+        raise GaugeAlignmentError(
+            f"overlap |<ref|cur>| = {size[low[0]]:.3f} < {min_overlap} for "
+            f"state {single[low[0]]}; refine the parameter step"
+        )
+    nonzero = size > 0
+    states[:, single[nonzero]] *= ov[nonzero].conj() / size[nonzero]
+    for cluster in clusters:
+        if cluster.stop - cluster.start > 1:
+            block = reference.states[:, cluster].conj().T @ states[:, cluster]
             u, s, vh = np.linalg.svd(block)
             if s.min() < min_overlap:
                 raise GaugeAlignmentError(

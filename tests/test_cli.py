@@ -439,3 +439,14 @@ def test_gate_point_builds_one_engine_and_the_noise_operators_once(tmp_path, mon
     assert run(_gate_config(cutoff=6), output=str(tmp_path))["status"] == "OK"
     assert counts["split"] == 1
     assert 0 < counts["noise"] <= 4
+
+
+def test_shipped_schedule_calibrates_at_cutoff_6(tmp_path):
+    # The shipped 7/11/1.5 ns schedule at cutoff 6 and 50 steps per ns has
+    # its fidelity maximum far above the rotating-wave seed amplitude, out
+    # of the +-5% scan, which exited 3 before the scan could extend.
+    cfg = _gate_config(cutoff=6)
+    cfg["params"] = {"target": "x", "steps_per_ns": 50, "calibrate": True}
+    manifest = run(cfg, output=str(tmp_path))
+    assert manifest["status"] == "OK"
+    assert manifest["notes"]["calibrated_amplitude"] > 0

@@ -671,3 +671,147 @@ def test_computational_projector_is_dressed_basis():
             assert np.abs(proj - product).max() < 1e-12
         else:
             assert np.abs(np.sum(product.conj() * proj, axis=0)).min() > 0.99
+
+
+def test_exchange_blocks_match_the_product_solve():
+    # An identical pair's product H commutes with the exchange of the two
+    # qubits, and its two blocks (78 + 66 states at m = 12) give the lowest
+    # k levels of the one 144-state solve, and the same coupled subspace.
+    cpl = CoupledSpec(q_node(), q_node(), cg_ratio=0.3)
+    frame = TwoQubitFrame(cpl, PropagationSettings())
+    assert frame.identical
+    assert [b.lift.shape[1] for b in frame._exchange_blocks] == [78, 66]
+    (engine,) = frame.engines.values()
+    for alpha in (1.0, 0.93, 0.857):
+        levels = evolve._qubit_levels(engine, alpha, frame.m)
+        e, w = frame._exchange_lowest(*levels)
+        h = evolve._product_hamiltonian(cpl, [levels, levels], [engine])
+        e_ref, w_ref = scipy.linalg.eigh(h, subset_by_index=(0, frame.k - 1))
+        assert np.abs(e - e_ref).max() < 1e-12
+        assert np.abs(w @ w.T - w_ref @ w_ref.T).max() < 1e-10
+        assert np.abs(w.T @ w - np.eye(frame.k)).max() < 1e-13
+    # an identical pair off ng = 0 solves complex Hermitian blocks
+    q = replace(q_node(), cutoff=6, ng_theta=0.05)
+    cpl = CoupledSpec(q, q, cg_ratio=0.3)
+    frame = TwoQubitFrame(cpl, PropagationSettings(per_qubit_m=6, subspace_k=12))
+    (engine,) = frame.engines.values()
+    assert not engine.real
+    levels = evolve._qubit_levels(engine, 0.93, frame.m)
+    e, w = frame._exchange_lowest(*levels)
+    h = evolve._product_hamiltonian(cpl, [levels, levels], [engine])
+    e_ref, w_ref = scipy.linalg.eigh(h, subset_by_index=(0, frame.k - 1))
+    assert w.dtype == np.complex128 and np.abs(e - e_ref).max() < 1e-12
+    assert np.abs(w @ w.conj().T - w_ref @ w_ref.conj().T).max() < 1e-10
+
+
+def test_kron_free_overlap_equals_the_kron_form():
+    rng = np.random.default_rng(3)
+    m, k = 5, 7
+    for imag in (0.0, 1.0):  # unitary overlaps and orthonormal columns, as in a frame
+        o1, o2, w = (np.linalg.qr(rng.standard_normal(shape)
+                                  + imag * 1j * rng.standard_normal(shape))[0]
+                     for shape in ((m, m), (m, m), (m * m, k)))
+        ref = np.kron(o1, o2) @ w
+        assert np.abs(evolve._kron_apply(o1, o2, w) - ref).max() < 1e-14
+        ref_h = np.kron(o1, o2).conj().T @ w
+        assert np.abs(evolve._kron_apply(o1.conj().T, o2.conj().T, w) - ref_h).max() < 1e-14
+
+
+def test_detuned_pair_keeps_one_product_block(monkeypatch):
+    # A detuned pair (detuning 0.02) has no exchange symmetry: each node is
+    # one 144-state subset solve, and its frame is the one that the kron
+    # form of the node alignment builds.
+    q1 = q_node()
+    cpl = CoupledSpec(q1, replace(q1, ej=q1.ej * 1.02), cg_ratio=0.3)
+    sizes = []
+    eigh = scipy.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording)
+    frame = TwoQubitFrame(cpl, PropagationSettings())
+    assert not frame.identical and frame._exchange_blocks is None
+    nodes = [frame.node(key * frame.grid) for key in (1000, 999, 998)]
+    assert sizes.count(144) == 3
+    monkeypatch.undo()
+    engines = list(frame.engines.values())
+    prev = None
+    for node, alpha in zip(nodes, (1.0, 0.999, 0.998)):
+        levels = [evolve._qubit_levels(e, alpha, frame.m,
+                                       None if prev is None else (prev[0][i], prev[1][i]))
+                  for i, e in enumerate(engines)]
+        h = evolve._product_hamiltonian(cpl, levels, engines)
+        e_c, w = scipy.linalg.eigh(h, subset_by_index=(0, frame.k - 1))
+        bs = [b for _, b, _ in levels]
+        if prev is not None:
+            o = np.kron(prev[1][0].T @ bs[0], prev[1][1].T @ bs[1])
+            w = evolve.align_gauge(evolve.EigenSolution(prev[2], o.T @ prev[3], None, frame.k),
+                                   evolve.EigenSolution(e_c, w, None, frame.k),
+                                   min_overlap=0.0).states
+        assert np.abs(node["e"] - e_c).max() < 1e-12
+        assert np.abs(node["w"] - w).max() < 1e-10
+        prev = ([e for e, _, _ in levels], bs, e_c, w)
+
+
+def test_benchmark_windows_are_proven_and_have_no_fallbacks(monkeypatch):
+    # Every midpoint of the two_qubit_map frame window (node basis, cutoff 9,
+    # 12 levels over the T_a = 20 ns range) and of the driven_gate window
+    # (single-loop sector, cutoff 12, 8 levels over [0.7, 1]) is proven by
+    # the residual check and the inertia count, so no dense midpoint solve
+    # is made, and the frame's 144 nodes take no dense fallback.
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a dense midpoint solve was made")
+
+    monkeypatch.setattr(evolve, "_lowest_k", no_dense)
+    frame = TwoQubitFrame(CoupledSpec(q_node(), q_node(), cg_ratio=0.3), PropagationSettings())
+    frame.ensure_range(AlphaProfile.two_qubit(20.0, 0.0).alpha_min)
+    (engine,) = frame.engines.values()
+    assert len(frame._nodes) == 144 and engine._window is not None and engine.fallbacks == 0
+    engine = evolve._CircuitEngine(SPEC, real=True)
+    engine.set_window(0.7, 1.0, 8, 1000)
+    assert engine._window is not None
+
+
+def test_inertia_midpoints_refuse_a_basis_missing_a_level(monkeypatch):
+    # Snapshots without their ground state, as in
+    # test_basis_missing_a_level_is_not_kept: no midpoint is proven, and the
+    # dense comparison then refuses the basis. With the inertia count
+    # refused, the dense comparison alone keeps the whole basis. (Over the
+    # wider benchmark windows, where levels mix and reorder, the other
+    # snapshots' states span a removed ground state well enough for both
+    # checks to keep the basis.)
+    dense = evolve._CircuitEngine._dense_lowest
+    proven = []
+    prove = evolve._CircuitEngine._midpoint_proven
+    engine, lo, hi, k = evolve._CircuitEngine(SPEC, real=True), 0.9, 1.0, 4
+
+    def without_ground(self, alpha, n):
+        if n != k + evolve.SNAPSHOT_PAD:
+            return dense(self, alpha, n)
+        energies, states = dense(self, alpha, n + 1)
+        return energies[1:], states[:, 1:]
+
+    def recording(self, window, alpha):
+        proven.append(prove(self, window, alpha))
+        return proven[-1]
+
+    def refused(*args):
+        raise evolve._SparseRefused("refused")
+
+    monkeypatch.setattr(evolve._CircuitEngine, "_midpoint_proven", recording)
+    monkeypatch.setattr(evolve._CircuitEngine, "_dense_lowest", without_ground)
+    engine.set_window(lo, hi, k, 1000)
+    assert engine._window is None and proven and not any(proven)
+    monkeypatch.setattr(evolve._CircuitEngine, "_dense_lowest", dense)
+    monkeypatch.setattr(evolve, "_levels_below", refused)
+    proven.clear()
+    engine.set_window(lo, hi, k, 1000)
+    assert engine._window is not None and len(proven) == 6 and not any(proven)
+    monkeypatch.undo()
+    monkeypatch.setattr(evolve._CircuitEngine, "_midpoint_proven", recording)
+    proven.clear()
+    engine = evolve._CircuitEngine(SPEC, real=True)
+    engine.set_window(lo, hi, k, 1000)
+    assert engine._window is not None and proven == [True] * 6

@@ -348,6 +348,40 @@ def test_calibration_scan_shares_one_engine(monkeypatch):
     assert all(engine is scan[0][0] and rates is scan[0][1] for engine, rates in scan)
 
 
+@pytest.mark.parametrize("peak", [1.2, 0.75])
+def test_calibration_scan_extends_past_its_end_to_the_maximum(monkeypatch, peak):
+    # A stand-in fidelity peaked outside the +-5% scan: the scan extends by
+    # its own step past the end that holds the best score until it brackets
+    # the peak, and the parabola lands on it. A score that keeps rising
+    # past MAX_SCAN_EXTENSIONS extensions raises a GateError naming them.
+    spec = CircuitSpec(ej=10.0, ec=0.1, phi_ext=0.995 * math.pi, cutoff=6)
+    profile = AlphaProfile.single_qubit(ramp_ns=2.0, plateau_ns=4.0)
+    template = DrivePulse(amplitude=0.0, carrier_freq=0.4, ramp_ns=1.0, flat_ns=2.0,
+                          t_start=2.0)
+    seed = gates.calibrate_drive(spec, profile, template, math.pi).amplitude
+    scan = []
+
+    def scored(spec, profile, pulse, target, settings, gamma1=None, *, _engine=None):
+        scan.append(pulse.amplitude / seed)
+        return SimpleNamespace(coherent_fidelity=1.0 - (scan[-1] - peak) ** 2)
+
+    monkeypatch.setattr(gates, "run_single_qubit_gate", scored)
+    settings = PropagationSettings(steps_per_ns=50)
+    pulse = gates.calibrate_drive(spec, profile, template, math.pi, target=gates.SIGMA_X,
+                                  settings=settings)
+    assert pulse.amplitude == pytest.approx(peak * seed, rel=1e-9)
+    step = 0.1 / 6
+    extensions = math.ceil((abs(peak - 1.0) - 0.05) / step - 1e-9) + 1
+    assert len(scan) == 7 + extensions
+    assert np.allclose(np.diff(sorted(scan)), step, rtol=1e-9)
+    monkeypatch.setattr(gates, "run_single_qubit_gate",
+                        lambda *args, **kwargs: SimpleNamespace(
+                            coherent_fidelity=args[2].amplitude / seed))
+    with pytest.raises(GateError, match=f"after {gates.MAX_SCAN_EXTENSIONS} extensions"):
+        gates.calibrate_drive(spec, profile, template, math.pi, target=gates.SIGMA_X,
+                              settings=settings)
+
+
 def test_gate_scores_in_the_charge_basis_gauge_in_either_engine_basis():
     # A gate's 2x2 map is scored in its alpha = 1 states, whose phases fix
     # the axes the target names; an eigensolver in another basis sets other

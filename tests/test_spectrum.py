@@ -711,3 +711,22 @@ def test_phi_grid_matches_the_dense_quadrature(variant):
     dense = (2.0 * math.pi / points) ** 2 * synth.conj().T @ (phi.ravel()[:, None] * synth)
     op = build_operator("phi_grid", spec, grid_points=points)
     assert np.abs(op.matrix - 0.5 * (dense + dense.conj().T)).max() < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [3, 9])
+def test_node_phi_grid_equals_the_sum_of_shift_krons(cutoff):
+    # The node-basis phi_grid is written straight into CSR from its Fourier
+    # coefficients c_k; it is the sum of c_k kron(S_k, S_-k), S_k the shift
+    # n -> n + k, that it replaces, to rounding.
+    spec = CircuitSpec(variant=Variant.NODE_BASIS, cutoff=cutoff)
+    points = 256
+    d = spec.basis.dim_per_mode
+    x = phase_grid_points(points)
+    k = np.arange(-2 * cutoff, 2 * cutoff + 1)
+    wrapped = 0.5 * (np.mod(x + math.pi, 2.0 * math.pi) - math.pi)
+    c = (wrapped[None, :] * np.exp(-1j * np.outer(k, x))).sum(axis=1) / points
+    m = sum(c_k * scipy.sparse.kron(scipy.sparse.eye_array(d, k=-k_a),
+                                    scipy.sparse.eye_array(d, k=k_a), format="csr")
+            for k_a, c_k in zip(k, c))
+    op = build_operator("phi_grid", spec, grid_points=points)
+    assert np.abs(op.matrix - 0.5 * (m + m.conj().T).toarray()).max() <= 1e-15
