@@ -404,6 +404,7 @@ def gradiometric_loop_dflux(spec: CircuitSpec, loop: int) -> HermitianOperator:
     return HermitianOperator(f"dH_dphi_ext{loop}", spec.basis, _flux_derivative(spec, term))
 
 
+@functools.lru_cache(maxsize=16)
 def physical_sector_indices(basis: ChargeBasis, parity: int = 0) -> np.ndarray:
     """Indices of the (n_phi + n_theta) parity sector of a (phi, theta) basis.
 
@@ -411,12 +412,15 @@ def physical_sector_indices(basis: ChargeBasis, parity: int = 0) -> np.ndarray:
     node-variable torus: H never couples states of different
     (n_phi + n_theta) parity, and every physical level appears once per
     sector. States with even n_phi + n_theta map onto integer node
-    charges n1 = (n_theta + n_phi)/2 and are the physical sector.
+    charges n1 = (n_theta + n_phi)/2 and are the physical sector. Each
+    (basis, parity) is built once and shared, read-only.
     """
     if basis.modes != ("phi", "theta"):
         raise CircuitError("sector restriction applies to (phi, theta) bases only")
     n_a, n_b = _mode_charges(basis)
-    return np.flatnonzero((n_a + n_b) % 2 == parity % 2)
+    idx = np.flatnonzero((n_a + n_b) % 2 == parity % 2)
+    idx.flags.writeable = False
+    return idx
 
 
 def parity_permutation(basis: ChargeBasis) -> np.ndarray:
@@ -458,13 +462,6 @@ def charge_inversion_basis(basis: ChargeBasis,
     return s[idx][:, idx]
 
 
-def _canonical(h: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
-    if not h.has_canonical_format:
-        h = h.copy()
-        h.sum_duplicates()
-    return h
-
-
 def inversion_symmetric(h: scipy.sparse.csr_array) -> bool:
     """Whether C h* C equals h exactly, C the index reversal, in O(nnz).
 
@@ -475,7 +472,9 @@ def inversion_symmetric(h: scipy.sparse.csr_array) -> bool:
     when its arrays equal their own reversal, the data conjugated. An
     explicit zero without a mirror fails the test.
     """
-    h = _canonical(h)
+    if not h.has_canonical_format:
+        h = h.copy()
+        h.sum_duplicates()
     dim = h.shape[0]
     return (np.array_equal(h.indptr, h.indptr[-1] - h.indptr[::-1])
             and np.array_equal(h.indices, dim - 1 - h.indices[::-1])
@@ -515,25 +514,13 @@ def _entry_images(h: scipy.sparse.csr_array, perm: np.ndarray) -> np.ndarray | N
     return m.data if np.array_equal(m.indices, h.indices) else None
 
 
-def _theta_symmetric(h: scipy.sparse.csr_array, perm: np.ndarray) -> bool:
-    """Whether P h P equals h exactly, P the involution of the index
-    permutation ``perm`` (``_theta_permutation``), by ``_entry_images``: each
-    stored entry (i, j) must have its image (perm[i], perm[j]) stored
-    with the same value. An explicit zero without an image fails the
-    test.
-    """
-    h = _canonical(h)
-    images = _entry_images(h, perm)
-    return images is not None and np.array_equal(h.data[images], h.data)
-
-
 @functools.lru_cache(maxsize=16)
 def _theta_blocks(basis: ChargeBasis, parity: int | None = None
-                  ) -> tuple[tuple[scipy.sparse.csr_array, scipy.sparse.csr_array], ...]:
+                  ) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
     """The two P_theta parity blocks of a basis or sector in
     ``charge_inversion_basis`` S, even block first, built once and shared:
-    for each, the lifts of its coordinates to coordinates in S and to
-    charge-basis (sector) vectors. Callers must not modify them.
+    for each, the lift of its coordinates to charge-basis (sector)
+    vectors. Callers must not modify them.
 
     P_theta commutes with the charge inversion C, so in S it is a signed
     permutation: it maps each column of S to +-1 times a column. A column
@@ -564,7 +551,7 @@ def _theta_blocks(basis: ChargeBasis, parity: int | None = None
         cols = np.concatenate([np.arange(members.size), np.flatnonzero(pair)])
         values = np.concatenate([np.where(pair, r, 1.0), parity_sign * sign[members[pair]] * r])
         lift_s = scipy.sparse.csr_array((values, (rows, cols)), shape=(dim, members.size))
-        blocks.append((lift_s, (s @ lift_s).tocsr()))
+        blocks.append((s @ lift_s).tocsr())
     return tuple(blocks)
 
 

@@ -13,20 +13,19 @@ and checks each solution against the full H; at the window's snapshot
 alphas it returns their dense solutions; otherwise, and as the fallback,
 it calls ``spectrum.qubit_eigensolution``.
 
-Every engine that the package builds asks for the real basis
-``circuit.charge_inversion_basis`` and works in it wherever its h0 and h1
-satisfy C h* C = h, C the charge inversion (every ng = 0 qubit): there
-every H(alpha) is real symmetric and n1 is i times a real antisymmetric
-matrix, so the solves, overlaps and product Hamiltonians of the
-two-qubit frames, the ZZ statics and a driven gate's window, samples and
-Gamma_1 grid are all float64, as is every ng = 0 static solve of
-``spectrum.qubit_eigensolution``. Elsewhere the working basis is the
-charge basis and the same code runs on complex data. The states that a
-driven gate propagates, and the alpha = 1 states it is scored in, are
-charge-basis vectors in either case: the phases of those states, set by
-a complex charge-basis solve (``_CircuitEngine.charge_gauge_states``),
-fix what a gate's target means, and the real basis would set other
-phases. That solve is the only one at ng = 0 that runs on complex data.
+The circuit picks an engine's working basis, as it picks the route of
+``spectrum.qubit_eigensolution``. Where h0 and h1 satisfy C h* C = h, C
+the charge inversion (every ng = 0 qubit), it is
+``circuit.charge_inversion_basis``, in which every H(alpha) is real
+symmetric and n1 is i times a real antisymmetric matrix, so the solves,
+overlaps and product Hamiltonians of the two-qubit frames, the ZZ
+statics and a driven gate's window, samples and Gamma_1 grid are all
+float64. Elsewhere it is the charge basis, and the same code runs on
+complex data. The states that a driven gate propagates, and the
+alpha = 1 states it is scored in, are charge-basis vectors in either
+case: the phases of those states, set by a complex charge-basis solve
+(``_CircuitEngine.charge_gauge_states``), fix what a gate's target
+means.
 
 Every ``propagate_state`` step is one fourth-order commutator-free Magnus
 step, whose two half-step exponentials ``_CircuitEngine.expi_apply``
@@ -56,6 +55,7 @@ from .circuit import (
     CircuitSpec,
     CoupledSpec,
     Variant,
+    build_hamiltonian,
     build_operator,
     charge_inversion_basis,
     hamiltonian_decomposition,
@@ -68,9 +68,9 @@ from .spectrum import (
     _SparseRefused,
     _check_pair_continuity,
     _levels_below,
-    _lowest_k,
     _merge_lowest,
     align_gauge,
+    diagonalize,
     qubit_eigensolution,
 )
 
@@ -341,17 +341,17 @@ class _CircuitEngine:
     """H(alpha, drive) = h0 + alpha*h1 + drive*n1 of one circuit, in its
     physical sector where it has one, held only in CSR form.
 
-    The working basis, in which ``lowest`` solves, is the charge basis
-    unless ``real`` is set and h0 and h1 commute with the charge inversion
-    C (C h* C = h, checked exactly): then it is
-    ``circuit.charge_inversion_basis`` S, in which h0 and h1 are real,
-    ``n1`` holds the real antisymmetric A of the charge i*A, ``real`` is
-    True, and every solve, reduced basis and residual is float64 (see the
-    module docstring for which engines ask for it). ``charge_states`` maps
+    The circuit picks the working basis, in which ``lowest`` solves. Where
+    h0 and h1 commute with the charge inversion C (C h* C = h, checked
+    exactly) it is ``circuit.charge_inversion_basis`` S, in which h0 and
+    h1 are real, ``n1`` holds the real antisymmetric A of the charge i*A,
+    ``real`` is True, and every solve, reduced basis and residual is
+    float64; elsewhere it is the charge basis. ``charge_states`` maps
     working coordinates to the charge basis. A dense solve is
-    ``spectrum.qubit_eigensolution`` (as coordinates in S for a real
-    engine), and every residual bound is ``RESIDUAL_RTOL`` times
-    ||H(alpha)||_inf of the charge-basis H.
+    ``spectrum.qubit_eigensolution``, whose charge-basis (sector) states v
+    a real engine takes to its coordinates as (S^dag v).real, and every
+    residual bound is ``RESIDUAL_RTOL`` times ||H(alpha)||_inf of the
+    charge-basis H.
 
     ``expi_apply`` acts on charge-basis (sector) vectors in either working
     basis: its generator is the charge-basis h0 and h1 on their pattern
@@ -369,11 +369,12 @@ class _CircuitEngine:
     only solve densely.
     """
 
-    def __init__(self, spec: CircuitSpec, charging_scale: float = 1.0, real: bool = False):
+    def __init__(self, spec: CircuitSpec, charging_scale: float = 1.0):
         self._spec, self.charging_scale = spec, charging_scale
         h0, h1 = hamiltonian_decomposition(spec, charging_scale)
         self.full_dim = h0.shape[0]
-        parity = 0 if spec.variant is Variant.SINGLE_LOOP else None
+        self._sector = "even" if spec.variant is Variant.SINGLE_LOOP else None
+        parity = None if self._sector is None else 0
         if parity is None:
             self.indices = np.arange(self.full_dim)
         else:
@@ -391,7 +392,7 @@ class _CircuitEngine:
         self._gen_n1 = n1.diagonal()
         self._gen_step = np.zeros(self._gen_indices.size, dtype=complex)  # rewritten per call
         self._basis = None
-        self.real = real and inversion_symmetric(h0) and inversion_symmetric(h1)
+        self.real = inversion_symmetric(h0) and inversion_symmetric(h1)
         if self.real:
             s = self._basis = charge_inversion_basis(spec.basis, parity)
             h0, h1 = ((s.conj().T @ h @ s).real for h in (h0, h1))
@@ -408,11 +409,6 @@ class _CircuitEngine:
     def _csr(self, data: np.ndarray) -> scipy.sparse.csr_matrix:
         return scipy.sparse.csr_matrix((data, self._indices, self._indptr),
                                        shape=(self.dim, self.dim))
-
-    def sparse_hamiltonian(self, alpha: float) -> scipy.sparse.csr_matrix:
-        """The drive-free H(alpha) in CSR form, in the working basis."""
-        d0, d1 = self._data
-        return self._csr(d0 + alpha * d1)
 
     def expi_apply(self, alpha: float, drive: float, dt: float, psi: np.ndarray,
                    shift: float) -> np.ndarray:
@@ -436,8 +432,7 @@ class _CircuitEngine:
         swapped buffers, added into the sum in place, so a term makes no
         temporary array. On the driven-gate benchmark circuit (cutoff 12,
         100 steps per ns: nu = 2.7, one substep) a half step takes 10.0
-        terms on average, 13.3 at a tolerance of 2**-53, against the 20 of
-        the fixed order-20 sum about the diagonal mean that this replaces.
+        terms on average, 13.3 at a tolerance of 2**-53.
         """
         a = self._gen_step
         d0, d1 = self._gen_data
@@ -497,18 +492,14 @@ class _CircuitEngine:
         hi among them, and keeps those dense solutions for ``lowest``.
 
         The residual check of ``lowest`` cannot see a level missing from
-        the basis, so the basis is also checked once here, midway between
-        each pair of snapshots (``_midpoint_proven``): the lowest k of k + 1
-        reduced pairs must pass the residual check, and a Sylvester
-        inertia count of the full H midway between the Ritz values E_{k-1}
-        and E_k must find exactly k levels below it. Ritz values lie above
-        the levels they approximate, so that count proves that no level is
-        missing. Where it cannot be proven, the midpoint's lowest k
-        energies must match those of the full H, solved for eigenvalues
-        only by the dense or the shift-invert branch of
-        ``spectrum.diagonalize``, to ``RESIDUAL_RTOL * ||H||_inf``, or no
-        basis is kept. On the 361-state node basis of a frame (k = 12) a
-        proven midpoint took 2.7 ms, the dense comparison 6 ms.
+        the basis, so the basis is kept only where it is proven midway
+        between each pair of snapshots (``_midpoint_proven``): the lowest k
+        of k + 1 reduced pairs must pass the residual check, and a
+        Sylvester inertia count of the full H midway between the Ritz
+        values E_{k-1} and E_k must find exactly k levels below it. Ritz
+        values lie above the levels they approximate, so that count proves
+        that no level is missing. On the 361-state node basis of a frame
+        (k = 12) a midpoint check took 2.7 ms.
         """
         w = self._window
         if w is not None and w.lo <= lo and hi <= w.hi and k <= w.k:
@@ -522,14 +513,8 @@ class _CircuitEngine:
         q = np.linalg.qr(np.hstack([states for _, states in snapshots.values()]))[0]
         g0, g1 = (q.conj().T @ (self._csr(d) @ q) for d in self._data[:2])
         window = _Window(lo, hi, k, q, g0, g1, snapshots)
-        for a in 0.5 * (alphas[1:] + alphas[:-1]):
-            if self._midpoint_proven(window, a):
-                continue
-            reduced = scipy.linalg.eigvalsh(g0 + a * g1, subset_by_index=(0, k - 1))
-            full = _lowest_k(self.sparse_hamiltonian(a), k, eigvals_only=True)
-            if np.abs(reduced - full).max() > RESIDUAL_RTOL * self._norm(a):
-                return
-        self._window = window
+        if all(self._midpoint_proven(window, a) for a in 0.5 * (alphas[1:] + alphas[:-1])):
+            self._window = window
 
     def _midpoint_proven(self, window: _Window, alpha: float) -> bool:
         """Whether the window's basis provably holds the lowest k levels of
@@ -572,9 +557,13 @@ class _CircuitEngine:
                                  minlength=self.dim).max())
 
     def _dense_lowest(self, alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-        sol = qubit_eigensolution(self._spec.with_alpha(alpha), k, self.charging_scale,
-                                  _coordinates=self.real)
-        return sol.energies, sol.states if self.real else sol.states[self.indices]
+        """``spectrum.qubit_eigensolution`` of H(alpha), its states in the
+        working basis."""
+        sol = qubit_eigensolution(self._spec.with_alpha(alpha), k, self.charging_scale)
+        states = sol.states[self.indices]
+        if self._basis is not None:  # C*K-invariant states: S^dag v is real
+            states = (self._basis.conj().T @ states).real.copy()
+        return sol.energies, states
 
     def charge_states(self, states: np.ndarray) -> np.ndarray:
         """Columns of working-basis coordinates as charge-basis (sector) vectors."""
@@ -583,19 +572,19 @@ class _CircuitEngine:
     def charge_gauge_states(self, alpha: float, m: int) -> np.ndarray:
         """The lowest m eigenvectors of H(alpha) as charge-basis (sector)
         columns, in the phase gauge of a complex charge-basis solve
-        (``spectrum.qubit_eigensolution`` with ``_real=False``), for an
-        engine in either working basis. Where ``lowest(alpha, m)`` would
-        return a snapshot of the window, the solve takes the snapshot's
-        k + SNAPSHOT_PAD levels, the dense problem of the snapshot itself;
-        otherwise m. Each (alpha, m) is solved once per engine.
+        (``spectrum.diagonalize`` of its H), for an engine in either
+        working basis. Where ``lowest(alpha, m)`` would return a snapshot
+        of the window, the solve takes the snapshot's k + SNAPSHOT_PAD
+        levels, the dense problem of the snapshot itself; otherwise m. Each
+        (alpha, m) is solved once per engine.
         """
         key = (alpha, m)
         if key not in self._gauge_states:
             w = self._window
             snapshot = w is not None and m <= w.k and alpha in w.snapshots
             k = w.k + SNAPSHOT_PAD if snapshot else m
-            sol = qubit_eigensolution(self._spec.with_alpha(alpha), k, self.charging_scale,
-                                      _real=False)
+            h = build_hamiltonian(self._spec.with_alpha(alpha), self.charging_scale)
+            sol = diagonalize(h, k, sector=self._sector)
             self._gauge_states[key] = sol.states[self.indices, :m]
         return self._gauge_states[key]
 
@@ -702,7 +691,7 @@ def propagate_state(
     with its other solves.
     """
     settings = settings or PropagationSettings()
-    engine = _engine or _CircuitEngine(spec, charging_scale, real=True)
+    engine = _engine or _CircuitEngine(spec, charging_scale)
     psi0 = np.asarray(psi0, dtype=complex)
     block = psi0.ndim == 2
     psi = engine.restrict(psi0 if block else psi0[:, None])
@@ -896,7 +885,7 @@ class TwoQubitFrame:
         self.k = settings.subspace_k
         self.grid = settings.alpha_grid
         self.identical = coupled.qubit1 == coupled.qubit2
-        self.engines = {q: _CircuitEngine(q, coupled.charging_scale, real=True)
+        self.engines = {q: _CircuitEngine(q, coupled.charging_scale)
                         for q in dict.fromkeys((coupled.qubit1, coupled.qubit2))}
         self._exchange_blocks = _ExchangeBlock.pair(self.m) if self.identical else None
         self._nodes: dict[int, dict] = {}

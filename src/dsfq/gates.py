@@ -283,7 +283,7 @@ class Gamma1Interpolator:
     ):
         self.alphas = np.linspace(alpha_lo, alpha_hi, n_grid)
         channels = channels if channels is not None else default_channels()
-        engine = _engine or _CircuitEngine(spec, charging_scale, real=True)
+        engine = _engine or _CircuitEngine(spec, charging_scale)
         engine.set_window(alpha_lo, alpha_hi, 3, n_grid)
         unit = _noise_operators(spec.with_alpha(1.0), [ch.kind for ch in channels],
                                 engine.charging_scale, engine.indices)
@@ -326,7 +326,7 @@ def _gate_engine(spec: CircuitSpec, profile: AlphaProfile,
     propagation's samples and the rate grid are solved in it, and the
     plateau solve is its end snapshot. The gate's alpha = 1 states are the
     engine's ``charge_gauge_states``, solved once for all its gates."""
-    engine = _CircuitEngine(spec, real=True)
+    engine = _CircuitEngine(spec)
     _propagation_window(engine, profile, settings)
     return engine
 
@@ -433,7 +433,7 @@ def calibrate_drive(
         return replace(pulse_template, amplitude=0.0)
     settings = settings or PropagationSettings()
     # without a scan, the one plateau solve needs no window
-    engine = _engine or (_CircuitEngine(spec, real=True) if target is None
+    engine = _engine or (_CircuitEngine(spec) if target is None
                          else _gate_engine(spec, profile, settings))
     element = abs(_qubit_levels(engine, profile.alpha_min, 3)[2][0, 1])
     if element < 1e-12:
@@ -578,7 +578,7 @@ def _coupled_hamiltonian(
         key = (q, scale, a, m)
         if key not in levels:
             if (q, scale) not in levels:
-                levels[q, scale] = _CircuitEngine(q, scale, real=True)
+                levels[q, scale] = _CircuitEngine(q, scale)
             levels[key] = _qubit_levels(levels[q, scale], a, m)
         pair.append(levels[key])
     engines = [levels[q, scale] for q in (coupled.qubit1, coupled.qubit2)]

@@ -1,29 +1,31 @@
 """Hermitian eigensolutions with gauge continuity, plus derived qubit numbers.
 
-``diagonalize`` finds the lowest k levels by one of two branches, chosen
-by one rule in (dim, k, dtype): above ``DENSE_DIM_LIMIT`` states for a
-complex matrix, or ``REAL_DENSE_DIM_LIMIT`` for a real one, and for
-k <= dim / ``SPARSE_STATES_PER_LEVEL``, shift-invert Lanczos on the CSC
-form of the (sector) matrix; otherwise dense ``scipy.linalg.eigh``. The
-sector is sliced from the operator's CSR, and only the dense branch makes
-a dense copy, of the sector it solves. The sparse branch shifts to the
-Gershgorin lower bound, which lies below E0, and starts from a fixed
-generic vector. A level it missed would not show in any residual, so a
-Sylvester inertia count of the levels below (E_{k-1} + E_k)/2 must come
-out at exactly k. Whenever it cannot show that, the dense branch solves
-the problem instead.
-
-``qubit_eigensolution`` solves in real arithmetic wherever the circuit
-allows it: a (sector) H with C H* C = H, C the charge inversion (every
-ng = 0 circuit), is real symmetric in ``circuit.charge_inversion_basis``
-S, where a dense ``eigh`` costs a quarter of the complex one and
+``diagonalize`` finds the lowest k levels of a (sector) matrix by one
+route, which the matrix picks. A matrix of a known basis with
+C H* C = H, C the charge inversion (every ng = 0 circuit), is real
+symmetric in ``circuit.charge_inversion_basis`` S and is solved there,
+where a dense ``eigh`` costs a quarter of the complex one and
 shift-invert runs symmetric ARPACK. Where H also commutes with P_theta,
 the reflection n_theta -> -n_theta (at ng = 0 every circuit but the
 coupled qubits' node basis), S^dag H S splits into two real P_theta
 parity blocks of about half the size, each summed straight from H's CSR
-and solved by the rule above on its own (313 sector states: 163 + 150).
-The states are taken back to the charge basis, so every caller sees the
-same kind of ``EigenSolution``.
+and solved on its own (313 sector states: 163 + 150). Any other matrix
+is solved as it is, on complex data. Either way the states come back as
+charge-basis vectors, so every caller sees the same kind of
+``EigenSolution``.
+
+Each (block) matrix is solved by one rule in (dim, k, dtype): above
+``DENSE_DIM_LIMIT`` states for a complex matrix, or
+``REAL_DENSE_DIM_LIMIT`` for a real one, and for
+k <= dim / ``SPARSE_STATES_PER_LEVEL``, shift-invert Lanczos on its CSC
+form; otherwise dense ``scipy.linalg.eigh``. The sector is sliced from
+the operator's CSR, and only the dense branch makes a dense copy, of the
+matrix it solves. The sparse branch shifts to the Gershgorin lower
+bound, which lies below E0, and starts from a fixed generic vector. A
+level it missed would not show in any residual, so a Sylvester inertia
+count of the levels below (E_{k-1} + E_k)/2 must come out at exactly k.
+Whenever it cannot show that, the dense branch solves the problem
+instead.
 """
 
 from __future__ import annotations
@@ -193,20 +195,18 @@ def _shift_invert_lowest(h: scipy.sparse.csc_array, k: int,
     return energies[:k], q @ coords[:, :k]
 
 
-def _lowest_k(h: scipy.sparse.csr_array, k: int, eigvals_only: bool = False):
-    """Lowest k eigenpairs of h by the branch that ``diagonalize`` names, or
-    their energies alone with ``eigvals_only``."""
+def _lowest_k(h: scipy.sparse.csr_array, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of h by the branch that ``diagonalize`` names."""
     dim = h.shape[0]
     if _use_sparse(dim, k, h.dtype):
         try:
-            energies, states = _shift_invert_lowest(h.tocsc(), k, _start_vector(dim))
-            return energies if eigvals_only else (energies, states)
+            return _shift_invert_lowest(h.tocsc(), k, _start_vector(dim))
         except _SparseRefused:
             pass
     # a Fortran-ordered copy that LAPACK may overwrite: the same input as a
     # copy of the C-ordered one, without a second dense copy
     return scipy.linalg.eigh(h.toarray(order="F"), subset_by_index=(0, k - 1),
-                             eigvals_only=eigvals_only, overwrite_a=True)
+                             overwrite_a=True)
 
 
 class _Assembly(NamedTuple):
@@ -225,8 +225,8 @@ class _Assembly(NamedTuple):
 
     def commutes(self, data: np.ndarray) -> bool:
         """Whether C H* C = H and P_theta H P_theta = H hold exactly for H
-        with this pattern and ``data``, as ``circuit.inversion_symmetric``
-        and ``circuit._theta_symmetric`` test them."""
+        with this pattern and ``data``: each stored entry equals the
+        conjugate of its C image and its P_theta image."""
         inversion, theta = self.images
         return (np.array_equal(data[inversion].conj(), data)
                 and np.array_equal(data[theta], data))
@@ -260,7 +260,7 @@ def _block_assembly(basis: ChargeBasis, parity: int | None, index_dtype: str,
     # for each charge state, the (at most 4) block vectors holding it: their
     # column over both blocks (the even block's first, -1 for none) and the
     # state's coefficient in each
-    (_, even), (_, odd) = _theta_blocks(basis, parity)
+    even, odd = _theta_blocks(basis, parity)
     lifts = scipy.sparse.hstack([even, odd], format="csr")
     n_even, n = even.shape[1], lifts.shape[1]
     counts = np.diff(lifts.indptr)
@@ -305,12 +305,11 @@ def _block_assembly(basis: ChargeBasis, parity: int | None, index_dtype: str,
     return _Assembly(images, weights, tuple(blocks))
 
 
-def _theta_parity_blocks(h: scipy.sparse.csr_array, basis: ChargeBasis, parity: int | None,
-                         coordinates: bool) -> list | None:
+def _theta_parity_blocks(h: scipy.sparse.csr_array, basis: ChargeBasis,
+                         parity: int | None) -> list | None:
     """The real P_theta parity blocks of a canonical full-basis H and their
-    lifts, to coordinates in S with ``coordinates`` and to charge-basis
-    (sector) vectors otherwise; None unless H commutes exactly with both
-    the charge inversion C*K and P_theta."""
+    lifts to charge-basis (sector) vectors; None unless H commutes exactly
+    with both the charge inversion C*K and P_theta."""
     with _ASSEMBLY_LOCK:  # pool threads that miss the cache together build once
         assembly = _block_assembly(basis, parity, h.indptr.dtype.str, h.indptr.tobytes(),
                                    h.indices.tobytes())
@@ -319,8 +318,8 @@ def _theta_parity_blocks(h: scipy.sparse.csr_array, basis: ChargeBasis, parity: 
         return None
     values = assembly.weights @ data.view(np.float64)
     return [(scipy.sparse.csr_array((values[start:stop], block_indices, block_indptr),
-                                    shape=(lift.shape[1],) * 2), lift_s if coordinates else lift)
-            for (start, stop, block_indptr, block_indices), (lift_s, lift)
+                                    shape=(lift.shape[1],) * 2), lift)
+            for (start, stop, block_indptr, block_indices), lift
             in zip(assembly.blocks, _theta_blocks(basis, parity))]
 
 
@@ -356,43 +355,40 @@ def _merge_lowest(energies: list, states: list, k: int) -> tuple[np.ndarray, np.
 
 def diagonalize(op: HermitianOperator | np.ndarray, k: int,
                 basis: ChargeBasis | None = None,
-                sector: str | None = None, *,
-                _real: bool = False, _coordinates: bool = False) -> EigenSolution:
+                sector: str | None = None, *, _real: bool = False) -> EigenSolution:
     """Lowest-k eigensolution of a Hermitian operator.
 
-    Above ``DENSE_DIM_LIMIT`` states (``REAL_DENSE_DIM_LIMIT`` for a real
-    matrix), and while k is at most
-    dim / ``SPARSE_STATES_PER_LEVEL``, the (sector) matrix is solved in
-    CSC form by shift-invert Lanczos, shifted to its Gershgorin lower
-    bound and started from a fixed vector, so reruns repeat. Its levels
-    are kept only when a Sylvester inertia count shows exactly k
-    eigenvalues below the midpoint of E_{k-1} and E_k; any refusal (row
-    or tiny pivot, a gap too small to place that midpoint, ARPACK not
-    converging) falls back to dense ``scipy.linalg.eigh``, which also
-    solves every smaller problem. Residuals of either branch are
-    checked against ``RESIDUAL_RTOL * ||H||_inf``, on the CSR form; a
-    non-finite ||H||_inf raises SpectrumError. With ``sector`` set to
-    ``"even"`` or ``"odd"``, a (phi, theta)-basis operator is restricted
-    to the corresponding (n_phi + n_theta) parity block before solving;
-    eigenvectors are embedded back into the full basis. Degenerate
+    With ``sector`` set to ``"even"`` or ``"odd"``, a (phi, theta)-basis
+    operator is restricted to the corresponding (n_phi + n_theta) parity
+    block before solving; eigenvectors are embedded back into the full
+    basis.
+
+    With ``_real`` the matrix picks the route. An operator of a known
+    basis whose (sector) matrix passes ``circuit.inversion_symmetric`` is
+    solved as the real CSR S^dag H S, S its
+    ``circuit.charge_inversion_basis``. Where the full-basis H also
+    commutes exactly with P_theta (tested on entry images kept per CSR
+    pattern), S^dag H S is solved as its two P_theta parity blocks
+    (``circuit._theta_blocks``), each summed from H's CSR in O(nnz) and
+    keeping min(k, its size) levels, and the k lowest of both are kept.
+    Any other matrix, and every matrix without ``_real``, is solved as it
+    is. The eigenvectors are charge-basis vectors on every route.
+
+    Each (block) matrix above ``DENSE_DIM_LIMIT`` states
+    (``REAL_DENSE_DIM_LIMIT`` for a real one), while k is at most
+    dim / ``SPARSE_STATES_PER_LEVEL``, is solved in CSC form by
+    shift-invert Lanczos, shifted to its Gershgorin lower bound and
+    started from a fixed vector, so reruns repeat. Its levels are kept
+    only when a Sylvester inertia count shows exactly k eigenvalues below
+    the midpoint of E_{k-1} and E_k; any refusal (row or tiny pivot, a
+    gap too small to place that midpoint, ARPACK not converging) falls
+    back to dense ``scipy.linalg.eigh``, which also solves every smaller
+    problem. Residuals are checked block by block against
+    ``RESIDUAL_RTOL * ||H||_inf`` of the charge-basis H, on the CSR form;
+    the symmetry tests are exact, so a block's residual is that of the
+    full problem. A non-finite ||H||_inf raises SpectrumError. Degenerate
     clusters are rotated to eigenstates of the phi -> -phi parity when a
     basis is known, even-parity state first, for deterministic labeling.
-
-    With ``_real``, a (sector) matrix of a known basis that passes
-    ``circuit.inversion_symmetric`` is solved as the real CSR S^dag H S,
-    S its ``circuit.charge_inversion_basis``, and its eigenvectors are
-    taken back to the charge basis; the residuals are those of the real
-    problem, against the bound of H. Where the full-basis H also commutes
-    exactly with P_theta (the test of ``circuit._theta_symmetric``, made
-    from entry images kept per CSR pattern), S^dag H S is solved as its
-    two P_theta parity blocks (``circuit._theta_blocks``), each summed
-    from H's CSR in O(nnz): each block keeps min(k, its size)
-    levels by the rule above, its residuals are checked against the same
-    bound, and the k lowest of both are kept. The symmetry tests are
-    exact, so a block's residual is that of the full problem.
-    ``_coordinates`` asks for the eigenvectors as coordinates in S, not
-    embedded, and raises SpectrumError where the real solve cannot be
-    made.
     """
     if isinstance(op, HermitianOperator):
         h, basis = op.csr, op.basis
@@ -422,20 +418,16 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
             raise SpectrumError(f"k = {k} exceeds the {idx.size} states of the {sector} sector")
     blocks = None
     if _real and basis is not None:
-        blocks = _theta_parity_blocks(h, basis, parity, _coordinates)
+        blocks = _theta_parity_blocks(h, basis, parity)
     if blocks is None:
         sub = h if idx is None else h[idx][:, idx]
         if _real and basis is not None and inversion_symmetric(sub):
             s = charge_inversion_basis(basis, parity)
-            blocks = [((s.conj().T @ sub @ s).real, None if _coordinates else s)]
-        elif _coordinates:
-            raise SpectrumError("the matrix is not real in the charge-inversion basis")
+            blocks = [((s.conj().T @ sub @ s).real, s)]
         else:
             blocks = [(sub, None)]
     energies, states = _solve_blocks(blocks, k, norm)
-    if _coordinates:  # coordinates in S, not charge-basis vectors
-        basis = None
-    elif idx is not None:
+    if idx is not None:
         sub_states = states
         states = np.zeros((dim, energies.size), dtype=sub_states.dtype)
         states[idx] = sub_states
@@ -464,28 +456,25 @@ def _order_degenerate_by_parity(sol: EigenSolution) -> None:
         sol.states[:, cluster] = block @ rot[:, order]
 
 
-def qubit_eigensolution(spec: CircuitSpec, k: int = 5, charging_scale: float = 1.0, *,
-                        _real: bool = True, _coordinates: bool = False) -> EigenSolution:
+def qubit_eigensolution(spec: CircuitSpec, k: int = 5,
+                        charging_scale: float = 1.0) -> EigenSolution:
     """Physical lowest-k eigensolution of a circuit.
 
     For the single-loop variant this restricts to the even
     (n_phi + n_theta) sector; the node-variable variants have no
-    redundant sector and are solved in full. Where the (sector) H commutes
-    with C*K, C the charge inversion (every ng = 0 circuit), it is solved
-    in real arithmetic (``diagonalize`` with ``_real``), and each returned
-    vector is C*K-invariant: its phase is fixed up to a sign. Where H also
-    commutes with P_theta, n_theta -> -n_theta (at ng = 0 every circuit
-    but the node basis at a ``charging_scale`` other than 1), it is solved
-    as two P_theta parity blocks, and every vector outside a degenerate
-    cluster is a P_theta eigenstate. Without C*K symmetry, and with
-    ``_real=False``, the solve runs on complex data and the eigensolver
-    sets the phases. ``_coordinates`` returns the states as
-    coordinates in ``circuit.charge_inversion_basis`` of the sector, as an
-    ``evolve._CircuitEngine`` in that basis works.
+    redundant sector and are solved in full. The H of the circuit picks
+    the route of ``diagonalize`` (with ``_real``). Where the (sector) H
+    commutes with C*K, C the charge inversion (every ng = 0 circuit), each
+    returned vector is C*K-invariant: its phase is fixed up to a sign.
+    Where H also commutes with P_theta, n_theta -> -n_theta (at ng = 0
+    every circuit but the node basis at a ``charging_scale`` other than
+    1), every vector outside a degenerate cluster is a P_theta
+    eigenstate. Elsewhere the solve runs on complex data and the
+    eigensolver sets the phases.
     """
     h = build_hamiltonian(spec, charging_scale=charging_scale)
     sector = "even" if spec.variant is Variant.SINGLE_LOOP else None
-    return diagonalize(h, k, sector=sector, _real=_real, _coordinates=_coordinates)
+    return diagonalize(h, k, sector=sector, _real=True)
 
 
 def qubit_params(sol: EigenSolution) -> QubitParams:

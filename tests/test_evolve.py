@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from dsfq import evolve
+from dsfq import evolve, spectrum
 from dsfq.circuit import (
     CircuitSpec,
     CoupledSpec,
@@ -135,15 +135,16 @@ def test_stationary_state_is_stationary():
         assert np.linalg.norm(state - exact) < 1e-10
 
 
-def test_expi_apply_matches_dense_expm():
+def test_expi_apply_matches_dense_expm(monkeypatch):
     # One half step of a two-column block against the dense exponential, at
     # several (alpha, drive): the half steps of 857 and of MIN_STEPS_PER_NS
     # steps per ns, and longer ones that the sum cuts into substeps. Random
     # columns fill the whole spectrum, so the tail bound is nearly reached;
     # the error stays below TAYLOR_TOL per substep. The reference H comes
     # from the circuit module, restricted to the sector, not from the engine.
-    # An engine in the real basis takes and returns charge-basis vectors too:
-    # its generator is the charge-basis one.
+    # An engine in the real basis, which this ng = 0 circuit picks, takes
+    # and returns charge-basis vectors as a charge-basis engine does: its
+    # generator is the charge-basis one.
     spec = replace(SPEC, cutoff=5)
     sector = physical_sector_indices(spec.basis, 0)
     h0, h1 = (h[np.ix_(sector, sector)] for h in hamiltonian_decomposition(spec))
@@ -152,7 +153,12 @@ def test_expi_apply_matches_dense_expm():
     psi = rng.normal(size=(sector.size, 2)) + 1j * rng.normal(size=(sector.size, 2))
     psi /= np.linalg.norm(psi, axis=0)
     substeps = set()
-    for engine in (evolve._CircuitEngine(spec), evolve._CircuitEngine(spec, real=True)):
+    with monkeypatch.context() as m:  # the charge-basis engine of a failed C*K test
+        m.setattr(evolve, "inversion_symmetric", lambda h: False)
+        charge = evolve._CircuitEngine(spec)
+    real = evolve._CircuitEngine(spec)
+    assert real.real and not charge.real
+    for engine in (charge, real):
         np.testing.assert_array_equal(engine.indices, sector)
         for alpha, drive in ((1.0, 0.0), (0.7, 0.4), (0.85, -1.0)):
             shift = float(qubit_eigensolution(spec.with_alpha(alpha), 1).energies[0])
@@ -172,7 +178,7 @@ def test_csr_kernel_reproduces_the_sparse_product():
     # expi_apply calls scipy's private CSR multivector kernel, the one that
     # A @ X reaches after its dispatch; on a (dim, 2) block of the engine's
     # generator the direct call must give A @ X bit for bit.
-    engine = evolve._CircuitEngine(replace(SPEC, cutoff=5), real=True)
+    engine = evolve._CircuitEngine(replace(SPEC, cutoff=5))
     d0, d1 = engine._gen_data
     data = -2j * math.pi * 0.01 * (d0 + 0.8 * d1)
     data[engine._gen_diag] += 0.3 * engine._gen_n1
@@ -195,7 +201,7 @@ def test_generator_norm_is_exact_on_disjoint_patterns_and_a_bound_otherwise(spec
     # expi_apply sizes its Taylor substeps by the 1-norm of h0 + alpha*h1
     # plus its diagonal, taken from off-diagonal column sums of |h0| and |h1|
     # kept once; h0 and h1 share no off-diagonal entry, so it is exact
-    engine = evolve._CircuitEngine(spec, real=True)
+    engine = evolve._CircuitEngine(spec)
     d0, d1 = engine._gen_data
     at = engine._gen_diag
 
@@ -443,8 +449,8 @@ def test_frame_grid_refinement(coupled_frame):
 
 
 def test_basis_missing_a_level_is_not_kept(monkeypatch):
-    # Snapshots that leave out the ground state miss a level; the dense
-    # solves between the snapshots see it before any reduced solve is made.
+    # Snapshots that leave out the ground state miss a level; the inertia
+    # counts between the snapshots see it before any reduced solve is made.
     engine = evolve._CircuitEngine(SPEC)
     dense = evolve._CircuitEngine._dense_lowest
     k = 4
@@ -464,9 +470,9 @@ def test_basis_missing_a_level_is_not_kept(monkeypatch):
 
 
 def test_window_ends_return_their_dense_solutions():
-    # A window's end snapshots are dense solves, and lowest returns them: a
-    # charge-basis engine's alpha = 1 states keep the gauge of
-    # qubit_eigensolution, and a gate's plateau solve is not redone.
+    # A window's end snapshots are dense solves, and lowest returns them: an
+    # engine's alpha = 1 states keep the gauge of qubit_eigensolution, and a
+    # gate's plateau solve is not redone.
     spec = replace(SPEC, cutoff=10)
     engine = evolve._CircuitEngine(spec)
     engine.set_window(0.7, 1.0, 8, 100)
@@ -475,7 +481,7 @@ def test_window_ends_return_their_dense_solutions():
         energies, states = engine.lowest(alpha, k)
         dense = qubit_eigensolution(spec.with_alpha(alpha), k)
         assert np.abs(energies - dense.energies).max() < 1e-12
-        assert np.abs(states - dense.states[engine.indices]).max() < 1e-12
+        assert np.abs(engine.charge_states(states) - dense.states[engine.indices]).max() < 1e-12
 
 
 def test_frame_built_through_the_basis_matches_a_dense_frame(coupled_frame):
@@ -520,8 +526,8 @@ def test_charge_inversion_basis_makes_h_real_at_zero_offset_charge():
     # At ng = 0 the charge inversion C (n -> -n) maps H(alpha) to its
     # complex conjugate, so in S = charge_inversion_basis, H is real
     # symmetric and the coupled-node charge is i times a real antisymmetric
-    # matrix; an offset charge breaks the symmetry and the engine keeps
-    # the charge basis.
+    # matrix; an offset charge breaks the symmetry and the engine, with no
+    # flag to ask, works in the charge basis.
     q = replace(q_node(), cutoff=6)
     scale = CoupledSpec(q, q).charging_scale
     s = charge_inversion_basis(q.basis).toarray()
@@ -538,7 +544,7 @@ def test_charge_inversion_basis_makes_h_real_at_zero_offset_charge():
     # the even sector of a single loop
     loop = CircuitSpec(ej=10.0, ec=0.1, phi_ext=0.995 * math.pi, cutoff=6)
     for spec, charging_scale in ((q, scale), (loop, 1.0)):
-        engine = evolve._CircuitEngine(spec, charging_scale, real=True)
+        engine = evolve._CircuitEngine(spec, charging_scale)
         assert engine.real and engine.n1.dtype == np.float64
         energies, states = engine.lowest(0.85, 8)
         assert states.dtype == np.float64
@@ -549,10 +555,36 @@ def test_charge_inversion_basis_makes_h_real_at_zero_offset_charge():
     shifted = replace(q, ng_theta=0.05)
     h = build_hamiltonian(shifted, charging_scale=scale).matrix
     assert np.abs((s.conj().T @ h @ s).imag).max() > 1e-3
-    assert not evolve._CircuitEngine(shifted, scale, real=True).real
+    engine = evolve._CircuitEngine(shifted, scale)
+    assert not engine.real and engine.lowest(0.85, 2)[1].dtype == np.complex128
 
 
-def test_symmetric_pair_product_hamiltonian_is_real():
+@pytest.mark.parametrize("spec, charging_scale, blocked", [
+    (CircuitSpec(ej=10.0, ec=0.1, phi_ext=0.995 * math.pi, cutoff=6), 1.0, True),
+    (replace(q_node(), cutoff=6), 0.8125, False),
+], ids=["single_loop_sector", "node_basis_one_block"])
+def test_real_engine_dense_solve_is_qubit_eigensolution_in_its_basis(spec, charging_scale,
+                                                                     blocked):
+    # A real engine takes qubit_eigensolution's charge-basis (sector) states
+    # v to its coordinates as (S^dag v).real, and charge_states maps them
+    # back to v, sign included: on the single loop's even sector, solved as
+    # two P_theta blocks, and on the node basis at a charging scale that
+    # breaks P_theta, solved as the one block S^dag H S.
+    h = build_hamiltonian(spec, charging_scale=charging_scale).csr
+    parity = 0 if spec.variant is Variant.SINGLE_LOOP else None
+    assert (spectrum._theta_parity_blocks(h, spec.basis, parity) is not None) == blocked
+    engine = evolve._CircuitEngine(spec, charging_scale)
+    assert engine.real
+    for alpha, k in ((1.0, 2), (0.85, 8)):
+        energies, states = engine.lowest(alpha, k)
+        assert states.dtype == np.float64
+        sol = qubit_eigensolution(spec.with_alpha(alpha), k, charging_scale)
+        np.testing.assert_array_equal(energies, sol.energies)
+        error = np.abs(engine.charge_states(states) - sol.states[engine.indices]).max(axis=0)
+        assert error.shape == (k,) and error.max() < 1e-14
+
+
+def test_symmetric_pair_product_hamiltonian_is_real(monkeypatch):
     q = replace(q_node(), cutoff=6)
     coupled = CoupledSpec(q, replace(q, ej=10.5), cg_ratio=0.3)
     frame = TwoQubitFrame(coupled, PropagationSettings(per_qubit_m=4, subspace_k=8))
@@ -561,9 +593,12 @@ def test_symmetric_pair_product_hamiltonian_is_real():
     assert all(e.real for e in frame.engines.values()) and h.dtype == np.float64
     # each qubit's charge among its real levels is i times a real matrix
     assert all(n1.dtype == np.complex128 and not n1.real.any() for _, _, n1 in levels)
-    # the same H from charge-basis levels, up to the per-level gauge
-    charge = [evolve._qubit_levels(evolve._CircuitEngine(qq, coupled.charging_scale), 0.9, 4)
-              for qq in (coupled.qubit1, coupled.qubit2)]
+    # the same H from levels of charge-basis engines, up to the per-level gauge
+    with monkeypatch.context() as m:
+        m.setattr(evolve, "inversion_symmetric", lambda h: False)
+        engines = [evolve._CircuitEngine(qq, coupled.charging_scale)
+                   for qq in (coupled.qubit1, coupled.qubit2)]
+    charge = [evolve._qubit_levels(engine, 0.9, 4) for engine in engines]
     h_charge = coupled.product_hamiltonian([c[0] for c in charge], [c[2] for c in charge])
     assert h_charge.dtype == np.complex128
     assert np.abs(np.linalg.eigvalsh(h) - np.linalg.eigvalsh(h_charge)).max() < 1e-10
@@ -755,37 +790,32 @@ def test_detuned_pair_keeps_one_product_block(monkeypatch):
         prev = ([e for e, _, _ in levels], bs, e_c, w)
 
 
-def test_benchmark_windows_are_proven_and_have_no_fallbacks(monkeypatch):
+def test_benchmark_windows_are_proven_and_have_no_fallbacks():
     # Every midpoint of the two_qubit_map frame window (node basis, cutoff 9,
     # 12 levels over the T_a = 20 ns range) and of the driven_gate window
     # (single-loop sector, cutoff 12, 8 levels over [0.7, 1]) is proven by
-    # the residual check and the inertia count, so no dense midpoint solve
-    # is made, and the frame's 144 nodes take no dense fallback.
-    def no_dense(*args, **kwargs):
-        raise AssertionError("a dense midpoint solve was made")
-
-    monkeypatch.setattr(evolve, "_lowest_k", no_dense)
+    # the residual check and the inertia count, so both keep their basis,
+    # and the frame's 144 nodes take no dense fallback.
     frame = TwoQubitFrame(CoupledSpec(q_node(), q_node(), cg_ratio=0.3), PropagationSettings())
     frame.ensure_range(AlphaProfile.two_qubit(20.0, 0.0).alpha_min)
     (engine,) = frame.engines.values()
     assert len(frame._nodes) == 144 and engine._window is not None and engine.fallbacks == 0
-    engine = evolve._CircuitEngine(SPEC, real=True)
+    engine = evolve._CircuitEngine(SPEC)
     engine.set_window(0.7, 1.0, 8, 1000)
     assert engine._window is not None
 
 
 def test_inertia_midpoints_refuse_a_basis_missing_a_level(monkeypatch):
     # Snapshots without their ground state, as in
-    # test_basis_missing_a_level_is_not_kept: no midpoint is proven, and the
-    # dense comparison then refuses the basis. With the inertia count
-    # refused, the dense comparison alone keeps the whole basis. (Over the
-    # wider benchmark windows, where levels mix and reorder, the other
-    # snapshots' states span a removed ground state well enough for both
-    # checks to keep the basis.)
+    # test_basis_missing_a_level_is_not_kept: the first midpoint is not
+    # proven, and no basis is kept. A refused inertia count keeps no basis
+    # either, however good the basis. (Over the wider benchmark windows,
+    # where levels mix and reorder, the other snapshots' states span a
+    # removed ground state well enough to prove every midpoint.)
     dense = evolve._CircuitEngine._dense_lowest
     proven = []
     prove = evolve._CircuitEngine._midpoint_proven
-    engine, lo, hi, k = evolve._CircuitEngine(SPEC, real=True), 0.9, 1.0, 4
+    engine, lo, hi, k = evolve._CircuitEngine(SPEC), 0.9, 1.0, 4
 
     def without_ground(self, alpha, n):
         if n != k + evolve.SNAPSHOT_PAD:
@@ -803,15 +833,15 @@ def test_inertia_midpoints_refuse_a_basis_missing_a_level(monkeypatch):
     monkeypatch.setattr(evolve._CircuitEngine, "_midpoint_proven", recording)
     monkeypatch.setattr(evolve._CircuitEngine, "_dense_lowest", without_ground)
     engine.set_window(lo, hi, k, 1000)
-    assert engine._window is None and proven and not any(proven)
+    assert engine._window is None and proven == [False]
     monkeypatch.setattr(evolve._CircuitEngine, "_dense_lowest", dense)
     monkeypatch.setattr(evolve, "_levels_below", refused)
     proven.clear()
     engine.set_window(lo, hi, k, 1000)
-    assert engine._window is not None and len(proven) == 6 and not any(proven)
+    assert engine._window is None and proven == [False]
     monkeypatch.undo()
     monkeypatch.setattr(evolve._CircuitEngine, "_midpoint_proven", recording)
     proven.clear()
-    engine = evolve._CircuitEngine(SPEC, real=True)
+    engine = evolve._CircuitEngine(SPEC)
     engine.set_window(lo, hi, k, 1000)
     assert engine._window is not None and proven == [True] * 6

@@ -249,10 +249,13 @@ def test_gamma1_rates_from_the_engine_match_dense_solves(monkeypatch, spec, alph
                                           _elements=elements).gamma1_total)
     assert np.abs(gamma1.rates / np.array(reference) - 1.0).max() < 1e-10
     # a caller's k = 8 window over the range serves the rates as it is, from
-    # the charge-basis engine of a driven gate and from the real working
-    # basis that the two-qubit frames use
+    # an engine in the charge basis (here by a failed C*K test) and from one
+    # in the real basis that this ng = 0 circuit picks
     for real in (False, True):
-        engine = evolve._CircuitEngine(spec, charging_scale, real=real)
+        with monkeypatch.context() as m:
+            if not real:
+                m.setattr(evolve, "inversion_symmetric", lambda h: False)
+            engine = evolve._CircuitEngine(spec, charging_scale)
         assert engine.real is real
         engine.set_window(alpha_lo, 1.0, 8, 1000)
         window = engine._window
@@ -382,7 +385,7 @@ def test_calibration_scan_extends_past_its_end_to_the_maximum(monkeypatch, peak)
                               settings=settings)
 
 
-def test_gate_scores_in_the_charge_basis_gauge_in_either_engine_basis():
+def test_gate_scores_in_the_charge_basis_gauge_in_either_engine_basis(monkeypatch):
     # A gate's 2x2 map is scored in its alpha = 1 states, whose phases fix
     # the axes the target names; an eigensolver in another basis sets other
     # phases and moves the score. The gate's engine solves in the real basis
@@ -401,7 +404,9 @@ def test_gate_scores_in_the_charge_basis_gauge_in_either_engine_basis():
                                            _engine=engine)
 
     real = gates._gate_engine(spec, profile, settings)
-    charge = evolve._CircuitEngine(spec)
+    with monkeypatch.context() as m:  # the charge-basis engine of a failed C*K test
+        m.setattr(evolve, "inversion_symmetric", lambda h: False)
+        charge = evolve._CircuitEngine(spec)
     evolve._propagation_window(charge, profile, settings)
     assert real.real and not charge.real
     ours, theirs = (gate(spec, engine) for engine in (real, charge))

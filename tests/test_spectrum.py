@@ -17,7 +17,6 @@ from dsfq.circuit import (
     build_operator,
     _theta_blocks,
     _theta_permutation,
-    _theta_symmetric,
     charge_inversion_basis,
     hamiltonian_decomposition,
     inversion_symmetric,
@@ -394,7 +393,7 @@ def test_qubit_eigensolution_solves_in_real_arithmetic_at_zero_offset_charge(
     spec = REAL_ROUTE[shape]
     sector = "even" if spec.variant is Variant.SINGLE_LOOP else None
     perm = _theta_permutation(spec.basis)
-    n_even, n_odd = (lift.shape[1] for _, lift in _theta_blocks(spec.basis, 0 if sector else None))
+    n_even, n_odd = (lift.shape[1] for lift in _theta_blocks(spec.basis, 0 if sector else None))
     dtypes = _record_solved_dtypes(monkeypatch)
     # k = 13 solves the whole 13-state sector at cutoff 2, where each block
     # (7 and 6 states) keeps all of its levels, fewer than k
@@ -421,8 +420,6 @@ def test_qubit_eigensolution_solves_in_real_arithmetic_at_zero_offset_charge(
     assert dtypes == [np.complex128]
     ref = diagonalize(build_hamiltonian(offset), 3, sector=sector)
     np.testing.assert_array_equal(sol.states, ref.states)
-    with pytest.raises(SpectrumError, match="not real"):
-        qubit_eigensolution(offset, 3, _coordinates=True)
 
 
 def test_inversion_test_is_exact_and_matches_its_dense_definition():
@@ -454,39 +451,32 @@ def test_inversion_test_is_exact_and_matches_its_dense_definition():
 
 
 def test_theta_test_is_exact_and_matches_its_dense_definition():
+    # the real route's P_theta test, made from entry images kept per CSR
+    # pattern, against P h P = h on the dense matrix, on the full basis and
+    # on the even sector of a single loop
     single, node = REAL_ROUTE["single_loop"], REAL_ROUTE["node_basis"]
     grad = _compensated_gradiometric()
     assert grad.alpha1 != grad.alpha2 and grad.phi_ext1 != -grad.phi_ext2
-    idx = physical_sector_indices(single.basis, 0)
     h = build_hamiltonian(single).csr
     tilted = h.copy()
     tilted.data[7] *= 1 + 1e-15  # one entry off its image by a rounding
-    # the same matrix with each row's entries in a random order
-    rng = np.random.default_rng(5)
-    order = np.concatenate([rng.permutation(np.arange(a, b))
-                            for a, b in zip(h.indptr, h.indptr[1:])])
-    shuffled = scipy.sparse.csr_array((h.data[order], h.indices[order], h.indptr),
-                                      shape=h.shape)
-    cases = [  # (matrix, basis, parity sector, commutes with P_theta)
-        (h, single.basis, None, True),
-        (h[idx][:, idx], single.basis, 0, True),
-        (build_hamiltonian(grad).csr, grad.basis, None, True),
-        (build_hamiltonian(node).csr, node.basis, None, True),
-        (build_hamiltonian(replace(single, ng_theta=0.05)).csr, single.basis, None, False),
-        (build_hamiltonian(node, charging_scale=0.8125).csr, node.basis, None, False),
-        (tilted, single.basis, None, False),
-        (shuffled, single.basis, None, True),
+    cases = [  # (canonical full-basis matrix, basis, commutes with P_theta)
+        (h, single.basis, True),
+        (build_hamiltonian(grad).csr, grad.basis, True),
+        (build_hamiltonian(node).csr, node.basis, True),
+        (build_hamiltonian(replace(single, ng_theta=0.05)).csr, single.basis, False),
+        (build_hamiltonian(node, charging_scale=0.8125).csr, node.basis, False),
+        (tilted, single.basis, False),
     ]
-    for m, basis, parity, commutes in cases:
-        perm = _theta_permutation(basis, parity)
+    for m, basis, commutes in cases:
         dense = m.toarray()
-        assert np.array_equal(dense[np.ix_(perm, perm)], dense) == commutes
-        assert _theta_symmetric(m, perm) == commutes
-        if parity is None and m.has_canonical_format:
-            # the real route's test, from images kept per pattern, agrees
-            # (every case here but the offset charge passes the C*K test)
-            sector = 0 if basis.modes == ("phi", "theta") else None
-            blocks = spectrum._theta_parity_blocks(m, basis, sector, False)
+        for parity in (None, 0) if basis.modes == ("phi", "theta") else (None,):
+            idx = np.arange(basis.dim) if parity is None else physical_sector_indices(basis, 0)
+            perm = _theta_permutation(basis, parity)
+            sub = dense[np.ix_(idx, idx)]
+            assert np.array_equal(sub[np.ix_(perm, perm)], sub) == commutes
+            # every case but the offset charge passes the C*K test
+            blocks = spectrum._theta_parity_blocks(m, basis, parity)
             assert (blocks is not None) == (commutes and inversion_symmetric(m))
 
 
@@ -571,7 +561,7 @@ def test_arpack_failure_falls_back_to_dense(monkeypatch):
         _sparse_solve(m, 3)
     dense_solves = _count_dense_solves(monkeypatch)
     sol = qubit_eigensolution(spec, 3)
-    assert dense_solves == [lift.shape[1] for _, lift in _theta_blocks(spec.basis)] == [630, 595]
+    assert dense_solves == [lift.shape[1] for lift in _theta_blocks(spec.basis)] == [630, 595]
     assert sol.energies == pytest.approx(expected, abs=1e-10)
 
 
