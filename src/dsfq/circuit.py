@@ -19,15 +19,25 @@ Three circuit variants are supported:
   energy of the coupled-circuit analysis: the coupled node carries
   4*EC*(C + Cg)/(C + 2*Cg), the other node 4*EC.
 
-Every operator comes from one assembly path and is stored in one form,
-CSR. Diagonal operators (H_C, the charge operators and the offset-charge
-derivatives) are vectors over the basis charges. Every Josephson term is
-a cosine -w*EJ*cos(k_a*x_a + k_b*x_b + p) over the mode phases, whose
-(row, column, value) triples one builder writes straight into a CSR
-matrix. ``build_hamiltonian`` sums all of them;
-``hamiltonian_decomposition`` sums the fixed ones and the unit-alpha
-barrier terms apart; a flux derivative is its barrier term at p + pi/2.
-A dense full-basis matrix exists only on request, as
+Every operator is stored in one form, CSR. Diagonal operators (H_C, the
+charge operators and the offset-charge derivatives) are vectors over the
+basis charges. Every Josephson term is a cosine
+-w*EJ*cos(k_a*x_a + k_b*x_b + p) over the mode phases. The barrier's
+terms, which the alphas and fluxes of a sweep set, share one phase
+combination X, so every H of a circuit is F + c*B_c + s*B_s exactly: F
+holds H_C and the fixed cosines, B_c and B_s are the barrier's two
+quadratures -cos(X) and sin(X), and c, s are sums of w*EJ*cos(p) and
+w*EJ*sin(p). The three parts are built once per circuit (variant,
+cutoff, EJ, EC, offset charges and the node basis's charging scale), each
+checked once by ``HermitianOperator``, on one CSR pattern, and shared
+read-only by every thread. ``build_hamiltonian``,
+``hamiltonian_decomposition`` and the flux derivatives (a barrier term
+at p + pi/2) are then O(nnz) real-weighted sums of the parts' data,
+which are Hermitian and keep the charge-inversion and P_theta symmetry
+exactly, so they are not checked again; each matches the sum of its
+terms' matrix elements bit for bit. The charge operators, offset-charge
+derivatives and ``phi_grid`` are built once per circuit and shared. A
+dense full-basis matrix exists only on request, as
 ``HermitianOperator.matrix``.
 """
 
@@ -35,8 +45,10 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -199,11 +211,15 @@ class HermitianOperator:
     matrix. Finiteness and Hermiticity are checked on the stored entries,
     the latter by comparing each with its mirror (a lone entry counts with
     its own magnitude). ``matrix`` is a dense copy, made on each access.
+    An H that ``build_hamiltonian`` sums from checked parts is not checked
+    again; it keeps those parts, its weights and the array they gave in
+    ``_parts``.
     """
 
     label: str
     basis: ChargeBasis
     csr: scipy.sparse.csr_array = field(repr=False)
+    _parts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = scipy.sparse.csr_array(self.csr, copy=True)
@@ -221,6 +237,15 @@ class HermitianOperator:
         if np.abs(m.data - m[m.indices, rows].conj()).max(initial=0.0) > bound:
             raise CircuitError(f"operator {self.label!r} is not Hermitian")
         self.csr = m
+
+    @classmethod
+    def _trusted(cls, label: str, basis: ChargeBasis, csr: scipy.sparse.csr_array,
+                 parts: tuple | None = None) -> "HermitianOperator":
+        """An operator around a canonical CSR array that is Hermitian by
+        construction (a real-weighted sum of checked parts), unchecked."""
+        op = cls.__new__(cls)
+        op.label, op.basis, op.csr, op._parts = label, basis, csr, parts
+        return op
 
     @property
     def matrix(self) -> np.ndarray:
@@ -300,27 +325,160 @@ def _cosine_terms(spec: CircuitSpec) -> tuple[list[_Cosine], list[_Cosine]]:
     return fixed, [(spec.alpha, (1, -1), spec.phi_ext)]
 
 
-def _assemble(spec: CircuitSpec, terms: list[_Cosine],
-              diagonal: np.ndarray | None = None) -> scipy.sparse.csr_array:
-    """CSR sum of cosine terms, plus ``diagonal`` on the diagonal."""
-    basis = spec.basis
+class _CircuitKey(NamedTuple):
+    """What H's parts depend on: every CircuitSpec field but the barrier's
+    alphas and fluxes, and a charging scale, which only the node basis
+    reads (1 for the other variants)."""
+
+    variant: Variant
+    cutoff: int
+    ej: float
+    ec: float
+    ng_phi: float
+    ng_theta: float
+    charging_scale: float
+
+    def spec(self) -> CircuitSpec:
+        return CircuitSpec(variant=self.variant, ej=self.ej, ec=self.ec, ng_phi=self.ng_phi,
+                           ng_theta=self.ng_theta, cutoff=self.cutoff)
+
+
+def _circuit_key(spec: CircuitSpec, charging_scale: float) -> _CircuitKey:
+    scale = float(charging_scale) if spec.variant is Variant.NODE_BASIS else 1.0
+    return _CircuitKey(spec.variant, spec.cutoff, spec.ej, spec.ec, spec.ng_phi,
+                       spec.ng_theta, scale)
+
+
+@dataclass(frozen=True, eq=False)
+class _Parts:
+    """H = F + c*B_c + s*B_s of one circuit, on one canonical CSR pattern.
+
+    F is H_C plus the fixed cosines; B_c = -cos(X) and B_s = sin(X) are
+    the barrier's quadratures, X its mode phase combination, so that a
+    barrier term -w*EJ*cos(X + p) is w*EJ*(cos(p)*B_c + sin(p)*B_s)
+    (``_term_weights``). Every variant's barrier terms share one X, so
+    three parts serve every H of the circuit. F and B_c are real and B_s
+    is imaginary, so each is stored as one real array on the pattern
+    (``sin`` holds B_s / i). ``blocks`` holds, by sector parity, the
+    parts' P_theta block data that ``spectrum`` maps once, under its own
+    lock. The arrays are read-only.
+    """
+
+    key: _CircuitKey
+    basis: ChargeBasis
+    indptr: np.ndarray
+    indices: np.ndarray
+    fixed: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    blocks: dict = field(default_factory=dict)
+
+    def weighted_sum(self, f: float, c: float, s: float) -> scipy.sparse.csr_array:
+        """f*F + c*B_c + s*B_s as a canonical, read-only CSR array without
+        stored zeros, in O(nnz). Real weights keep each entry's mirror and
+        its C and P_theta images exact, as they are in the parts."""
+        data = np.empty(self.indices.size, dtype=complex)
+        data.real = f * self.fixed + c * self.cos
+        data.imag = s * self.sin
+        indptr, indices = self.indptr, self.indices
+        keep = data != 0
+        if not keep.all():  # alpha = 0, or a part left out
+            data, indices = data[keep], indices[keep]
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr].astype(indptr.dtype)
+        return _frozen(scipy.sparse.csr_array((data, indices, indptr), shape=(self.basis.dim,) * 2))
+
+
+def _frozen(m: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
+    """A canonical CSR array with its arrays made read-only."""
+    m.has_canonical_format = True
+    for a in (m.data, m.indices, m.indptr):
+        a.flags.writeable = False
+    return m
+
+
+_CACHE_LOCK = threading.Lock()
+
+
+def _shift_entries(basis: ChargeBasis, k: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) of the states that exp(i*(k_a*x_a + k_b*x_b)) maps into
+    the basis: it raises the charges (n_a, n_b) by k."""
     n_a, n_b = _mode_charges(basis)
-    entries = [] if diagonal is None else [(np.arange(basis.dim),) * 2 + (diagonal,)]
-    for weight, (k_a, k_b), phase in terms:
-        src = np.flatnonzero((np.abs(n_a + k_a) <= basis.cutoff)
-                             & (np.abs(n_b + k_b) <= basis.cutoff))
-        dst = src + k_a * basis.dim_per_mode + k_b
-        amp = -0.5 * weight * spec.ej * np.exp(1j * phase)
-        entries += [(dst, src, np.full(src.size, amp)),
-                    (src, dst, np.full(src.size, np.conj(amp)))]
-    rows, cols, values = (np.concatenate(part) for part in zip(*entries))
-    return scipy.sparse.coo_array((values, (rows, cols)), shape=(basis.dim,) * 2).tocsr()
+    src = np.flatnonzero((np.abs(n_a + k[0]) <= basis.cutoff)
+                         & (np.abs(n_b + k[1]) <= basis.cutoff))
+    return src, src + k[0] * basis.dim_per_mode + k[1]
 
 
-def _flux_derivative(spec: CircuitSpec, term: _Cosine) -> scipy.sparse.csr_array:
-    """d/dp of the term -w*EJ*cos(X + p), which is the term at p + pi/2."""
+@functools.lru_cache(maxsize=16)
+def _hamiltonian_parts(key: _CircuitKey) -> _Parts:
+    """The ``_Parts`` of one circuit, each part checked once by
+    ``HermitianOperator``; built once and shared (see ``_parts``)."""
+    spec = key.spec()
+    basis, dim = spec.basis, spec.basis.dim
+    fixed, barrier = _cosine_terms(spec)
+    (shift,) = {k for _, k, _ in barrier}
+
+    def part(label, diagonal, terms):
+        # each term (k, a) is a*exp(i*k.x) + conj(a)*exp(-i*k.x)
+        entries = [] if diagonal is None else [(np.arange(dim),) * 2 + (diagonal,)]
+        for k, amp in terms:
+            src, dst = _shift_entries(basis, k)
+            entries += [(dst, src, np.full(src.size, amp)),
+                        (src, dst, np.full(src.size, np.conj(amp)))]
+        rows, cols, values = (np.concatenate(p) for p in zip(*entries))
+        m = scipy.sparse.coo_array((values, (rows, cols)), shape=(dim, dim)).tocsr()
+        return HermitianOperator(label, basis, m).csr
+
+    # the fixed cosines all have p = 0
+    ops = (part("F", _charging_diagonal(spec, key.charging_scale),
+                [(k, -0.5 * w * spec.ej) for w, k, _ in fixed]),
+           part("B_c", None, [(shift, -0.5)]),
+           part("B_s", None, [(shift, -0.5j)]))
+    # the union of the parts' patterns, and each part's entries on it
+    keys = [np.repeat(np.arange(dim), np.diff(m.indptr)) * dim + m.indices for m in ops]
+    union = np.unique(np.concatenate(keys))
+    rows, indices = np.divmod(union, dim)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=dim))))
+    data = []
+    for m, k in zip(ops, keys):
+        d = np.zeros(union.size, dtype=m.dtype)
+        d[np.searchsorted(union, k)] = m.data
+        data.append(d)
+    arrays = (indptr.astype(np.int32), indices.astype(np.int32),
+              data[0].real, data[1].real, data[2].imag)
+    for a in arrays:
+        a.flags.writeable = False
+    return _Parts(key, basis, *arrays)
+
+
+def _parts(spec: CircuitSpec, charging_scale: float) -> _Parts:
+    """The parts of ``spec``'s circuit, built under a lock so that pool
+    threads that miss the cache together build them once."""
+    with _CACHE_LOCK:
+        return _hamiltonian_parts(_circuit_key(spec, charging_scale))
+
+
+def _term_weights(spec: CircuitSpec, terms: list[_Cosine]) -> tuple[float, float]:
+    """(c, s) with c*B_c + s*B_s the sum of barrier terms (w, k, p): the
+    real and imaginary parts of the sum of w*EJ*exp(i*p). Each is rounded
+    as the term's amplitude -w*EJ*exp(i*p)/2 is, so a sum of parts equals
+    the sum of its terms' matrix elements bit for bit."""
+    z = sum(w * spec.ej * np.exp(1j * p) for w, _, p in terms)
+    return float(z.real), float(z.imag)
+
+
+def _barrier_weights(spec: CircuitSpec) -> tuple[float, float]:
+    """(c, s) of H's barrier c*B_c + s*B_s."""
+    return _term_weights(spec, _cosine_terms(spec)[1])
+
+
+def _flux_derivative(label: str, spec: CircuitSpec, term: _Cosine,
+                     charging_scale: float = 1.0) -> HermitianOperator:
+    """d/dp of the barrier term (w, k, p), which is the term at p + pi/2:
+    w*EJ*(cos(p)*B_s - sin(p)*B_c)."""
     weight, k, phase = term
-    return _assemble(spec, [(weight, k, phase + 0.5 * math.pi)])
+    parts = _parts(spec, charging_scale)  # the circuit's, though B_c and B_s ignore the scale
+    return HermitianOperator._trusted(label, spec.basis, parts.weighted_sum(
+        0.0, *_term_weights(spec, [(weight, k, phase + 0.5 * math.pi)])))
 
 
 def build_hamiltonian(spec: CircuitSpec, charging_scale: float = 1.0) -> HermitianOperator:
@@ -328,11 +486,16 @@ def build_hamiltonian(spec: CircuitSpec, charging_scale: float = 1.0) -> Hermiti
 
     ``charging_scale`` renormalizes the coupled-node charging prefactor
     of the NODE_BASIS variant ((C + Cg)/(C + 2*Cg) when part of a
-    coupled pair); it is ignored for the other variants.
+    coupled pair); it is ignored for the other variants. H is summed from
+    its circuit's checked parts in O(nnz) and carries them with its
+    weights, from which ``spectrum.diagonalize`` sums its P_theta blocks.
+    Its arrays are read-only.
     """
-    fixed, barrier = _cosine_terms(spec)
-    m = _assemble(spec, fixed + barrier, _charging_diagonal(spec, charging_scale))
-    return HermitianOperator(f"H[{spec.variant.value}]", spec.basis, m)
+    parts = _parts(spec, charging_scale)
+    weights = _barrier_weights(spec)
+    m = parts.weighted_sum(1.0, *weights)
+    return HermitianOperator._trusted(f"H[{spec.variant.value}]", spec.basis, m,
+                                      (parts, weights, m))
 
 
 _OPERATOR_KINDS = (
@@ -344,6 +507,20 @@ _OPERATOR_KINDS = (
     "dH_dng_phi",
     "dH_dng_theta",
 )
+
+
+@functools.lru_cache(maxsize=32)
+def _shared_operator(kind: str, key: _CircuitKey, grid_points: int) -> HermitianOperator:
+    """A charge operator, offset-charge derivative or ``phi_grid`` of one
+    circuit, checked and built once and shared, its arrays read-only."""
+    spec = key.spec()
+    if kind == "phi_grid":
+        op = HermitianOperator("phi", spec.basis, _phi_operator(spec, grid_points))
+    else:
+        op = HermitianOperator(kind, spec.basis, scipy.sparse.diags_array(
+            _diagonal_operator(kind, spec, key.charging_scale), format="csr"))
+    _frozen(op.csr)
+    return op
 
 
 def build_operator(
@@ -358,7 +535,9 @@ def build_operator(
     derivatives of ``build_hamiltonian(spec, charging_scale)``;
     ``phi_grid`` -- the double-well coordinate phi as a multiplication
     operator on the [-pi, pi) branch, represented through the phase-grid
-    transform with ``grid_points`` points per mode.
+    transform with ``grid_points`` points per mode. ``dH_dphi_ext`` is
+    summed from the circuit's parts; every other kind is built once per
+    circuit (and grid) and shared. The arrays of every kind are read-only.
     """
     if kind not in _OPERATOR_KINDS:
         raise CircuitError(f"unknown operator kind {kind!r}")
@@ -369,13 +548,14 @@ def build_operator(
                 "for the gradiometric variant"
             )
         (term,) = _cosine_terms(spec)[1]
-        return HermitianOperator(kind, spec.basis, _flux_derivative(spec, term))
+        return _flux_derivative(kind, spec, term, charging_scale)
     if kind == "phi_grid":
         if grid_points < 2 or grid_points & (grid_points - 1) != 0:
             raise CircuitError(f"grid size {grid_points} is not a power of two")
-        return HermitianOperator("phi", spec.basis, _phi_operator(spec, grid_points))
-    return HermitianOperator(kind, spec.basis, scipy.sparse.diags_array(
-        _diagonal_operator(kind, spec, charging_scale), format="csr"))
+    else:
+        grid_points = 0  # the grid is the phi_grid's alone
+    with _CACHE_LOCK:
+        return _shared_operator(kind, _circuit_key(spec, charging_scale), grid_points)
 
 
 def hamiltonian_decomposition(
@@ -385,13 +565,12 @@ def hamiltonian_decomposition(
 
     The tunable-junction terms are linear in alpha (for the gradiometric
     variant both alphas are scaled together), so time-varying barrier
-    schedules only rescale ``H_barrier``.
+    schedules only rescale ``H_barrier``. Both are summed from the
+    circuit's parts and are read-only.
     """
-    fixed, _ = _cosine_terms(spec)
-    _, unit_barrier = _cosine_terms(spec.with_alpha(1.0))
-    h_const = _assemble(spec, fixed, _charging_diagonal(spec, charging_scale))
-    return (HermitianOperator("H_const", spec.basis, h_const).csr,
-            HermitianOperator("H_barrier", spec.basis, _assemble(spec, unit_barrier)).csr)
+    parts = _parts(spec, charging_scale)
+    return (parts.weighted_sum(1.0, 0.0, 0.0),
+            parts.weighted_sum(0.0, *_barrier_weights(spec.with_alpha(1.0))))
 
 
 def gradiometric_loop_dflux(spec: CircuitSpec, loop: int) -> HermitianOperator:
@@ -400,8 +579,7 @@ def gradiometric_loop_dflux(spec: CircuitSpec, loop: int) -> HermitianOperator:
         raise CircuitError("per-loop flux derivatives require the gradiometric variant")
     if loop not in (1, 2):
         raise CircuitError(f"loop must be 1 or 2, got {loop}")
-    term = _cosine_terms(spec)[1][loop - 1]
-    return HermitianOperator(f"dH_dphi_ext{loop}", spec.basis, _flux_derivative(spec, term))
+    return _flux_derivative(f"dH_dphi_ext{loop}", spec, _cosine_terms(spec)[1][loop - 1])
 
 
 @functools.lru_cache(maxsize=16)
@@ -609,16 +787,12 @@ def _phi_operator(spec: CircuitSpec, grid_points: int) -> scipy.sparse.csr_array
         # <n1 n2|phi|m1 m2> = delta_{n1-m1, m2-n2} * c_{n1-m1}, with
         # c_k = (1/2pi) int wrap(u)/2 e^{-i k u} du evaluated on the grid:
         # the sum of c_k kron(S_k, S_-k), S_k the shift n -> n + k, written
-        # straight into CSR from its index arrays, as _assemble writes cosines.
+        # straight into CSR from the index arrays of its shifts.
         k = np.arange(-2 * spec.cutoff, 2 * spec.cutoff + 1)
         wrapped = 0.5 * (np.mod(x + math.pi, 2.0 * math.pi) - math.pi)
         c = (wrapped[None, :] * np.exp(-1j * np.outer(k, x))).sum(axis=1) / grid_points
-        n_a, n_b = _mode_charges(spec.basis)
-        src = [np.flatnonzero((np.abs(n_a + k_a) <= spec.cutoff)
-                              & (np.abs(n_b - k_a) <= spec.cutoff)) for k_a in k]
-        counts = [s.size for s in src]
-        cols = np.concatenate(src)
-        rows = cols + np.repeat(k * (d - 1), counts)
-        values = np.repeat(c, counts)
+        shifts = [_shift_entries(spec.basis, (k_a, -k_a)) for k_a in k]
+        cols, rows = (np.concatenate(part) for part in zip(*shifts))
+        values = np.repeat(c, [src.size for src, _ in shifts])
         m = scipy.sparse.csr_array((values, (rows, cols)), shape=(spec.basis.dim,) * 2)
     return 0.5 * (m + m.conj().T)

@@ -179,14 +179,16 @@ def _circuit_from(cfg: dict) -> CircuitSpec:
 
 # Sizes an experiment may ask for. Times are for one worker, measured on a
 # 2-vCPU host with BLAS on one thread.
-# A grid point takes 35-80 ms at cutoff 12 and up to 7 s at MAX_CUTOFF,
-# so 1001 points take at most 80 s at cutoff 12 and 2 h at MAX_CUTOFF.
+# A grid point takes 3-20 ms at cutoff 12 (20 ms: gradiometric_dispersion's
+# three 625-state solves) and 30-120 ms at MAX_CUTOFF, so 1001 points take
+# at most 20 s at cutoff 12 and 2 min at MAX_CUTOFF.
 MAX_POINTS = 1001
 # Retained eigenstates of a dispersive sum: at MAX_CUTOFF, 100 vectors of
 # 2209 entries take 3.5 MB.
 MAX_LEVELS = 100
-# A step of a driven gate takes about 2 ms at cutoff 12, so the shipped
-# 25 ns gate at 2000 steps/ns takes about 100 s, and 8 times that when it
+# A step of a driven gate takes about 0.4 ms at cutoff 12 (the 2500 steps
+# of a 25 ns gate at 100 steps/ns take 0.9-1.1 s), so the shipped 25 ns
+# gate at 2000 steps/ns takes about 20 s, and 8 times that when it
 # calibrates (857 steps/ns is the shipped value).
 MAX_STEPS_PER_NS = 2000
 # Per-qubit levels of the two-qubit frame: 16 gives a 256-dim product

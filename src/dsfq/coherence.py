@@ -217,11 +217,14 @@ _DEPHASING_CHANNELS = ("flux_1f", "charge_1f_phi", "charge_1f_theta")
 def _noise_operators(spec: CircuitSpec, channel_kinds, charging_scale: float = 1.0,
                      indices: np.ndarray | None = None) -> dict:
     """The operators of ``spec`` that the channels of ``channel_kinds`` take,
-    by operator kind, each built once, in the CSR form that
-    ``build_operator`` gives (a few dozen nonzeros per row at most).
-    For flux, lambda is Phi/Phi_0, so dH/dphi_ext carries 2*pi; charge
-    derivatives are per Cooper pair, at ``charging_scale``. Given
-    ``indices``, each is restricted to them."""
+    by operator kind, in the CSR form that ``build_operator`` gives (a few
+    dozen nonzeros per row at most). ``build_operator`` builds each charge
+    derivative and ``phi_grid`` once per circuit, so every point of a sweep
+    shares them; dH/dphi_ext, which depends on the point's alpha and flux,
+    is an O(nnz) sum of the circuit's parts. For flux, lambda is
+    Phi/Phi_0, so dH/dphi_ext carries 2*pi; charge derivatives are per
+    Cooper pair, at ``charging_scale``. Given ``indices``, each is
+    restricted to them."""
     operators = {}
     for kind in dict.fromkeys(_CHANNEL_OPERATOR[c] for c in channel_kinds):
         op = build_operator(kind, spec, charging_scale=charging_scale).csr
@@ -257,7 +260,7 @@ def relaxation_rates(
 
     Gamma_1^lambda = scale/hbar^2 |<1|dH/dlambda|0>|^2 S_lambda(omega);
     Gamma_1^diel = scale*hbar |<1|phi|0>|^2 S_diel(omega). Each operator
-    is built once per call (``_noise_operators``), and only its matrix
+    is taken once per call (``_noise_operators``), and only its matrix
     elements are kept. ``_elements``, when given, holds those elements
     for every channel, by operator kind (see ``_level_elements``), and
     none is built: ``coherence_report`` and ``gates.Gamma1Interpolator``
@@ -377,7 +380,8 @@ def coherence_report(
     """Combined T1/Tphi/T2 report over the default or given channels.
 
     Relaxation and dephasing share one eigensolution and one set of
-    noise-operator matrix elements, so each operator is built once.
+    noise-operator matrix elements, so each operator is taken once per
+    point (and all but dH/dphi_ext are built once per circuit).
     """
     channels = channels if channels is not None else default_channels()
     sol = qubit_eigensolution(spec, max(levels) + 2)

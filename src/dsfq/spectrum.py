@@ -8,19 +8,25 @@ where a dense ``eigh`` costs a quarter of the complex one and
 shift-invert runs symmetric ARPACK. Where H also commutes with P_theta,
 the reflection n_theta -> -n_theta (at ng = 0 every circuit but the
 coupled qubits' node basis), S^dag H S splits into two real P_theta
-parity blocks of about half the size, each summed straight from H's CSR
-and solved on its own (313 sector states: 163 + 150). Any other matrix
-is solved as it is, on complex data. Either way the states come back as
-charge-basis vectors, so every caller sees the same kind of
-``EigenSolution``.
+parity blocks of about half the size, each solved on its own (313 sector
+states: 163 + 150). An H that ``circuit.build_hamiltonian`` summed from
+its circuit's parts has its blocks summed, with H's weights, from the
+parts' block data, mapped once per circuit; any other H's blocks are
+summed straight from its CSR. Each block first solves its share of the k
+levels by size plus ``BLOCK_LEVEL_MARGIN`` (25 levels of 163 + 150
+states: 17 + 15), and is solved again with k only when the merge keeps
+its highest solved level. Any other matrix is solved as it is, on
+complex data. Either way the states come back as charge-basis vectors,
+so every caller sees the same kind of ``EigenSolution``.
 
 Each (block) matrix is solved by one rule in (dim, k, dtype): above
 ``DENSE_DIM_LIMIT`` states for a complex matrix, or
 ``REAL_DENSE_DIM_LIMIT`` for a real one, and for
 k <= dim / ``SPARSE_STATES_PER_LEVEL``, shift-invert Lanczos on its CSC
 form; otherwise dense ``scipy.linalg.eigh``. The sector is sliced from
-the operator's CSR, and only the dense branch makes a dense copy, of the
-matrix it solves. The sparse branch shifts to the Gershgorin lower
+the operator's CSR, and only the dense branch makes a dense array, of
+the matrix it solves; a block summed from parts is written into it
+straight. The sparse branch shifts to the Gershgorin lower
 bound, which lies below E0, and starts from a fixed generic vector. A
 level it missed would not show in any residual, so a Sylvester inertia
 count of the levels below (E_{k-1} + E_k)/2 must come out at exactly k.
@@ -82,6 +88,14 @@ __all__ = [
 DENSE_DIM_LIMIT = 300  # at or below it every complex solve is dense
 REAL_DENSE_DIM_LIMIT = 560  # at or below it every real solve is dense
 SPARSE_STATES_PER_LEVEL = 40  # above it, shift-invert while k <= dim / 40
+# A P_theta block first solves its share of k by size plus this margin. At
+# ng = 0 the even block holds up to 2.2 levels more than its share (the
+# 163 + 150 single-loop sector, k = 3 to 100, alpha 0.5 to 1 and flux 0.94
+# to 1.06 pi; the 325 + 300 gradiometric and 190 + 171 node bases alike, k
+# up to 25), so a margin of 3 leaves every such block's highest solved
+# level out of the merge, and no block is solved twice. Each level saved
+# costs about 0.06 ms of a dense 163-state solve.
+BLOCK_LEVEL_MARGIN = 3
 RESIDUAL_RTOL = 1e-9
 DEGENERACY_TOL = 1e-9
 PAIR_MIN_OVERLAP = 0.5  # below it the qubit pair has crossed another level
@@ -195,18 +209,29 @@ def _shift_invert_lowest(h: scipy.sparse.csc_array, k: int,
     return energies[:k], q @ coords[:, :k]
 
 
-def _lowest_k(h: scipy.sparse.csr_array, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of h by the branch that ``diagonalize`` names."""
+def _lowest_k(h: scipy.sparse.csr_array, k: int, *,
+              dense_index: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of h by the branch that ``diagonalize`` names.
+
+    ``dense_index``, when given, holds the position of each of h's stored
+    entries in a flat Fortran-ordered array, where the dense branch writes
+    them straight; otherwise it converts h.
+    """
     dim = h.shape[0]
     if _use_sparse(dim, k, h.dtype):
         try:
             return _shift_invert_lowest(h.tocsc(), k, _start_vector(dim))
         except _SparseRefused:
             pass
-    # a Fortran-ordered copy that LAPACK may overwrite: the same input as a
+    # a Fortran-ordered array that LAPACK may overwrite: the same input as a
     # copy of the C-ordered one, without a second dense copy
-    return scipy.linalg.eigh(h.toarray(order="F"), subset_by_index=(0, k - 1),
-                             overwrite_a=True)
+    if dense_index is None:
+        a = h.toarray(order="F")
+    else:
+        a = np.zeros(dim * dim, dtype=h.dtype)
+        a[dense_index] = h.data
+        a = a.reshape((dim, dim), order="F")
+    return scipy.linalg.eigh(a, subset_by_index=(0, k - 1), overwrite_a=True)
 
 
 class _Assembly(NamedTuple):
@@ -308,8 +333,9 @@ def _block_assembly(basis: ChargeBasis, parity: int | None, index_dtype: str,
 def _theta_parity_blocks(h: scipy.sparse.csr_array, basis: ChargeBasis,
                          parity: int | None) -> list | None:
     """The real P_theta parity blocks of a canonical full-basis H and their
-    lifts to charge-basis (sector) vectors; None unless H commutes exactly
-    with both the charge inversion C*K and P_theta."""
+    lifts to charge-basis (sector) vectors, as (matrix, lift, None); None
+    unless H commutes exactly with both the charge inversion C*K and
+    P_theta."""
     with _ASSEMBLY_LOCK:  # pool threads that miss the cache together build once
         assembly = _block_assembly(basis, parity, h.indptr.dtype.str, h.indptr.tobytes(),
                                    h.indices.tobytes())
@@ -318,31 +344,111 @@ def _theta_parity_blocks(h: scipy.sparse.csr_array, basis: ChargeBasis,
         return None
     values = assembly.weights @ data.view(np.float64)
     return [(scipy.sparse.csr_array((values[start:stop], block_indices, block_indptr),
-                                    shape=(lift.shape[1],) * 2), lift)
+                                    shape=(lift.shape[1],) * 2), lift, None)
             for (start, stop, block_indptr, block_indices), lift
             in zip(assembly.blocks, _theta_blocks(basis, parity))]
 
 
-def _solve_blocks(blocks: list, k: int, norm: float) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest levels over a list of (matrix, lift) blocks of one H.
+class _PartsBlock(NamedTuple):
+    """One P_theta parity block of a circuit's H parts: its CSR pattern, the
+    Fortran-order position of each stored entry, the entries of F, B_c and
+    B_s on it (rows of ``parts``), and its lift."""
 
-    Each block keeps min(k, its size) levels, by ``_lowest_k``, and each
-    pair is checked against its own block, to RESIDUAL_RTOL * ``norm``; a
-    lift (None for none) maps its states to the output coordinates. The k
-    lowest are merged in a stable order, an earlier block first on a tie.
+    indptr: np.ndarray
+    indices: np.ndarray
+    dense_index: np.ndarray
+    parts: np.ndarray
+    lift: scipy.sparse.csr_array
+
+
+def _map_parts(parts, parity: int | None) -> tuple | None:
+    """The ``_PartsBlock``s of a circuit's parts (``circuit._Parts``); None
+    unless each part commutes exactly with C*K and P_theta. Every sum of
+    the parts with real weights then commutes too, and its blocks are the
+    same sum of the parts' blocks: ``_block_assembly``'s map is linear."""
+    assembly = _block_assembly(parts.basis, parity, parts.indptr.dtype.str,
+                               parts.indptr.tobytes(), parts.indices.tobytes())
+    if assembly is None:
+        return None
+    data = [parts.fixed.astype(complex), parts.cos.astype(complex), 1j * parts.sin]
+    if not all(assembly.commutes(d) for d in data):
+        return None
+    values = np.stack([assembly.weights @ d.view(np.float64) for d in data])
+    blocks = []
+    for (start, stop, indptr, indices), lift in zip(assembly.blocks,
+                                                   _theta_blocks(parts.basis, parity)):
+        n = lift.shape[1]
+        dense_index = np.repeat(np.arange(n), np.diff(indptr)) + n * indices
+        block = _PartsBlock(indptr, indices, dense_index, values[:, start:stop], lift)
+        for a in block[:4]:
+            a.flags.writeable = False
+        blocks.append(block)
+    return tuple(blocks)
+
+
+def _summed_blocks(summed: tuple, parity: int | None) -> list | None:
+    """The real P_theta parity blocks of an H that ``build_hamiltonian``
+    summed from its circuit's parts (its ``_parts``), as (matrix, lift,
+    dense_index), each summed with H's weights from the parts' block data,
+    which is mapped once per circuit and parity; None when the parts do
+    not commute."""
+    parts, (c, s), _ = summed
+    with _ASSEMBLY_LOCK:
+        if parity not in parts.blocks:
+            parts.blocks[parity] = _map_parts(parts, parity)
+        blocks = parts.blocks[parity]
+    if blocks is None:
+        return None
+    out = []
+    for b in blocks:
+        values = b.parts[0] + c * b.parts[1] + s * b.parts[2]
+        n = b.lift.shape[1]
+        out.append((scipy.sparse.csr_array((values, b.indices, b.indptr), shape=(n, n)),
+                    b.lift, b.dense_index))
+    return out
+
+
+def _block_levels(sizes: list[int], k: int) -> list[int]:
+    """Levels each block solves first: its share of k by size, plus
+    ``BLOCK_LEVEL_MARGIN``, at most min(k, its size)."""
+    total = sum(sizes)
+    return [min(k, n, -(-k * n // total) + BLOCK_LEVEL_MARGIN) for n in sizes]
+
+
+def _solve_blocks(blocks: list, k: int, norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest levels over a list of (matrix, lift, dense_index)
+    blocks of one H.
+
+    Each block first solves ``_block_levels`` levels, by ``_lowest_k``. A
+    block whose highest solved level the merge keeps, while it solved
+    fewer than min(k, its size), may hold more of the k lowest and is
+    solved again with min(k, its size); any other block's unsolved levels
+    lie above the k kept. Each pair is checked against its own block, to
+    RESIDUAL_RTOL * ``norm``; a lift (None for none) maps its states to the
+    output coordinates. The k lowest are merged in a stable order, an
+    earlier block first on a tie.
     """
-    energies, states = [], []
-    for m, lift in blocks:
-        e, v = _lowest_k(m, min(k, m.shape[0]))
+    def solve(m, levels, dense_index):
+        e, v = _lowest_k(m, levels, dense_index=dense_index)
         residual = np.linalg.norm(m @ v - v * e, axis=0)
         if norm > 0 and residual.max() > RESIDUAL_RTOL * norm:
             raise SpectrumError(
                 f"eigensolver residuals too large: max {residual.max():.3e} "
                 f"vs bound {RESIDUAL_RTOL * norm:.3e}"
             )
-        energies.append(e)
-        states.append(v if lift is None else lift @ v)
-    return _merge_lowest(energies, states, k)
+        return e, v
+
+    sizes = [m.shape[0] for m, _, _ in blocks]
+    levels = _block_levels(sizes, k) if len(blocks) > 1 else [min(k, sizes[0])]
+    solved = [solve(m, n, index) for (m, _, index), n in zip(blocks, levels)]
+    ends = np.cumsum(levels) - 1  # each block's highest solved level in the merge order
+    kept = np.argsort(np.concatenate([e for e, _ in solved]), kind="stable")[:k]
+    for i, (m, _, index) in enumerate(blocks):
+        if levels[i] < min(k, sizes[i]) and ends[i] in kept:
+            solved[i] = solve(m, min(k, sizes[i]), index)
+    return _merge_lowest([e for e, _ in solved],
+                         [v if lift is None else lift @ v
+                          for (_, v), (_, lift, _) in zip(solved, blocks)], k)
 
 
 def _merge_lowest(energies: list, states: list, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -369,10 +475,14 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
     ``circuit.charge_inversion_basis``. Where the full-basis H also
     commutes exactly with P_theta (tested on entry images kept per CSR
     pattern), S^dag H S is solved as its two P_theta parity blocks
-    (``circuit._theta_blocks``), each summed from H's CSR in O(nnz) and
-    keeping min(k, its size) levels, and the k lowest of both are kept.
-    Any other matrix, and every matrix without ``_real``, is solved as it
-    is. The eigenvectors are charge-basis vectors on every route.
+    (``circuit._theta_blocks``), and the k lowest of both are kept
+    (``_solve_blocks``). Each block is summed in O(nnz): for an H that
+    ``circuit.build_hamiltonian`` summed from parts, from the parts' block
+    data with H's weights, where each part passes both tests (H, whose
+    barrier parts always pass and share no entry with the fixed part,
+    passes them exactly when its fixed part does); otherwise from H's
+    CSR. Any other matrix, and every matrix without ``_real``, is solved
+    as it is. The eigenvectors are charge-basis vectors on every route.
 
     Each (block) matrix above ``DENSE_DIM_LIMIT`` states
     (``REAL_DENSE_DIM_LIMIT`` for a real one), while k is at most
@@ -418,14 +528,18 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
             raise SpectrumError(f"k = {k} exceeds the {idx.size} states of the {sector} sector")
     blocks = None
     if _real and basis is not None:
-        blocks = _theta_parity_blocks(h, basis, parity)
+        summed = op._parts if isinstance(op, HermitianOperator) else None
+        if summed is not None and summed[2] is h:
+            blocks = _summed_blocks(summed, parity)
+        else:
+            blocks = _theta_parity_blocks(h, basis, parity)
     if blocks is None:
         sub = h if idx is None else h[idx][:, idx]
         if _real and basis is not None and inversion_symmetric(sub):
             s = charge_inversion_basis(basis, parity)
-            blocks = [((s.conj().T @ sub @ s).real, s)]
+            blocks = [((s.conj().T @ sub @ s).real, s, None)]
         else:
-            blocks = [(sub, None)]
+            blocks = [(sub, None, None)]
     energies, states = _solve_blocks(blocks, k, norm)
     if idx is not None:
         sub_states = states
