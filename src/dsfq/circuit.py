@@ -39,6 +39,15 @@ terms' matrix elements bit for bit. The charge operators, offset-charge
 derivatives and ``phi_grid`` are built once per circuit and shared. A
 dense full-basis matrix exists only on request, as
 ``HermitianOperator.matrix``.
+
+One map, ``_map_parts``, takes a circuit's parts, per sector parity, to
+their real symmetry blocks: where each part commutes exactly with C*K, C
+the charge inversion, the real block of each part in
+``charge_inversion_basis`` S, and where each also commutes exactly with
+P_theta, its two P_theta parity blocks. ``_Parts.blocks`` keeps the map
+of each parity, which ``spectrum`` makes once. Every real eigensolve of
+an H, and the real working basis of ``evolve``'s engines, sums its blocks
+from it with H's weights.
 """
 
 from __future__ import annotations
@@ -360,8 +369,8 @@ class _Parts:
     three parts serve every H of the circuit. F and B_c are real and B_s
     is imaginary, so each is stored as one real array on the pattern
     (``sin`` holds B_s / i). ``blocks`` holds, by sector parity, the
-    parts' P_theta block data that ``spectrum`` maps once, under its own
-    lock. The arrays are read-only.
+    parts' real symmetry blocks (``_map_parts``), which ``spectrum`` maps
+    once, under its own lock. The arrays are read-only.
     """
 
     key: _CircuitKey
@@ -433,21 +442,27 @@ def _hamiltonian_parts(key: _CircuitKey) -> _Parts:
                 [(k, -0.5 * w * spec.ej) for w, k, _ in fixed]),
            part("B_c", None, [(shift, -0.5)]),
            part("B_s", None, [(shift, -0.5j)]))
-    # the union of the parts' patterns, and each part's entries on it
-    keys = [np.repeat(np.arange(dim), np.diff(m.indptr)) * dim + m.indices for m in ops]
+    indptr, indices, data = _union_pattern(ops, dim)
+    arrays = (indptr, indices, data[0].real, data[1].real, data[2].imag)
+    for a in arrays:
+        a.flags.writeable = False
+    return _Parts(key, basis, *arrays)
+
+
+def _union_pattern(mats, dim: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The union of the patterns of (dim, dim) CSR arrays without duplicate
+    entries, as canonical int32 (indptr, indices), and each array's
+    entries on it."""
+    keys = [np.repeat(np.arange(dim), np.diff(m.indptr)) * dim + m.indices for m in mats]
     union = np.unique(np.concatenate(keys))
     rows, indices = np.divmod(union, dim)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=dim))))
     data = []
-    for m, k in zip(ops, keys):
+    for m, k in zip(mats, keys):
         d = np.zeros(union.size, dtype=m.dtype)
         d[np.searchsorted(union, k)] = m.data
         data.append(d)
-    arrays = (indptr.astype(np.int32), indices.astype(np.int32),
-              data[0].real, data[1].real, data[2].imag)
-    for a in arrays:
-        a.flags.writeable = False
-    return _Parts(key, basis, *arrays)
+    return indptr.astype(np.int32), indices.astype(np.int32), data
 
 
 def _parts(spec: CircuitSpec, charging_scale: float) -> _Parts:
@@ -455,6 +470,85 @@ def _parts(spec: CircuitSpec, charging_scale: float) -> _Parts:
     threads that miss the cache together build them once."""
     with _CACHE_LOCK:
         return _hamiltonian_parts(_circuit_key(spec, charging_scale))
+
+
+class _Block(NamedTuple):
+    """One real symmetry block of a circuit's parts: its canonical CSR
+    pattern, the entries of F, B_c and B_s on it (rows of ``parts``), the
+    position of each entry in a Fortran-ordered dense block, and the lift
+    of the block's coordinates to charge-basis (sector) vectors."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    parts: np.ndarray
+    dense_index: np.ndarray
+    lift: scipy.sparse.csr_array
+
+    def data(self, f: float, c: float, s: float) -> np.ndarray:
+        """The entries of f*F + c*B_c + s*B_s in this block, in O(nnz)."""
+        return f * self.parts[0] + c * self.parts[1] + s * self.parts[2]
+
+
+class _RealBlocks(NamedTuple):
+    """A circuit's parts in the charge-inversion basis S (``inversion``)
+    and, where they commute with P_theta, in its two P_theta parity blocks
+    (``theta``, even block first; None otherwise)."""
+
+    inversion: _Block
+    theta: tuple[_Block, _Block] | None
+
+
+def _invariant(m: scipy.sparse.csr_array, perm: np.ndarray, conj: bool = False) -> bool:
+    """Whether m equals its image P m P, conjugated as well for C*K
+    (``conj``), exactly, P the involution ``perm`` (P @ v is v[perm]): one
+    entry-by-entry comparison of m with its permuted CSR copy. An entry off
+    its image by one rounding fails."""
+    image = m[perm][:, perm]
+    return (m != (image.conj() if conj else image)).nnz == 0
+
+
+def _symmetry_block(ops: list, lift: scipy.sparse.csr_array) -> _Block:
+    """Re(L^dag P L) of each part P in ``ops``, on one pattern, L the lift."""
+    n = lift.shape[1]
+    lift_h = lift.conj().T.tocsr()
+    indptr, indices, data = _union_pattern([(lift_h @ m @ lift).real for m in ops], n)
+    dense_index = np.repeat(np.arange(n), np.diff(indptr)) + indices * np.int64(n)
+    block = _Block(indptr, indices, np.stack(data), dense_index, lift)
+    for a in block[:4]:
+        a.flags.writeable = False
+    return block
+
+
+def _map_parts(parts: _Parts, parity: int | None) -> _RealBlocks | None:
+    """The real symmetry blocks of a circuit's parts in its (n_phi + n_theta)
+    sector of ``parity`` (None: the full basis), by plain sparse products;
+    None unless each part P commutes exactly with C*K, C the charge
+    inversion (``_invariant``).
+
+    ``inversion`` holds Re(S^dag P S) of each part, S the
+    ``charge_inversion_basis`` of the sector. Where each part also commutes
+    exactly with P_theta (n_theta -> -n_theta), ``theta`` holds its two
+    P_theta parity blocks Re(L^dag P L), L the lifts of ``_theta_blocks``
+    (symmetry blocks of exact diagonalization: Sandvik, AIP Conf. Proc.
+    1297, 135 (2010)). Their imaginary parts vanish up to rounding. A sum
+    of the parts with real weights commutes as they do, and its blocks are
+    the same sum of theirs (``_Block.data``).
+    """
+    basis, dim = parts.basis, parts.basis.dim
+    ops = [scipy.sparse.csr_array((d, parts.indices, parts.indptr), shape=(dim, dim))
+           for d in (parts.fixed, parts.cos, 1j * parts.sin)]
+    if parity is not None:
+        idx = physical_sector_indices(basis, parity)
+        ops = [m[idx][:, idx] for m in ops]
+    # C reverses the basis order, and a sector's, which it maps onto itself
+    reverse = np.arange(ops[0].shape[0])[::-1]
+    if not all(_invariant(m, reverse, conj=True) for m in ops):
+        return None
+    theta_perm = _theta_permutation(basis, parity)
+    theta = None
+    if all(_invariant(m, theta_perm) for m in ops):
+        theta = tuple(_symmetry_block(ops, lift) for lift in _theta_blocks(basis, parity))
+    return _RealBlocks(_symmetry_block(ops, charge_inversion_basis(basis, parity)), theta)
 
 
 def _term_weights(spec: CircuitSpec, terms: list[_Cosine]) -> tuple[float, float]:
@@ -488,7 +582,8 @@ def build_hamiltonian(spec: CircuitSpec, charging_scale: float = 1.0) -> Hermiti
     of the NODE_BASIS variant ((C + Cg)/(C + 2*Cg) when part of a
     coupled pair); it is ignored for the other variants. H is summed from
     its circuit's checked parts in O(nnz) and carries them with its
-    weights, from which ``spectrum.diagonalize`` sums its P_theta blocks.
+    weights, from which ``spectrum.diagonalize`` sums its real blocks
+    (``_map_parts``).
     Its arrays are read-only.
     """
     parts = _parts(spec, charging_scale)
@@ -617,7 +712,7 @@ def charge_inversion_basis(basis: ChargeBasis,
     basis order, and K is complex conjugation. For p below the middle
     index and q = dim - 1 - p, column p is (|p> + |q>)/sqrt(2) and column
     q is i*(|p> - |q>)/sqrt(2); the middle column is the all-zero charge
-    state. An H with C H* C = H (``inversion_symmetric``), such as every
+    state. An H with C H* C = H (``_invariant``), such as every
     H(alpha) at ng = 0, is real symmetric in this basis (an antiunitary
     symmetry that squares to +1: Haake, Quantum Signatures of Chaos,
     ch. 2), and a charge, which C reverses, is i times a real
@@ -640,25 +735,6 @@ def charge_inversion_basis(basis: ChargeBasis,
     return s[idx][:, idx]
 
 
-def inversion_symmetric(h: scipy.sparse.csr_array) -> bool:
-    """Whether C h* C equals h exactly, C the index reversal, in O(nnz).
-
-    C is the charge inversion of a basis or of one of its parity sectors
-    (``charge_inversion_basis``). C h* C holds the conjugate of h's entry
-    (i, j) at (D-1-i, D-1-j): in CSR form with sorted columns it has h's
-    rows in reverse order, each with its entries reversed. So h passes
-    when its arrays equal their own reversal, the data conjugated. An
-    explicit zero without a mirror fails the test.
-    """
-    if not h.has_canonical_format:
-        h = h.copy()
-        h.sum_duplicates()
-    dim = h.shape[0]
-    return (np.array_equal(h.indptr, h.indptr[-1] - h.indptr[::-1])
-            and np.array_equal(h.indices, dim - 1 - h.indices[::-1])
-            and np.array_equal(h.data, h.data[::-1].conj()))
-
-
 def _theta_permutation(basis: ChargeBasis, parity: int | None = None) -> np.ndarray:
     """The reflection n_theta -> -n_theta (P_theta) as an index permutation
     of a basis or of one of its (n_phi + n_theta) parity sectors, which it
@@ -671,25 +747,6 @@ def _theta_permutation(basis: ChargeBasis, parity: int | None = None) -> np.ndar
         return perm
     idx = physical_sector_indices(basis, parity)
     return np.searchsorted(idx, perm[idx])
-
-
-def _entry_images(h: scipy.sparse.csr_array, perm: np.ndarray) -> np.ndarray | None:
-    """For each stored entry (i, j) of a canonical CSR h, the position of
-    the stored entry (perm[i], perm[j]), perm an involution; None when
-    one of them is not stored. O(nnz) for rows of bounded length.
-
-    Row i of P h P is row perm[i] of h with its columns mapped by perm;
-    sorting those columns, with each entry's position in h carried
-    along, lists the images in h's order when the patterns agree.
-    """
-    counts = np.diff(h.indptr)
-    if not np.array_equal(counts[perm], counts):
-        return None
-    src = np.arange(h.nnz) + np.repeat(h.indptr[:-1][perm] - h.indptr[:-1], counts)
-    m = scipy.sparse.csr_array((src, perm[h.indices[src]], h.indptr), shape=h.shape)
-    m.has_sorted_indices = False
-    m.sort_indices()
-    return m.data if np.array_equal(m.indices, h.indices) else None
 
 
 @functools.lru_cache(maxsize=16)

@@ -14,10 +14,12 @@ alphas it returns their dense solutions; otherwise, and as the fallback,
 it calls ``spectrum.qubit_eigensolution``.
 
 The circuit picks an engine's working basis, as it picks the route of
-``spectrum.qubit_eigensolution``. Where h0 and h1 satisfy C h* C = h, C
-the charge inversion (every ng = 0 qubit), it is
+``spectrum.qubit_eigensolution``, from the same map of its parts
+(``spectrum._real_blocks``). Where the parts commute with C*K, C the
+charge inversion (every ng = 0 qubit), it is
 ``circuit.charge_inversion_basis``, in which every H(alpha) is real
-symmetric and n1 is i times a real antisymmetric matrix, so the solves,
+symmetric, its h0 and h1 the map's real blocks of the parts, and n1 is
+i times a real antisymmetric matrix, so the solves,
 overlaps and product Hamiltonians of the two-qubit frames, the ZZ
 statics and a driven gate's window, samples and Gamma_1 grid are all
 float64. Elsewhere it is the charge basis, and the same code runs on
@@ -55,11 +57,12 @@ from .circuit import (
     CircuitSpec,
     CoupledSpec,
     Variant,
+    _barrier_weights,
+    _parts,
+    _union_pattern,
     build_hamiltonian,
     build_operator,
-    charge_inversion_basis,
     hamiltonian_decomposition,
-    inversion_symmetric,
     physical_sector_indices,
 )
 from .spectrum import (
@@ -69,6 +72,7 @@ from .spectrum import (
     _check_pair_continuity,
     _levels_below,
     _merge_lowest,
+    _real_blocks,
     align_gauge,
     diagonalize,
     qubit_eigensolution,
@@ -315,17 +319,6 @@ class _Window(NamedTuple):
     snapshots: dict
 
 
-def _common_pattern(*mats) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """The union CSR pattern of square sparse matrices and the diagonal:
-    (indptr, indices, row of each entry, each matrix's data on it)."""
-    dim = mats[0].shape[0]
-    pattern = scipy.sparse.eye_array(dim, format="csr")
-    for m in mats:
-        pattern = pattern + abs(m)
-    rows = np.repeat(np.arange(dim), np.diff(pattern.indptr))
-    return pattern.indptr, pattern.indices, rows, [m[rows, pattern.indices] for m in mats]
-
-
 def _offdiagonal_column_sums(indices: np.ndarray, diag: np.ndarray, data, dim: int) -> list:
     """Column sums of |m| off the diagonal, for each data array m on one
     CSR pattern whose diagonal entries sit at the positions ``diag``."""
@@ -341,13 +334,16 @@ class _CircuitEngine:
     """H(alpha, drive) = h0 + alpha*h1 + drive*n1 of one circuit, in its
     physical sector where it has one, held only in CSR form.
 
-    The circuit picks the working basis, in which ``lowest`` solves. Where
-    h0 and h1 commute with the charge inversion C (C h* C = h, checked
-    exactly) it is ``circuit.charge_inversion_basis`` S, in which h0 and
-    h1 are real, ``n1`` holds the real antisymmetric A of the charge i*A,
-    ``real`` is True, and every solve, reduced basis and residual is
-    float64; elsewhere it is the charge basis. ``charge_states`` maps
-    working coordinates to the charge basis. A dense solve is
+    The circuit picks the working basis, in which ``lowest`` solves, by
+    the map of its parts that ``spectrum._real_blocks`` keeps. Where the
+    parts commute with C*K, C the charge inversion (checked exactly by
+    the map), it is ``circuit.charge_inversion_basis`` S: h0 is the map's
+    real block of F and h1 the sum of its blocks of B_c and B_s with the
+    barrier weights at alpha = 1, on the map's pattern, ``n1`` holds the
+    real antisymmetric A of the charge i*A, ``real`` is True, and every
+    solve, reduced basis and residual is float64; elsewhere it is the
+    charge basis. ``charge_states`` maps working coordinates to the
+    charge basis. A dense solve is
     ``spectrum.qubit_eigensolution``, whose charge-basis (sector) states v
     a real engine takes to its coordinates as (S^dag v).real, and every
     residual bound is ``RESIDUAL_RTOL`` times ||H(alpha)||_inf of the
@@ -382,22 +378,27 @@ class _CircuitEngine:
         self.dim = self.indices.size
         h0, h1, n1 = (m[self.indices][:, self.indices]
                       for m in (h0, h1, build_operator("n1", spec).csr))
-        # the charge-basis generator of expi_apply, whose h0 and h1 also give
-        # ||H(alpha)||_inf, which scales every residual bound
-        (self._gen_indptr, self._gen_indices, self._gen_rows,
-         self._gen_data) = _common_pattern(h0, h1)
+        # the charge-basis generator of expi_apply on the pattern of h0, h1 and
+        # the diagonal, whose h0 and h1 also give ||H(alpha)||_inf, which
+        # scales every residual bound
+        self._gen_indptr, self._gen_indices, (_, *self._gen_data) = _union_pattern(
+            [scipy.sparse.eye_array(self.dim, format="csr"), h0, h1], self.dim)
+        self._gen_rows = np.repeat(np.arange(self.dim), np.diff(self._gen_indptr))
         self._gen_diag = np.flatnonzero(self._gen_rows == self._gen_indices)
         self._gen_off = _offdiagonal_column_sums(self._gen_indices, self._gen_diag,
                                                  self._gen_data, self.dim)
         self._gen_n1 = n1.diagonal()
         self._gen_step = np.zeros(self._gen_indices.size, dtype=complex)  # rewritten per call
         self._basis = None
-        self.real = inversion_symmetric(h0) and inversion_symmetric(h1)
+        mapped = _real_blocks(_parts(spec, charging_scale), parity)
+        self.real = mapped is not None
         if self.real:
-            s = self._basis = charge_inversion_basis(spec.basis, parity)
-            h0, h1 = ((s.conj().T @ h @ s).real for h in (h0, h1))
+            block = mapped.inversion
+            s = self._basis = block.lift
             self.n1 = (s.conj().T @ n1 @ s).imag
-            self._indptr, self._indices, _, self._data = _common_pattern(h0, h1)
+            self._indptr, self._indices = block.indptr, block.indices
+            self._data = [block.parts[0],
+                          block.data(0.0, *_barrier_weights(spec.with_alpha(1.0)))]
         else:
             self.n1 = n1
             self._indptr, self._indices, self._data = (self._gen_indptr, self._gen_indices,

@@ -70,25 +70,23 @@ def dispersive_shift(
     sol = qubit_eigensolution(spec, levels)
     n_theta = build_operator("n_theta", spec).csr
     elements = sol.states.conj().T @ (n_theta @ sol.states)
+    # den[i, j, t] = E_i - E_j - w_r for t = 0 and + w_r for t = 1, i in {0, 1};
+    # the j = i terms are left out
     energies = sol.energies
-    chi_table = np.zeros((2, levels))
-    valid = True
-    near = []
-    for i in (0, 1):
-        for j in range(levels):
-            if j == i:
-                continue
-            de = energies[i] - energies[j]
-            for sign in (-1.0, 1.0):
-                den = de + sign * res.omega_r
-                if abs(den) < 1e-6:
-                    raise ReadoutError(
-                        f"exact qubit-resonator resonance between levels {i} and {j}"
-                    )
-                if abs(den) < 5.0 * res.g:
-                    valid = False
-                    near.append((i, j, float(den)))
-                chi_table[i, j] += res.g**2 * abs(elements[i, j]) ** 2 / den
+    den = (energies[:2, None] - energies)[..., None] + np.array([-1.0, 1.0]) * res.omega_r
+    den[[0, 1], [0, 1]] = np.inf
+    resonant = np.argwhere(np.abs(den) < 1e-6)
+    if resonant.size:
+        i, j, _ = resonant[0]
+        raise ReadoutError(f"exact qubit-resonator resonance between levels {i} and {j}")
+    near = [(int(i), int(j), float(den[i, j, t]))
+            for i, j, t in np.argwhere(np.abs(den) < 5.0 * res.g)]
+    # hypot, as abs() of one complex scalar takes it: np.abs of an array may
+    # round a tiny element differently
+    size = np.hypot(elements[:2].real, elements[:2].imag)
+    terms = (res.g**2 * size**2)[..., None] / den
+    chi_table = 0.0 + terms[..., 0] + terms[..., 1]  # in the order of a running sum
+    valid = not near
     chi = float(chi_table[1].sum() - chi_table[0].sum())
     qubit_shift = 0.5 * float(chi_table[1, 0] - chi_table[0, 1])
     return DispersiveShift(

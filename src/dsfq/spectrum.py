@@ -1,23 +1,23 @@
 """Hermitian eigensolutions with gauge continuity, plus derived qubit numbers.
 
 ``diagonalize`` finds the lowest k levels of a (sector) matrix by one
-route, which the matrix picks. A matrix of a known basis with
-C H* C = H, C the charge inversion (every ng = 0 circuit), is real
-symmetric in ``circuit.charge_inversion_basis`` S and is solved there,
-where a dense ``eigh`` costs a quarter of the complex one and
-shift-invert runs symmetric ARPACK. Where H also commutes with P_theta,
-the reflection n_theta -> -n_theta (at ng = 0 every circuit but the
-coupled qubits' node basis), S^dag H S splits into two real P_theta
-parity blocks of about half the size, each solved on its own (313 sector
-states: 163 + 150). An H that ``circuit.build_hamiltonian`` summed from
-its circuit's parts has its blocks summed, with H's weights, from the
-parts' block data, mapped once per circuit; any other H's blocks are
-summed straight from its CSR. Each block first solves its share of the k
-levels by size plus ``BLOCK_LEVEL_MARGIN`` (25 levels of 163 + 150
-states: 17 + 15), and is solved again with k only when the merge keeps
-its highest solved level. Any other matrix is solved as it is, on
-complex data. Either way the states come back as charge-basis vectors,
-so every caller sees the same kind of ``EigenSolution``.
+route, which the matrix picks. An H that ``circuit.build_hamiltonian``
+summed from its circuit's parts, where each part commutes with C*K, C the
+charge inversion (every ng = 0 circuit), is real symmetric in
+``circuit.charge_inversion_basis`` S and is solved there, where a dense
+``eigh`` costs a quarter of the complex one and shift-invert runs
+symmetric ARPACK. Where the parts also commute with P_theta, the
+reflection n_theta -> -n_theta (at ng = 0 every circuit but the coupled
+qubits' node basis), H is solved as its two real P_theta parity blocks of
+about half the size, each on its own (313 sector states: 163 + 150). The
+blocks come from one map per circuit and sector parity,
+``circuit._map_parts``, mapped once: each solve sums its one or two blocks
+from it with H's weights, in O(nnz). Each P_theta block first solves its
+share of the k levels by size plus ``BLOCK_LEVEL_MARGIN`` (25 levels of
+163 + 150 states: 17 + 15), and is solved again with k only when the
+merge keeps its highest solved level. Any other matrix is solved as it
+is, on complex data. Either way the states come back as charge-basis
+vectors, so every caller sees the same kind of ``EigenSolution``.
 
 Each (block) matrix is solved by one rule in (dim, k, dtype): above
 ``DENSE_DIM_LIMIT`` states for a complex matrix, or
@@ -25,7 +25,7 @@ Each (block) matrix is solved by one rule in (dim, k, dtype): above
 k <= dim / ``SPARSE_STATES_PER_LEVEL``, shift-invert Lanczos on its CSC
 form; otherwise dense ``scipy.linalg.eigh``. The sector is sliced from
 the operator's CSR, and only the dense branch makes a dense array, of
-the matrix it solves; a block summed from parts is written into it
+the matrix it solves; a block summed from the map is written into it
 straight. The sparse branch shifts to the Gershgorin lower
 bound, which lies below E0, and starts from a fixed generic vector. A
 level it missed would not show in any residual, so a Sylvester inertia
@@ -36,11 +36,9 @@ instead.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass, replace as dc_replace, fields as dc_fields
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -52,12 +50,8 @@ from .circuit import (
     CircuitSpec,
     HermitianOperator,
     Variant,
-    _entry_images,
-    _theta_blocks,
-    _theta_permutation,
+    _map_parts,
     build_hamiltonian,
-    charge_inversion_basis,
-    inversion_symmetric,
     parity_permutation,
     physical_sector_indices,
 )
@@ -79,7 +73,7 @@ __all__ = [
 # sparse LU plus about 1.5 ms per level. Complex matrices: at k = 3 the two
 # tie near 300 states and shift-invert wins above (313: 20 -> 17 ms, 625:
 # 136 -> 32 ms); dense wins again from k = 12 on 313 states and from k = 16
-# on 361. Real matrices (S^dag H S): a dense eigh costs a quarter of the
+# on 361. Real matrices (H in S): a dense eigh costs a quarter of the
 # complex one, so dense wins at k = 3 on 313 states (3.9 against 7.1 ms
 # shift-invert) and 361 (4.3 against 7.9), the two tie from about 420 to
 # 545 (545: 14-18 against 11-16 ms), and shift-invert wins at 625 (21
@@ -234,178 +228,18 @@ def _lowest_k(h: scipy.sparse.csr_array, k: int, *,
     return scipy.linalg.eigh(a, subset_by_index=(0, k - 1), overwrite_a=True)
 
 
-class _Assembly(NamedTuple):
-    """The P_theta parity blocks of one CSR pattern of a full-basis H.
-
-    ``images`` holds the position of each stored entry's image under the
-    charge inversion C and under P_theta. ``weights`` maps H's data, read
-    as interleaved (re, im) floats, to the blocks' stored entries, and
-    ``blocks`` holds each block's (start, stop) in that output and its
-    CSR indptr and indices.
-    """
-
-    images: tuple[np.ndarray, np.ndarray]
-    weights: scipy.sparse.csr_array
-    blocks: tuple
-
-    def commutes(self, data: np.ndarray) -> bool:
-        """Whether C H* C = H and P_theta H P_theta = H hold exactly for H
-        with this pattern and ``data``: each stored entry equals the
-        conjugate of its C image and its P_theta image."""
-        inversion, theta = self.images
-        return (np.array_equal(data[inversion].conj(), data)
-                and np.array_equal(data[theta], data))
+_BLOCKS_LOCK = threading.Lock()
 
 
-_ASSEMBLY_LOCK = threading.Lock()
-
-
-@functools.lru_cache(maxsize=16)
-def _block_assembly(basis: ChargeBasis, parity: int | None, index_dtype: str,
-                    indptr: bytes, indices: bytes) -> _Assembly | None:
-    """The ``_Assembly`` of the blocks of ``circuit._theta_blocks`` for one
-    canonical CSR pattern of a full-basis H, given by its index arrays'
-    bytes, built once and shared (callers must not modify it); None when C
-    or P_theta does not map the pattern onto itself.
-
-    Block entry (a, b) is the sum of conj(w_ia) * h_ij * w_jb over the
-    stored entries (i, j), w the block vectors in the charge basis; its
-    real part is what is kept. Each charge state lies in at most 4 block
-    vectors, so each stored entry adds to at most 4 entries of each block.
-    Terms joining different blocks sum to zero for an H that commutes
-    with P_theta, and are left out.
-    """
-    indptr, indices = (np.frombuffer(a, dtype=index_dtype) for a in (indptr, indices))
-    dim = indptr.size - 1
-    pattern = scipy.sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(dim, dim))
-    images = tuple(_entry_images(pattern, perm)
-                   for perm in (np.arange(dim)[::-1], _theta_permutation(basis)))
-    if any(image is None for image in images):
-        return None
-    # for each charge state, the (at most 4) block vectors holding it: their
-    # column over both blocks (the even block's first, -1 for none) and the
-    # state's coefficient in each
-    even, odd = _theta_blocks(basis, parity)
-    lifts = scipy.sparse.hstack([even, odd], format="csr")
-    n_even, n = even.shape[1], lifts.shape[1]
-    counts = np.diff(lifts.indptr)
-    state = np.repeat(np.arange(lifts.shape[0]), counts)
-    if parity is not None:
-        state = physical_sector_indices(basis, parity)[state]
-    slots = np.arange(lifts.nnz) - np.repeat(lifts.indptr[:-1], counts)
-    column = np.full((dim, 4), -1, dtype=np.int64)
-    weight = np.zeros((dim, 4), dtype=complex)
-    column[state, slots] = lifts.indices
-    weight[state, slots] = lifts.data
-    rows = np.repeat(np.arange(dim), np.diff(indptr))
-    # Re(c * h) = Re(c) * Re(h) - Im(c) * Im(h): a term on the (re, im) pairs
-    # of h's data for each nonzero part of each weight c = conj(w_ia) * w_jb
-    keys, terms, values = [], [], []
-    for slot_i in range(4):
-        a = column[rows, slot_i]
-        for slot_j in range(4):
-            b = column[indices, slot_j]
-            keep = np.flatnonzero((a >= 0) & (b >= 0) & ((a < n_even) == (b < n_even)))
-            product = weight[rows[keep], slot_i].conj() * weight[indices[keep], slot_j]
-            for offset, part in ((0, product.real), (1, -product.imag)):
-                nonzero = part != 0
-                keys.append(a[keep[nonzero]] * n + b[keep[nonzero]])
-                terms.append(2 * keep[nonzero] + offset)
-                values.append(part[nonzero])
-    keys = np.concatenate(keys)
-    order = np.argsort(keys, kind="stable")
-    keys, terms, values = keys[order], np.concatenate(terms)[order], np.concatenate(values)[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))  # the first term of each block entry
-    targets = keys[first]
-    weights = scipy.sparse.csr_array((values, terms, np.append(first, keys.size)),
-                                     shape=(targets.size, 2 * indices.size))
-    row, col = np.divmod(targets, n)
-    split = int(np.searchsorted(row, n_even))
-    blocks = []
-    for start, stop, offset, size in ((0, split, 0, n_even),
-                                      (split, targets.size, n_even, n - n_even)):
-        counts = np.bincount(row[start:stop] - offset, minlength=size)
-        blocks.append((start, stop, np.concatenate([[0], np.cumsum(counts)]),
-                       col[start:stop] - offset))
-    return _Assembly(images, weights, tuple(blocks))
-
-
-def _theta_parity_blocks(h: scipy.sparse.csr_array, basis: ChargeBasis,
-                         parity: int | None) -> list | None:
-    """The real P_theta parity blocks of a canonical full-basis H and their
-    lifts to charge-basis (sector) vectors, as (matrix, lift, None); None
-    unless H commutes exactly with both the charge inversion C*K and
-    P_theta."""
-    with _ASSEMBLY_LOCK:  # pool threads that miss the cache together build once
-        assembly = _block_assembly(basis, parity, h.indptr.dtype.str, h.indptr.tobytes(),
-                                   h.indices.tobytes())
-    data = h.data.astype(complex, copy=False)
-    if assembly is None or not assembly.commutes(data):
-        return None
-    values = assembly.weights @ data.view(np.float64)
-    return [(scipy.sparse.csr_array((values[start:stop], block_indices, block_indptr),
-                                    shape=(lift.shape[1],) * 2), lift, None)
-            for (start, stop, block_indptr, block_indices), lift
-            in zip(assembly.blocks, _theta_blocks(basis, parity))]
-
-
-class _PartsBlock(NamedTuple):
-    """One P_theta parity block of a circuit's H parts: its CSR pattern, the
-    Fortran-order position of each stored entry, the entries of F, B_c and
-    B_s on it (rows of ``parts``), and its lift."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    dense_index: np.ndarray
-    parts: np.ndarray
-    lift: scipy.sparse.csr_array
-
-
-def _map_parts(parts, parity: int | None) -> tuple | None:
-    """The ``_PartsBlock``s of a circuit's parts (``circuit._Parts``); None
-    unless each part commutes exactly with C*K and P_theta. Every sum of
-    the parts with real weights then commutes too, and its blocks are the
-    same sum of the parts' blocks: ``_block_assembly``'s map is linear."""
-    assembly = _block_assembly(parts.basis, parity, parts.indptr.dtype.str,
-                               parts.indptr.tobytes(), parts.indices.tobytes())
-    if assembly is None:
-        return None
-    data = [parts.fixed.astype(complex), parts.cos.astype(complex), 1j * parts.sin]
-    if not all(assembly.commutes(d) for d in data):
-        return None
-    values = np.stack([assembly.weights @ d.view(np.float64) for d in data])
-    blocks = []
-    for (start, stop, indptr, indices), lift in zip(assembly.blocks,
-                                                   _theta_blocks(parts.basis, parity)):
-        n = lift.shape[1]
-        dense_index = np.repeat(np.arange(n), np.diff(indptr)) + n * indices
-        block = _PartsBlock(indptr, indices, dense_index, values[:, start:stop], lift)
-        for a in block[:4]:
-            a.flags.writeable = False
-        blocks.append(block)
-    return tuple(blocks)
-
-
-def _summed_blocks(summed: tuple, parity: int | None) -> list | None:
-    """The real P_theta parity blocks of an H that ``build_hamiltonian``
-    summed from its circuit's parts (its ``_parts``), as (matrix, lift,
-    dense_index), each summed with H's weights from the parts' block data,
-    which is mapped once per circuit and parity; None when the parts do
-    not commute."""
-    parts, (c, s), _ = summed
-    with _ASSEMBLY_LOCK:
+def _real_blocks(parts, parity: int | None):
+    """``circuit._map_parts`` of a circuit's parts (``circuit._Parts``) and
+    sector parity, mapped once and kept in ``parts.blocks``, under a lock
+    so that pool threads that miss it together map it once. Callers must
+    not modify it."""
+    with _BLOCKS_LOCK:
         if parity not in parts.blocks:
             parts.blocks[parity] = _map_parts(parts, parity)
-        blocks = parts.blocks[parity]
-    if blocks is None:
-        return None
-    out = []
-    for b in blocks:
-        values = b.parts[0] + c * b.parts[1] + s * b.parts[2]
-        n = b.lift.shape[1]
-        out.append((scipy.sparse.csr_array((values, b.indices, b.indptr), shape=(n, n)),
-                    b.lift, b.dense_index))
-    return out
+        return parts.blocks[parity]
 
 
 def _block_levels(sizes: list[int], k: int) -> list[int]:
@@ -469,20 +303,22 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
     block before solving; eigenvectors are embedded back into the full
     basis.
 
-    With ``_real`` the matrix picks the route. An operator of a known
-    basis whose (sector) matrix passes ``circuit.inversion_symmetric`` is
-    solved as the real CSR S^dag H S, S its
-    ``circuit.charge_inversion_basis``. Where the full-basis H also
-    commutes exactly with P_theta (tested on entry images kept per CSR
-    pattern), S^dag H S is solved as its two P_theta parity blocks
-    (``circuit._theta_blocks``), and the k lowest of both are kept
-    (``_solve_blocks``). Each block is summed in O(nnz): for an H that
-    ``circuit.build_hamiltonian`` summed from parts, from the parts' block
-    data with H's weights, where each part passes both tests (H, whose
-    barrier parts always pass and share no entry with the fixed part,
-    passes them exactly when its fixed part does); otherwise from H's
-    CSR. Any other matrix, and every matrix without ``_real``, is solved
-    as it is. The eigenvectors are charge-basis vectors on every route.
+    With ``_real`` the matrix picks the route. An H that
+    ``circuit.build_hamiltonian`` summed from its circuit's parts (its
+    ``_parts``, while its ``csr`` is the array they gave) is solved in
+    the real blocks of ``_real_blocks``, the parts' map for the sector:
+    as its two P_theta parity blocks where the parts commute exactly with
+    C*K and P_theta, and the k lowest of both are kept
+    (``_solve_blocks``); as its one real block in
+    ``circuit.charge_inversion_basis`` where they commute with C*K alone.
+    Each block is summed from the map with H's weights in O(nnz). An H
+    whose parts fail the C*K test, an operator without parts (a dense
+    matrix, an operator built from a matrix) and every matrix without
+    ``_real`` are solved as they are, on complex data. The flag stays
+    because a caller may need the complex route's phase gauge on an H
+    that has parts: ``evolve._CircuitEngine.charge_gauge_states`` fixes a
+    gate's target with it. The eigenvectors are charge-basis vectors on
+    every route.
 
     Each (block) matrix above ``DENSE_DIM_LIMIT`` states
     (``REAL_DENSE_DIM_LIMIT`` for a real one), while k is at most
@@ -495,8 +331,8 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
     back to dense ``scipy.linalg.eigh``, which also solves every smaller
     problem. Residuals are checked block by block against
     ``RESIDUAL_RTOL * ||H||_inf`` of the charge-basis H, on the CSR form;
-    the symmetry tests are exact, so a block's residual is that of the
-    full problem. A non-finite ||H||_inf raises SpectrumError. Degenerate
+    the map's symmetry tests are exact, so a block's residual is that of
+    the full problem. A non-finite ||H||_inf raises SpectrumError. Degenerate
     clusters are rotated to eigenstates of the phi -> -phi parity when a
     basis is known, even-parity state first, for deterministic labeling.
     """
@@ -526,20 +362,17 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
         idx = physical_sector_indices(basis, parity)
         if k > idx.size:
             raise SpectrumError(f"k = {k} exceeds the {idx.size} states of the {sector} sector")
-    blocks = None
-    if _real and basis is not None:
-        summed = op._parts if isinstance(op, HermitianOperator) else None
-        if summed is not None and summed[2] is h:
-            blocks = _summed_blocks(summed, parity)
-        else:
-            blocks = _theta_parity_blocks(h, basis, parity)
-    if blocks is None:
-        sub = h if idx is None else h[idx][:, idx]
-        if _real and basis is not None and inversion_symmetric(sub):
-            s = charge_inversion_basis(basis, parity)
-            blocks = [((s.conj().T @ sub @ s).real, s, None)]
-        else:
-            blocks = [(sub, None, None)]
+    summed = op._parts if isinstance(op, HermitianOperator) else None
+    mapped = None
+    if _real and summed is not None and summed[2] is h:
+        mapped = _real_blocks(summed[0], parity)
+    if mapped is None:
+        blocks = [(h if idx is None else h[idx][:, idx], None, None)]
+    else:
+        c, s = summed[1]
+        blocks = [(scipy.sparse.csr_array((b.data(1.0, c, s), b.indices, b.indptr),
+                                          shape=(b.lift.shape[1],) * 2), b.lift, b.dense_index)
+                  for b in mapped.theta or (mapped.inversion,)]
     energies, states = _solve_blocks(blocks, k, norm)
     if idx is not None:
         sub_states = states

@@ -13,6 +13,7 @@ from dsfq.circuit import (
     CircuitSpec,
     CoupledSpec,
     Variant,
+    _parts,
     build_hamiltonian,
     build_operator,
     charge_inversion_basis,
@@ -154,7 +155,7 @@ def test_expi_apply_matches_dense_expm(monkeypatch):
     psi /= np.linalg.norm(psi, axis=0)
     substeps = set()
     with monkeypatch.context() as m:  # the charge-basis engine of a failed C*K test
-        m.setattr(evolve, "inversion_symmetric", lambda h: False)
+        m.setattr(evolve, "_real_blocks", lambda parts, parity: None)
         charge = evolve._CircuitEngine(spec)
     real = evolve._CircuitEngine(spec)
     assert real.real and not charge.real
@@ -570,9 +571,9 @@ def test_real_engine_dense_solve_is_qubit_eigensolution_in_its_basis(spec, charg
     # back to v, sign included: on the single loop's even sector, solved as
     # two P_theta blocks, and on the node basis at a charging scale that
     # breaks P_theta, solved as the one block S^dag H S.
-    h = build_hamiltonian(spec, charging_scale=charging_scale).csr
     parity = 0 if spec.variant is Variant.SINGLE_LOOP else None
-    assert (spectrum._theta_parity_blocks(h, spec.basis, parity) is not None) == blocked
+    mapped = spectrum._real_blocks(_parts(spec, charging_scale), parity)
+    assert (mapped.theta is not None) == blocked
     engine = evolve._CircuitEngine(spec, charging_scale)
     assert engine.real
     for alpha, k in ((1.0, 2), (0.85, 8)):
@@ -595,7 +596,7 @@ def test_symmetric_pair_product_hamiltonian_is_real(monkeypatch):
     assert all(n1.dtype == np.complex128 and not n1.real.any() for _, _, n1 in levels)
     # the same H from levels of charge-basis engines, up to the per-level gauge
     with monkeypatch.context() as m:
-        m.setattr(evolve, "inversion_symmetric", lambda h: False)
+        m.setattr(evolve, "_real_blocks", lambda parts, parity: None)
         engines = [evolve._CircuitEngine(qq, coupled.charging_scale)
                    for qq in (coupled.qubit1, coupled.qubit2)]
     charge = [evolve._qubit_levels(engine, 0.9, 4) for engine in engines]

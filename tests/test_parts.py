@@ -14,11 +14,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dsfq import spectrum
+from dsfq import circuit, evolve, spectrum
 from dsfq.circuit import (
     CircuitSpec,
     HermitianOperator,
     Variant,
+    _barrier_weights,
     _theta_blocks,
     build_hamiltonian,
     build_operator,
@@ -188,7 +189,9 @@ def _assert_same_solution(sol, ref, k):
 def test_parts_route_matches_a_hand_built_operator(case, k, monkeypatch):
     spec = replace(CASES[case][0], cutoff=8)
     sector = "even" if spec.variant is Variant.SINGLE_LOOP else None
+    # an operator without parts is solved as it is, on complex data
     ref = diagonalize(_hand_built(spec), k, sector=sector, _real=True)
+    assert ref.states.dtype == np.complex128
     calls = _record_levels(monkeypatch)
     sol = qubit_eigensolution(spec, k)
     _assert_same_solution(sol, ref, k)
@@ -262,6 +265,51 @@ def test_threads_that_miss_the_cache_together_build_and_map_once(monkeypatch):
     assert all(parts is results[0][0] for parts, _ in results)
     assert all(np.array_equal(energies, results[0][1]) for _, energies in results)
     assert mapped == [0]
+
+
+def test_coupled_node_basis_solves_read_one_map(monkeypatch):
+    # The node basis at the coupled charging scale commutes with C*K but not
+    # with P_theta. Its solves and its engine take the one C block of its
+    # circuit's parts, mapped once: no solve forms S^dag H S, and the only
+    # charge-inversion basis asked for is the map's own.
+    spec = CircuitSpec(variant=Variant.NODE_BASIS, ej=9.7, ec=0.104, alpha=0.9,
+                       phi_ext=0.99 * math.pi, cutoff=6)  # a circuit no other test builds
+    scale = 0.8125
+    mapped, bases = [], []
+    map_parts, inversion_basis = spectrum._map_parts, circuit.charge_inversion_basis
+
+    def counted(parts, parity):
+        mapped.append(parity)
+        return map_parts(parts, parity)
+
+    def recorded(*args):
+        bases.append(args)
+        return inversion_basis(*args)
+
+    monkeypatch.setattr(spectrum, "_map_parts", counted)
+    for module in (circuit, spectrum, evolve):
+        monkeypatch.setattr(module, "charge_inversion_basis", recorded, raising=False)
+    calls = _record_levels(monkeypatch)
+    for alpha in (1.0, 0.8, 0.6):
+        sol = qubit_eigensolution(spec.with_alpha(alpha), 8, scale)
+        ref = diagonalize(build_hamiltonian(spec.with_alpha(alpha), scale), 8)
+        assert sol.energies == pytest.approx(ref.energies, abs=1e-12, rel=0)
+    engine = evolve._CircuitEngine(spec, scale)
+    energies = engine.lowest(0.85, 8)[0]
+    ref = diagonalize(build_hamiltonian(spec.with_alpha(0.85), scale), 8)
+    assert energies == pytest.approx(ref.energies, abs=1e-12, rel=0)
+    assert mapped == [None] and bases == [(spec.basis, None)]
+    # one real solve of the whole basis per qubit_eigensolution
+    assert [(n, dtype) for n, _, dtype in calls if dtype == np.float64] == [(169, np.float64)] * 4
+    blocks = build_hamiltonian(spec, scale)._parts[0].blocks[None]
+    block = blocks.inversion
+    assert blocks.theta is None
+    assert engine.real and engine._basis is block.lift
+    assert engine._indptr is block.indptr and engine._indices is block.indices
+    assert np.shares_memory(engine._data[0], block.parts)
+    np.testing.assert_array_equal(engine._data[0], block.parts[0])
+    np.testing.assert_array_equal(engine._data[1],
+                                  block.data(0.0, *_barrier_weights(spec.with_alpha(1.0))))
 
 
 def test_offset_charge_takes_the_complex_route(monkeypatch):

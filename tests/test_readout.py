@@ -116,3 +116,49 @@ def test_validity_flag_near_resonance():
     ds = dispersive_shift(replace(SPEC, phi_ext=1.03 * math.pi), RES, levels=25)
     assert not ds.valid
     assert ds.near_resonant_pairs
+
+
+def _loop_reference(spec, res, levels):
+    """(chi_table, valid, near_resonant_pairs) of the dispersive sum, one
+    level pair and resonator sign at a time."""
+    sol = qubit_eigensolution(spec, levels)
+    n_theta = build_operator("n_theta", spec).csr
+    elements = sol.states.conj().T @ (n_theta @ sol.states)
+    chi_table = np.zeros((2, levels))
+    valid, near = True, []
+    for i in (0, 1):
+        for j in range(levels):
+            if j == i:
+                continue
+            de = sol.energies[i] - sol.energies[j]
+            for sign in (-1.0, 1.0):
+                den = de + sign * res.omega_r
+                if abs(den) < 1e-6:
+                    raise ReadoutError(f"exact qubit-resonator resonance between levels {i} and {j}")
+                if abs(den) < 5.0 * res.g:
+                    valid = False
+                    near.append((i, j, float(den)))
+                chi_table[i, j] += res.g**2 * abs(elements[i, j]) ** 2 / den
+    return chi_table, valid, near
+
+
+def test_dispersive_shift_matches_the_loop_over_levels():
+    # near resonance, with more than one near pair, and far from it
+    for spec, res in ((replace(SPEC, phi_ext=1.03 * math.pi), ResonatorSpec(omega_r=4.8, g=0.2)),
+                      (SPEC, RES)):
+        ds = dispersive_shift(spec, res, levels=25)
+        chi_table, valid, near = _loop_reference(spec, res, 25)
+        assert np.array_equal(ds.chi_table, chi_table)
+        assert ds.valid is valid and ds.near_resonant_pairs == near
+        assert ds.chi == float(chi_table[1].sum() - chi_table[0].sum())
+    assert len(dispersive_shift(replace(SPEC, phi_ext=1.03 * math.pi),
+                                ResonatorSpec(omega_r=4.8, g=0.2), 25).near_resonant_pairs) > 1
+
+
+def test_exact_resonance_raises_and_names_its_levels():
+    energies = qubit_eigensolution(SPEC, 12).energies
+    res = ResonatorSpec(omega_r=float(energies[3] - energies[1]), g=0.025)
+    with pytest.raises(ReadoutError, match="between levels 1 and 3"):
+        _loop_reference(SPEC, res, 12)
+    with pytest.raises(ReadoutError, match="between levels 1 and 3"):
+        dispersive_shift(SPEC, res, levels=12)

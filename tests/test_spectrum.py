@@ -15,11 +15,13 @@ from dsfq.circuit import (
     Variant,
     build_hamiltonian,
     build_operator,
+    _invariant,
+    _map_parts,
+    _parts,
     _theta_blocks,
     _theta_permutation,
     charge_inversion_basis,
     hamiltonian_decomposition,
-    inversion_symmetric,
     parity_permutation,
     phase_grid_points,
     physical_sector_indices,
@@ -422,6 +424,17 @@ def test_qubit_eigensolution_solves_in_real_arithmetic_at_zero_offset_charge(
     np.testing.assert_array_equal(sol.states, ref.states)
 
 
+def _tilted_parts(spec: CircuitSpec, charging_scale: float = 1.0):
+    """The parts of ``spec``'s circuit with one nonzero entry of F in the
+    even sector off by a rounding, unmapped."""
+    parts = _parts(spec, charging_scale)
+    rows = np.repeat(np.arange(spec.basis.dim), np.diff(parts.indptr))
+    even = np.isin(rows, physical_sector_indices(spec.basis, 0))
+    fixed = parts.fixed.copy()
+    fixed[np.flatnonzero((fixed != 0) & even)[7]] *= 1 + 1e-15
+    return replace(parts, fixed=fixed, blocks={})
+
+
 def test_inversion_test_is_exact_and_matches_its_dense_definition():
     spec = REAL_ROUTE["single_loop"]
     idx = physical_sector_indices(spec.basis, 0)
@@ -429,6 +442,9 @@ def test_inversion_test_is_exact_and_matches_its_dense_definition():
     def dense_definition(h):
         m = h.toarray()
         return np.array_equal(m[::-1, ::-1].conj(), m)
+
+    def inversion_symmetric(h):  # the map's C*K test, C the index reversal
+        return _invariant(h, np.arange(h.shape[0])[::-1], conj=True)
 
     h = build_hamiltonian(spec).csr
     cases = [h, h[idx][:, idx], build_hamiltonian(replace(spec, ng_phi=0.05)).csr]
@@ -443,16 +459,30 @@ def test_inversion_test_is_exact_and_matches_its_dense_definition():
                                         shape=h.shape))
     assert [inversion_symmetric(m) for m in cases] == [True, True, False, False, True]
     assert [dense_definition(m) for m in cases] == [True, True, False, False, True]
+    # the map takes its parts to the real basis, full and sector, where they
+    # pass; an offset charge or a part off by a rounding maps to None
+    for parity in (None, 0):
+        assert _map_parts(_parts(spec, 1.0), parity) is not None
+        assert _map_parts(_parts(replace(spec, ng_phi=0.05), 1.0), parity) is None
+        assert _map_parts(_tilted_parts(spec), parity) is None
     # the sector basis is built once and is the full basis restricted
     s = charge_inversion_basis(spec.basis, 0)
     assert s is charge_inversion_basis(spec.basis, 0)
     full = charge_inversion_basis(spec.basis).toarray()
     np.testing.assert_array_equal(s.toarray(), full[np.ix_(idx, idx)])
+    # and its C block of H is S^dag H S, real
+    mapped = _map_parts(_parts(spec, 1.0), 0)
+    assert mapped.inversion.lift is s
+    c, sin = build_hamiltonian(spec)._parts[1]
+    block = scipy.sparse.csr_array((mapped.inversion.data(1.0, c, sin), mapped.inversion.indices,
+                                    mapped.inversion.indptr), shape=(idx.size,) * 2)
+    dense = s.conj().T.toarray() @ h[idx][:, idx].toarray() @ s.toarray()
+    assert np.abs(block.toarray() - dense).max() < 1e-13 * np.abs(dense).max()
 
 
 def test_theta_test_is_exact_and_matches_its_dense_definition():
-    # the real route's P_theta test, made from entry images kept per CSR
-    # pattern, against P h P = h on the dense matrix, on the full basis and
+    # the map's P_theta test, one comparison of each part with its permuted
+    # CSR copy, against P h P = h on the dense matrix, on the full basis and
     # on the even sector of a single loop
     single, node = REAL_ROUTE["single_loop"], REAL_ROUTE["node_basis"]
     grad = _compensated_gradiometric()
@@ -460,24 +490,29 @@ def test_theta_test_is_exact_and_matches_its_dense_definition():
     h = build_hamiltonian(single).csr
     tilted = h.copy()
     tilted.data[7] *= 1 + 1e-15  # one entry off its image by a rounding
-    cases = [  # (canonical full-basis matrix, basis, commutes with P_theta)
-        (h, single.basis, True),
-        (build_hamiltonian(grad).csr, grad.basis, True),
-        (build_hamiltonian(node).csr, node.basis, True),
-        (build_hamiltonian(replace(single, ng_theta=0.05)).csr, single.basis, False),
-        (build_hamiltonian(node, charging_scale=0.8125).csr, node.basis, False),
-        (tilted, single.basis, False),
+    offset = replace(single, ng_theta=0.05)
+    cases = [  # (canonical full-basis matrix, its circuit's parts, basis, commutes
+               # with P_theta, passes the C*K test)
+        (h, _parts(single, 1.0), single.basis, True, True),
+        (build_hamiltonian(grad).csr, _parts(grad, 1.0), grad.basis, True, True),
+        (build_hamiltonian(node).csr, _parts(node, 1.0), node.basis, True, True),
+        (build_hamiltonian(offset).csr, _parts(offset, 1.0), single.basis, False, False),
+        (build_hamiltonian(node, charging_scale=0.8125).csr, _parts(node, 0.8125),
+         node.basis, False, True),
+        (tilted, _tilted_parts(single), single.basis, False, False),
     ]
-    for m, basis, commutes in cases:
+    for m, parts, basis, commutes, inversion in cases:
         dense = m.toarray()
         for parity in (None, 0) if basis.modes == ("phi", "theta") else (None,):
             idx = np.arange(basis.dim) if parity is None else physical_sector_indices(basis, 0)
             perm = _theta_permutation(basis, parity)
             sub = dense[np.ix_(idx, idx)]
             assert np.array_equal(sub[np.ix_(perm, perm)], sub) == commutes
-            # every case but the offset charge passes the C*K test
-            blocks = spectrum._theta_parity_blocks(m, basis, parity)
-            assert (blocks is not None) == (commutes and inversion_symmetric(m))
+            assert _invariant(m[idx][:, idx], perm) == commutes
+            mapped = _map_parts(parts, parity)
+            assert (mapped is not None) == inversion
+            if inversion:
+                assert (mapped.theta is not None) == commutes
 
 
 def test_qubit_pair_shares_its_theta_parity_at_zero_offset_charge():
