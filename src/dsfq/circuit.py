@@ -41,13 +41,13 @@ dense full-basis matrix exists only on request, as
 ``HermitianOperator.matrix``.
 
 One map, ``_map_parts``, takes a circuit's parts, per sector parity, to
-their real symmetry blocks: where each part commutes exactly with C*K, C
-the charge inversion, the real block of each part in
-``charge_inversion_basis`` S, and where each also commutes exactly with
-P_theta, its two P_theta parity blocks. ``_Parts.blocks`` keeps the map
-of each parity, which ``spectrum`` makes once. Every real eigensolve of
-an H, and the real working basis of ``evolve``'s engines, sums its blocks
-from it with H's weights.
+one tuple of real symmetry blocks: the two P_theta parity blocks of each
+part where each commutes exactly with C*K and P_theta (C the charge
+inversion, P_theta n_theta -> -n_theta), else its one real block in
+``charge_inversion_basis`` where each commutes with C*K. ``_symmetry_blocks``
+keeps the tuple with the parts, mapped once. Every real eigensolve of an H
+sums its blocks from it with H's weights, and every real engine of
+``evolve`` works in its direct sum.
 """
 
 from __future__ import annotations
@@ -200,10 +200,10 @@ class CoupledSpec:
         ``energies[q]`` are the kept levels of qubit q and ``n1[q]`` its
         coupled-node charge in those levels:
         kron(E1, 1) + kron(1, E2) + coupling_energy * kron(n1_1, n1_2).
-        Where both qubits' levels are real vectors in
-        ``charge_inversion_basis``, each n1[q] is i times a real
-        antisymmetric matrix, and the result has an exactly zero imaginary
-        part.
+        Where both qubits' levels are real coordinates in their circuits'
+        real symmetry blocks (``_symmetry_blocks``), each n1[q] is i times
+        a real antisymmetric matrix, and the result has an exactly zero
+        imaginary part.
         """
         h = self.coupling_energy * np.kron(n1[0], n1[1])
         h[np.diag_indices_from(h)] += np.add.outer(energies[0], energies[1]).ravel()
@@ -369,8 +369,8 @@ class _Parts:
     three parts serve every H of the circuit. F and B_c are real and B_s
     is imaginary, so each is stored as one real array on the pattern
     (``sin`` holds B_s / i). ``blocks`` holds, by sector parity, the
-    parts' real symmetry blocks (``_map_parts``), which ``spectrum`` maps
-    once, under its own lock. The arrays are read-only.
+    tuple of the parts' real symmetry blocks (``_map_parts``), which
+    ``_symmetry_blocks`` maps once. The arrays are read-only.
     """
 
     key: _CircuitKey
@@ -489,15 +489,6 @@ class _Block(NamedTuple):
         return f * self.parts[0] + c * self.parts[1] + s * self.parts[2]
 
 
-class _RealBlocks(NamedTuple):
-    """A circuit's parts in the charge-inversion basis S (``inversion``)
-    and, where they commute with P_theta, in its two P_theta parity blocks
-    (``theta``, even block first; None otherwise)."""
-
-    inversion: _Block
-    theta: tuple[_Block, _Block] | None
-
-
 def _invariant(m: scipy.sparse.csr_array, perm: np.ndarray, conj: bool = False) -> bool:
     """Whether m equals its image P m P, conjugated as well for C*K
     (``conj``), exactly, P the involution ``perm`` (P @ v is v[perm]): one
@@ -507,7 +498,7 @@ def _invariant(m: scipy.sparse.csr_array, perm: np.ndarray, conj: bool = False) 
     return (m != (image.conj() if conj else image)).nnz == 0
 
 
-def _symmetry_block(ops: list, lift: scipy.sparse.csr_array) -> _Block:
+def _lifted_block(ops: list, lift: scipy.sparse.csr_array) -> _Block:
     """Re(L^dag P L) of each part P in ``ops``, on one pattern, L the lift."""
     n = lift.shape[1]
     lift_h = lift.conj().T.tocsr()
@@ -519,20 +510,20 @@ def _symmetry_block(ops: list, lift: scipy.sparse.csr_array) -> _Block:
     return block
 
 
-def _map_parts(parts: _Parts, parity: int | None) -> _RealBlocks | None:
+def _map_parts(parts: _Parts, parity: int | None) -> tuple[_Block, ...] | None:
     """The real symmetry blocks of a circuit's parts in its (n_phi + n_theta)
-    sector of ``parity`` (None: the full basis), by plain sparse products;
-    None unless each part P commutes exactly with C*K, C the charge
-    inversion (``_invariant``).
+    sector of ``parity`` (None: the full basis), as one tuple, by plain
+    sparse products; None unless each part P commutes exactly with C*K, C
+    the charge inversion (``_invariant``).
 
-    ``inversion`` holds Re(S^dag P S) of each part, S the
-    ``charge_inversion_basis`` of the sector. Where each part also commutes
-    exactly with P_theta (n_theta -> -n_theta), ``theta`` holds its two
-    P_theta parity blocks Re(L^dag P L), L the lifts of ``_theta_blocks``
+    Where each part also commutes exactly with P_theta
+    (n_theta -> -n_theta), the tuple holds its two P_theta parity blocks
+    Re(L^dag P L), even block first, L the lifts of ``_theta_blocks``
     (symmetry blocks of exact diagonalization: Sandvik, AIP Conf. Proc.
-    1297, 135 (2010)). Their imaginary parts vanish up to rounding. A sum
-    of the parts with real weights commutes as they do, and its blocks are
-    the same sum of theirs (``_Block.data``).
+    1297, 135 (2010)); otherwise the one block Re(S^dag P S), S the
+    ``charge_inversion_basis`` of the sector. Their imaginary parts vanish
+    up to rounding. A sum of the parts with real weights commutes as they
+    do, and its blocks are the same sum of theirs (``_Block.data``).
     """
     basis, dim = parts.basis, parts.basis.dim
     ops = [scipy.sparse.csr_array((d, parts.indices, parts.indptr), shape=(dim, dim))
@@ -544,11 +535,19 @@ def _map_parts(parts: _Parts, parity: int | None) -> _RealBlocks | None:
     reverse = np.arange(ops[0].shape[0])[::-1]
     if not all(_invariant(m, reverse, conj=True) for m in ops):
         return None
-    theta_perm = _theta_permutation(basis, parity)
-    theta = None
-    if all(_invariant(m, theta_perm) for m in ops):
-        theta = tuple(_symmetry_block(ops, lift) for lift in _theta_blocks(basis, parity))
-    return _RealBlocks(_symmetry_block(ops, charge_inversion_basis(basis, parity)), theta)
+    theta = all(_invariant(m, _theta_permutation(basis, parity)) for m in ops)
+    lifts = _theta_blocks(basis, parity) if theta else (charge_inversion_basis(basis, parity),)
+    return tuple(_lifted_block(ops, lift) for lift in lifts)
+
+
+def _symmetry_blocks(parts: _Parts, parity: int | None) -> tuple[_Block, ...] | None:
+    """``_map_parts`` of a circuit's parts and sector parity, mapped once
+    and kept in ``parts.blocks``, under the lock of the parts so that pool
+    threads that miss it together map it once. Callers must not modify it."""
+    with _CACHE_LOCK:
+        if parity not in parts.blocks:
+            parts.blocks[parity] = _map_parts(parts, parity)
+        return parts.blocks[parity]
 
 
 def _term_weights(spec: CircuitSpec, terms: list[_Cosine]) -> tuple[float, float]:
@@ -583,7 +582,7 @@ def build_hamiltonian(spec: CircuitSpec, charging_scale: float = 1.0) -> Hermiti
     coupled pair); it is ignored for the other variants. H is summed from
     its circuit's checked parts in O(nnz) and carries them with its
     weights, from which ``spectrum.diagonalize`` sums its real blocks
-    (``_map_parts``).
+    (``_symmetry_blocks``).
     Its arrays are read-only.
     """
     parts = _parts(spec, charging_scale)

@@ -398,7 +398,11 @@ def validate_config(cfg: dict) -> dict:
     out = dict(cfg)
     env_workers = os.environ.get("DSFQ_WORKERS")  # the default for a config that names none
     if env_workers is not None:
-        out.setdefault("workers", int(env_workers) if env_workers.isdigit() else env_workers)
+        try:  # int() refuses '²', which isdigit() passes, and numbers of over 4300 digits
+            env_workers = int(env_workers)
+        except ValueError:
+            pass  # the check below refuses the text
+        out.setdefault("workers", env_workers)
     out.update(_filled(out, _ROOT_PARAMS, "config root"), params=params)
     return out
 
@@ -628,7 +632,9 @@ def run(cfg: dict, output: str | None = None, workers: int | None = None,
     cfg = validate_config(cfg)
     out_dir = Path(output or cfg["output"])
     spec = _circuit_from(cfg)
-    n_workers = workers or cfg["workers"]
+    if workers is not None:  # the --workers flag, checked as the config's key is
+        _filled({"workers": workers}, {"workers": _ROOT_PARAMS["workers"]}, "--workers")
+    n_workers = cfg["workers"] if workers is None else workers
     config_hash = hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()
     ).hexdigest()
@@ -648,7 +654,7 @@ def run(cfg: dict, output: str | None = None, workers: int | None = None,
     np.random.seed(cfg["seed"])
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    pool = ThreadPoolExecutor(max_workers=max(1, int(n_workers)))
+    pool = ThreadPoolExecutor(max_workers=n_workers)
     try:
         tables, notes = _RUNNERS[cfg["experiment"]](cfg, spec, pool)
         manifest["notes"] = notes

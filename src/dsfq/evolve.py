@@ -14,20 +14,20 @@ alphas it returns their dense solutions; otherwise, and as the fallback,
 it calls ``spectrum.qubit_eigensolution``.
 
 The circuit picks an engine's working basis, as it picks the route of
-``spectrum.qubit_eigensolution``, from the same map of its parts
-(``spectrum._real_blocks``). Where the parts commute with C*K, C the
-charge inversion (every ng = 0 qubit), it is
-``circuit.charge_inversion_basis``, in which every H(alpha) is real
-symmetric, its h0 and h1 the map's real blocks of the parts, and n1 is
-i times a real antisymmetric matrix, so the solves,
-overlaps and product Hamiltonians of the two-qubit frames, the ZZ
-statics and a driven gate's window, samples and Gamma_1 grid are all
-float64. Elsewhere it is the charge basis, and the same code runs on
-complex data. The states that a driven gate propagates, and the
-alpha = 1 states it is scored in, are charge-basis vectors in either
-case: the phases of those states, set by a complex charge-basis solve
-(``_CircuitEngine.charge_gauge_states``), fix what a gate's target
-means.
+``spectrum.qubit_eigensolution``, from the same tuple of real symmetry
+blocks of its parts (``circuit._symmetry_blocks``). Where the parts
+commute with C*K, C the charge inversion (every ng = 0 qubit), it is the
+direct sum of the tuple's blocks, two P_theta parity blocks or one block
+in ``circuit.charge_inversion_basis``. There every H(alpha) is real
+symmetric and block diagonal, and n1 is i times a real antisymmetric
+matrix, so the solves, overlaps and product Hamiltonians of the
+two-qubit frames, the ZZ statics and a driven gate's window, samples and
+Gamma_1 grid are all float64. Elsewhere it is the charge basis, and the
+same code runs on complex data. The states that a driven gate
+propagates, and the alpha = 1 states it is scored in, are charge-basis
+vectors in either case: the phases of those states, set by a complex
+charge-basis solve (``_CircuitEngine.charge_gauge_states``), fix what a
+gate's target means.
 
 Every ``propagate_state`` step is one fourth-order commutator-free Magnus
 step, whose two half-step exponentials ``_CircuitEngine.expi_apply``
@@ -59,6 +59,7 @@ from .circuit import (
     Variant,
     _barrier_weights,
     _parts,
+    _symmetry_blocks,
     _union_pattern,
     build_hamiltonian,
     build_operator,
@@ -68,11 +69,10 @@ from .circuit import (
 from .spectrum import (
     RESIDUAL_RTOL,
     EigenSolution,
-    _SparseRefused,
     _check_pair_continuity,
-    _levels_below,
+    _max_residual,
     _merge_lowest,
-    _real_blocks,
+    _lowest_refusal,
     align_gauge,
     diagonalize,
     qubit_eigensolution,
@@ -335,19 +335,19 @@ class _CircuitEngine:
     physical sector where it has one, held only in CSR form.
 
     The circuit picks the working basis, in which ``lowest`` solves, by
-    the map of its parts that ``spectrum._real_blocks`` keeps. Where the
-    parts commute with C*K, C the charge inversion (checked exactly by
-    the map), it is ``circuit.charge_inversion_basis`` S: h0 is the map's
-    real block of F and h1 the sum of its blocks of B_c and B_s with the
-    barrier weights at alpha = 1, on the map's pattern, ``n1`` holds the
-    real antisymmetric A of the charge i*A, ``real`` is True, and every
-    solve, reduced basis and residual is float64; elsewhere it is the
-    charge basis. ``charge_states`` maps working coordinates to the
-    charge basis. A dense solve is
-    ``spectrum.qubit_eigensolution``, whose charge-basis (sector) states v
-    a real engine takes to its coordinates as (S^dag v).real, and every
-    residual bound is ``RESIDUAL_RTOL`` times ||H(alpha)||_inf of the
-    charge-basis H.
+    the tuple of real symmetry blocks that ``circuit._symmetry_blocks``
+    keeps for its parts. Where there is one (the parts commute with C*K, C
+    the charge inversion), it is the direct sum of the tuple's one or two
+    blocks, by one code path: the lift L is their lifts side by side, h0
+    and h1 are block diagonal (each block's F, and its B_c and B_s summed
+    with the barrier weights at alpha = 1, on its pattern), ``n1`` holds
+    the real antisymmetric A of L^dag n1 L = i*A, ``real`` is True, and
+    every solve, reduced basis and residual is float64. Elsewhere it is
+    the charge basis. ``charge_states`` maps working coordinates to the
+    charge basis. A dense solve is ``spectrum.qubit_eigensolution``, whose
+    charge-basis (sector) states v a real engine takes to its coordinates
+    as (L^dag v).real. Every residual is ``spectrum._max_residual``
+    against ``RESIDUAL_RTOL`` times ||H(alpha)||_inf of the charge-basis H.
 
     ``expi_apply`` acts on charge-basis (sector) vectors in either working
     basis: its generator is the charge-basis h0 and h1 on their pattern
@@ -389,18 +389,19 @@ class _CircuitEngine:
                                                  self._gen_data, self.dim)
         self._gen_n1 = n1.diagonal()
         self._gen_step = np.zeros(self._gen_indices.size, dtype=complex)  # rewritten per call
-        self._basis = None
-        mapped = _real_blocks(_parts(spec, charging_scale), parity)
-        self.real = mapped is not None
-        if self.real:
-            block = mapped.inversion
-            s = self._basis = block.lift
-            self.n1 = (s.conj().T @ n1 @ s).imag
-            self._indptr, self._indices = block.indptr, block.indices
-            self._data = [block.parts[0],
-                          block.data(0.0, *_barrier_weights(spec.with_alpha(1.0)))]
+        blocks = _symmetry_blocks(_parts(spec, charging_scale), parity)
+        self.real = blocks is not None
+        if self.real:  # the blocks' direct sum, its entries in block order
+            lift = self._basis = scipy.sparse.hstack([b.lift for b in blocks], format="csr")
+            self.n1 = (lift.conj().T @ n1 @ lift).imag
+            pattern = scipy.sparse.block_diag([scipy.sparse.csr_array(
+                (np.ones(b.indices.size), b.indices, b.indptr)) for b in blocks], format="csr")
+            self._indptr, self._indices = pattern.indptr, pattern.indices
+            weights = _barrier_weights(spec.with_alpha(1.0))
+            self._data = [np.concatenate([b.parts[0] for b in blocks]),
+                          np.concatenate([b.data(0.0, *weights) for b in blocks])]
         else:
-            self.n1 = n1
+            self.n1, self._basis = n1, None
             self._indptr, self._indices, self._data = (self._gen_indptr, self._gen_indices,
                                                        self._gen_data)
         self._window: _Window | None = None
@@ -410,6 +411,11 @@ class _CircuitEngine:
     def _csr(self, data: np.ndarray) -> scipy.sparse.csr_matrix:
         return scipy.sparse.csr_matrix((data, self._indices, self._indptr),
                                        shape=(self.dim, self.dim))
+
+    def _h(self, alpha: float) -> scipy.sparse.csr_matrix:
+        """The drive-free H(alpha) in the working basis."""
+        d0, d1 = self._data
+        return self._csr(d0 + alpha * d1)
 
     def expi_apply(self, alpha: float, drive: float, dt: float, psi: np.ndarray,
                    shift: float) -> np.ndarray:
@@ -520,36 +526,14 @@ class _CircuitEngine:
     def _midpoint_proven(self, window: _Window, alpha: float) -> bool:
         """Whether the window's basis provably holds the lowest k levels of
         H(alpha): its lowest k Ritz pairs pass the residual check of
-        ``lowest``, and H has exactly k levels below the midpoint of the
-        Ritz values E_{k-1} and E_k (``spectrum._levels_below``). False
-        where the count is refused or differs, or the two Ritz values lie
-        within 2 * RESIDUAL_RTOL * ||H||_inf of each other."""
-        k, norm = window.k, self._norm(alpha)
+        ``lowest``, and its k + 1 Ritz values pass
+        ``spectrum._lowest_refusal`` on the full H."""
+        k, norm, h = window.k, self._norm(alpha), self._h(alpha)
         energies, coords = scipy.linalg.eigh(window.g0 + alpha * window.g1,
                                              subset_by_index=(0, k))
-        if energies[k] - energies[k - 1] <= 2 * RESIDUAL_RTOL * norm:
+        if _max_residual(h, energies[:k], window.q @ coords[:, :k]) > RESIDUAL_RTOL * norm:
             return False
-        if self._residual(alpha, energies[:k], window.q @ coords[:, :k]) > RESIDUAL_RTOL * norm:
-            return False
-        # H's CSR read as CSC is H^T, which has H's eigenvalues
-        d0, d1 = self._data
-        h_t = scipy.sparse.csc_array((d0 + alpha * d1, self._indices, self._indptr),
-                                     shape=(self.dim, self.dim))
-        try:
-            return _levels_below(h_t, 0.5 * (energies[k - 1] + energies[k]), norm) == k
-        except _SparseRefused:
-            return False
-
-    def _residual(self, alpha: float, energies: np.ndarray, states: np.ndarray) -> float:
-        """Largest ||H(alpha) v - E v|| over the pairs, through the kept CSR
-        pattern by the CSR multivector kernel, as ``expi_apply`` works."""
-        d0, d1 = self._data
-        states = np.ascontiguousarray(states)
-        hv = np.zeros_like(states)
-        csr_matvecs(self.dim, self.dim, states.shape[1], self._indptr, self._indices,
-                    d0 + alpha * d1, states, hv)
-        hv -= states * energies
-        return float(np.linalg.norm(hv, axis=0).max())
+        return _lowest_refusal(h.T, energies, k, norm) is None  # h.T: a CSC view, same levels
 
     def _norm(self, alpha: float) -> float:
         """||H(alpha)||_inf of the charge-basis H."""
@@ -562,7 +546,7 @@ class _CircuitEngine:
         working basis."""
         sol = qubit_eigensolution(self._spec.with_alpha(alpha), k, self.charging_scale)
         states = sol.states[self.indices]
-        if self._basis is not None:  # C*K-invariant states: S^dag v is real
+        if self._basis is not None:  # C*K-invariant states: L^dag v is real
             states = (self._basis.conj().T @ states).real.copy()
         return sol.energies, states
 
@@ -610,7 +594,8 @@ class _CircuitEngine:
             if snapshot is not None:
                 return snapshot[0][:k].copy(), snapshot[1][:, :k].copy()
             energies, states = self._reduced_lowest(alpha, k)
-            if self._residual(alpha, energies, states) <= RESIDUAL_RTOL * self._norm(alpha):
+            residual = _max_residual(self._h(alpha), energies, states)
+            if residual <= RESIDUAL_RTOL * self._norm(alpha):
                 return energies, states
             self.fallbacks += 1
         return self._dense_lowest(alpha, k)
@@ -861,11 +846,12 @@ class TwoQubitFrame:
     cached on an alpha grid and gauge-aligned sequentially from
     alpha = 1 downward. ``engines`` maps each distinct qubit to its
     ``_CircuitEngine``, which a caller may share for other solves of it.
-    Each engine works in the real basis where its qubit allows it (see
-    ``_CircuitEngine``), so for a pair at ng = 0 the per-qubit states, the
-    product Hamiltonian, the coupled states W and every frame overlap are
-    float64. The frame switch between two neighbouring nodes is formed
-    once (``switch``), however many gates cross it.
+    Each engine works in its qubit's real blocks (see ``_CircuitEngine``;
+    at ng = 0, two P_theta blocks at ``cg_ratio`` 0, else one block in S),
+    so for a pair at ng = 0 the per-qubit states, the product Hamiltonian,
+    the coupled states W and every frame overlap are float64. The frame
+    switch between two neighbouring nodes is formed once (``switch``),
+    however many gates cross it.
 
     An ``identical`` pair shares one set of levels, so its product
     Hamiltonian commutes exactly with the exchange of the two qubits and

@@ -10,13 +10,13 @@ symmetric ARPACK. Where the parts also commute with P_theta, the
 reflection n_theta -> -n_theta (at ng = 0 every circuit but the coupled
 qubits' node basis), H is solved as its two real P_theta parity blocks of
 about half the size, each on its own (313 sector states: 163 + 150). The
-blocks come from one map per circuit and sector parity,
-``circuit._map_parts``, mapped once: each solve sums its one or two blocks
-from it with H's weights, in O(nnz). Each P_theta block first solves its
-share of the k levels by size plus ``BLOCK_LEVEL_MARGIN`` (25 levels of
-163 + 150 states: 17 + 15), and is solved again with k only when the
-merge keeps its highest solved level. Any other matrix is solved as it
-is, on complex data. Either way the states come back as charge-basis
+blocks, the P_theta pair or the one block in S, are one tuple per circuit
+and sector parity, which ``circuit._symmetry_blocks`` maps once: each
+solve sums them with H's weights, in O(nnz). Each P_theta block first
+solves its share of the k levels by size plus ``BLOCK_LEVEL_MARGIN`` (25
+levels of 163 + 150 states: 17 + 15), and is solved again with k only
+when the merge keeps its highest solved level. Any other matrix is solved
+as it is, on complex data. Either way the states come back as charge-basis
 vectors, so every caller sees the same kind of ``EigenSolution``.
 
 Each (block) matrix is solved by one rule in (dim, k, dtype): above
@@ -29,28 +29,30 @@ the matrix it solves; a block summed from the map is written into it
 straight. The sparse branch shifts to the Gershgorin lower
 bound, which lies below E0, and starts from a fixed generic vector. A
 level it missed would not show in any residual, so a Sylvester inertia
-count of the levels below (E_{k-1} + E_k)/2 must come out at exactly k.
-Whenever it cannot show that, the dense branch solves the problem
-instead.
+count of the levels below (E_{k-1} + E_k)/2 must come out at exactly k
+(``_lowest_refusal``, as for ``evolve``'s reduced bases). Whenever it
+cannot show that, the dense branch solves the problem instead. Every
+pair, here and in ``evolve``, is checked by ``_max_residual``.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace as dc_replace, fields as dc_fields
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+# the CSR multivector kernel that ``A @ X`` reaches after scipy's dispatch
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .circuit import (
     ChargeBasis,
     CircuitSpec,
     HermitianOperator,
     Variant,
-    _map_parts,
+    _symmetry_blocks,
     build_hamiltonian,
     parity_permutation,
     physical_sector_indices,
@@ -167,6 +169,36 @@ def _levels_below(h: scipy.sparse.csc_array, tau: float, norm: float) -> int:
     return int(np.count_nonzero(pivots < 0))
 
 
+def _lowest_refusal(h: scipy.sparse.csc_array, energies: np.ndarray, k: int,
+                    norm: float) -> str | None:
+    """None where the lowest k of k + 1 ascending Ritz values ``energies``
+    of Hermitian h are provably its lowest k levels, else why not. Ritz
+    values lie above their levels, so E_{k-1} and E_k must lie more than
+    2 * RESIDUAL_RTOL * ``norm`` apart and h have exactly k levels below
+    their midpoint (``_levels_below``; Grimes, Lewis & Simon, SIAM J.
+    Matrix Anal. Appl. 15, 228 (1994))."""
+    if energies[k] - energies[k - 1] <= 2 * RESIDUAL_RTOL * norm:
+        return f"levels {k - 1} and {k} too close to place the inertia shift"
+    try:
+        count = _levels_below(h, 0.5 * (energies[k - 1] + energies[k]), norm)
+    except _SparseRefused as ex:
+        return str(ex)
+    return None if count == k else f"{count} levels below the inertia shift, expected {k}"
+
+
+def _max_residual(h, energies: np.ndarray, states: np.ndarray) -> float:
+    """Largest ||h v - E v|| over the pairs (E, v) of ``energies`` and the
+    columns of ``states``, through h's CSR pattern by the CSR multivector
+    kernel, in the common dtype of h and the vectors."""
+    dtype = np.result_type(h.dtype, states.dtype)
+    states = np.ascontiguousarray(states, dtype=dtype)
+    hv = np.zeros_like(states)
+    csr_matvecs(h.shape[0], h.shape[1], states.shape[1], h.indptr, h.indices,
+                h.data.astype(dtype, copy=False), states, hv)
+    hv -= states * energies
+    return float(np.linalg.norm(hv, axis=0).max())
+
+
 def _shift_invert_lowest(h: scipy.sparse.csc_array, k: int,
                          v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of sparse Hermitian h by shift-invert Lanczos.
@@ -175,12 +207,9 @@ def _shift_invert_lowest(h: scipy.sparse.csc_array, k: int,
     k + 1 levels nearest to it are the lowest k + 1 (Ericsson & Ruhe,
     Math. Comp. 35, 1251 (1980)); ``v0`` starts the Krylov space. A
     Rayleigh-Ritz step on the k + 1 vectors makes them orthonormal. A
-    level that Lanczos missed leaves no trace in the residuals, so h must
-    have exactly k eigenvalues below tau = (E_{k-1} + E_k)/2, counted by
-    ``_levels_below`` (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl.
-    15, 228 (1994)). Raises _SparseRefused when ARPACK does not converge,
-    when E_{k-1} and E_k lie within 2 * RESIDUAL_RTOL * ||h||_inf of each
-    other, or when the count is not k or not proven.
+    level that Lanczos missed leaves no trace in the residuals, so the
+    k + 1 Ritz values must pass ``_lowest_refusal``. Raises _SparseRefused
+    when ARPACK does not converge or they do not pass.
     """
     diag = h.diagonal().real
     row_abs = np.asarray(abs(h).sum(axis=1)).ravel()
@@ -195,11 +224,9 @@ def _shift_invert_lowest(h: scipy.sparse.csc_array, k: int,
         raise _SparseRefused(f"shift-invert Lanczos: {ex}") from ex
     q = np.linalg.qr(vectors)[0]
     energies, coords = scipy.linalg.eigh(q.conj().T @ (h @ q))
-    if energies[k] - energies[k - 1] <= 2 * RESIDUAL_RTOL * norm:
-        raise _SparseRefused(f"levels {k - 1} and {k} too close to place the inertia shift")
-    count = _levels_below(h, 0.5 * (energies[k - 1] + energies[k]), norm)
-    if count != k:
-        raise _SparseRefused(f"{count} levels below the inertia shift, expected {k}")
+    refusal = _lowest_refusal(h, energies, k, norm)
+    if refusal is not None:
+        raise _SparseRefused(refusal)
     return energies[:k], q @ coords[:, :k]
 
 
@@ -228,20 +255,6 @@ def _lowest_k(h: scipy.sparse.csr_array, k: int, *,
     return scipy.linalg.eigh(a, subset_by_index=(0, k - 1), overwrite_a=True)
 
 
-_BLOCKS_LOCK = threading.Lock()
-
-
-def _real_blocks(parts, parity: int | None):
-    """``circuit._map_parts`` of a circuit's parts (``circuit._Parts``) and
-    sector parity, mapped once and kept in ``parts.blocks``, under a lock
-    so that pool threads that miss it together map it once. Callers must
-    not modify it."""
-    with _BLOCKS_LOCK:
-        if parity not in parts.blocks:
-            parts.blocks[parity] = _map_parts(parts, parity)
-        return parts.blocks[parity]
-
-
 def _block_levels(sizes: list[int], k: int) -> list[int]:
     """Levels each block solves first: its share of k by size, plus
     ``BLOCK_LEVEL_MARGIN``, at most min(k, its size)."""
@@ -258,18 +271,16 @@ def _solve_blocks(blocks: list, k: int, norm: float) -> tuple[np.ndarray, np.nda
     fewer than min(k, its size), may hold more of the k lowest and is
     solved again with min(k, its size); any other block's unsolved levels
     lie above the k kept. Each pair is checked against its own block, to
-    RESIDUAL_RTOL * ``norm``; a lift (None for none) maps its states to the
-    output coordinates. The k lowest are merged in a stable order, an
-    earlier block first on a tie.
+    RESIDUAL_RTOL * ``norm`` (``_max_residual``); a lift (None for none)
+    maps its states to the output coordinates. The k lowest are merged in
+    a stable order, an earlier block first on a tie.
     """
     def solve(m, levels, dense_index):
         e, v = _lowest_k(m, levels, dense_index=dense_index)
-        residual = np.linalg.norm(m @ v - v * e, axis=0)
-        if norm > 0 and residual.max() > RESIDUAL_RTOL * norm:
-            raise SpectrumError(
-                f"eigensolver residuals too large: max {residual.max():.3e} "
-                f"vs bound {RESIDUAL_RTOL * norm:.3e}"
-            )
+        residual = _max_residual(m, e, v)
+        if norm > 0 and residual > RESIDUAL_RTOL * norm:
+            raise SpectrumError(f"eigensolver residuals too large: max {residual:.3e} "
+                                f"vs bound {RESIDUAL_RTOL * norm:.3e}")
         return e, v
 
     sizes = [m.shape[0] for m, _, _ in blocks]
@@ -306,12 +317,10 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
     With ``_real`` the matrix picks the route. An H that
     ``circuit.build_hamiltonian`` summed from its circuit's parts (its
     ``_parts``, while its ``csr`` is the array they gave) is solved in
-    the real blocks of ``_real_blocks``, the parts' map for the sector:
-    as its two P_theta parity blocks where the parts commute exactly with
-    C*K and P_theta, and the k lowest of both are kept
-    (``_solve_blocks``); as its one real block in
-    ``circuit.charge_inversion_basis`` where they commute with C*K alone.
-    Each block is summed from the map with H's weights in O(nnz). An H
+    each block of the tuple that ``circuit._symmetry_blocks`` keeps for
+    its parts and sector (the two P_theta parity blocks, or the one block
+    in ``circuit.charge_inversion_basis``), each summed with H's weights in
+    O(nnz), and the k lowest over the blocks are kept (``_solve_blocks``). An H
     whose parts fail the C*K test, an operator without parts (a dense
     matrix, an operator built from a matrix) and every matrix without
     ``_real`` are solved as they are, on complex data. The flag stays
@@ -330,7 +339,7 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
     gap too small to place that midpoint, ARPACK not converging) falls
     back to dense ``scipy.linalg.eigh``, which also solves every smaller
     problem. Residuals are checked block by block against
-    ``RESIDUAL_RTOL * ||H||_inf`` of the charge-basis H, on the CSR form;
+    ``RESIDUAL_RTOL * ||H||_inf`` of the charge-basis H (``_max_residual``);
     the map's symmetry tests are exact, so a block's residual is that of
     the full problem. A non-finite ||H||_inf raises SpectrumError. Degenerate
     clusters are rotated to eigenstates of the phi -> -phi parity when a
@@ -363,16 +372,15 @@ def diagonalize(op: HermitianOperator | np.ndarray, k: int,
         if k > idx.size:
             raise SpectrumError(f"k = {k} exceeds the {idx.size} states of the {sector} sector")
     summed = op._parts if isinstance(op, HermitianOperator) else None
-    mapped = None
-    if _real and summed is not None and summed[2] is h:
-        mapped = _real_blocks(summed[0], parity)
+    real = _real and summed is not None and summed[2] is h
+    mapped = _symmetry_blocks(summed[0], parity) if real else None
     if mapped is None:
         blocks = [(h if idx is None else h[idx][:, idx], None, None)]
     else:
         c, s = summed[1]
         blocks = [(scipy.sparse.csr_array((b.data(1.0, c, s), b.indices, b.indptr),
                                           shape=(b.lift.shape[1],) * 2), b.lift, b.dense_index)
-                  for b in mapped.theta or (mapped.inversion,)]
+                  for b in mapped]
     energies, states = _solve_blocks(blocks, k, norm)
     if idx is not None:
         sub_states = states

@@ -366,10 +366,19 @@ def test_workers_default_comes_from_the_environment(monkeypatch):
     monkeypatch.setenv("DSFQ_WORKERS", "3")
     assert validate_config(cfg)["workers"] == 3
     assert validate_config({**cfg, "workers": 2})["workers"] == 2
-    for bad in ("x", "0", "-1"):
+    for bad in ("x", "0", "-1", "\u00b2", "1" * 4301):  # '²' passes str.isdigit()
         monkeypatch.setenv("DSFQ_WORKERS", bad)
         with pytest.raises(ConfigError, match="workers = "):
             validate_config(cfg)
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_bad_workers_flag_exits_2(tmp_path, workers):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config("spectrum_vs_alpha")))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--workers", workers, "--output", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("detuning, decompositions, qubit_solves", [(0.0, 1, 3), (0.02, 2, 6)])

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from dsfq import evolve, spectrum
+from dsfq import circuit, evolve, spectrum
 from dsfq.circuit import (
     CircuitSpec,
     CoupledSpec,
@@ -155,7 +155,7 @@ def test_expi_apply_matches_dense_expm(monkeypatch):
     psi /= np.linalg.norm(psi, axis=0)
     substeps = set()
     with monkeypatch.context() as m:  # the charge-basis engine of a failed C*K test
-        m.setattr(evolve, "_real_blocks", lambda parts, parity: None)
+        m.setattr(evolve, "_symmetry_blocks", lambda parts, parity: None)
         charge = evolve._CircuitEngine(spec)
     real = evolve._CircuitEngine(spec)
     assert real.real and not charge.real
@@ -567,13 +567,14 @@ def test_charge_inversion_basis_makes_h_real_at_zero_offset_charge():
 def test_real_engine_dense_solve_is_qubit_eigensolution_in_its_basis(spec, charging_scale,
                                                                      blocked):
     # A real engine takes qubit_eigensolution's charge-basis (sector) states
-    # v to its coordinates as (S^dag v).real, and charge_states maps them
-    # back to v, sign included: on the single loop's even sector, solved as
-    # two P_theta blocks, and on the node basis at a charging scale that
-    # breaks P_theta, solved as the one block S^dag H S.
+    # v to its coordinates as (L^dag v).real, L its blocks' lifts side by
+    # side, and charge_states maps them back to v, sign included: on the
+    # single loop's even sector, solved as two P_theta blocks, and on the
+    # node basis at a charging scale that breaks P_theta, solved as the one
+    # block S^dag H S.
     parity = 0 if spec.variant is Variant.SINGLE_LOOP else None
-    mapped = spectrum._real_blocks(_parts(spec, charging_scale), parity)
-    assert (mapped.theta is not None) == blocked
+    mapped = circuit._symmetry_blocks(_parts(spec, charging_scale), parity)
+    assert len(mapped) == (2 if blocked else 1)
     engine = evolve._CircuitEngine(spec, charging_scale)
     assert engine.real
     for alpha, k in ((1.0, 2), (0.85, 8)):
@@ -583,6 +584,76 @@ def test_real_engine_dense_solve_is_qubit_eigensolution_in_its_basis(spec, charg
         np.testing.assert_array_equal(energies, sol.energies)
         error = np.abs(engine.charge_states(states) - sol.states[engine.indices]).max(axis=0)
         assert error.shape == (k,) and error.max() < 1e-14
+
+
+@pytest.mark.parametrize("spec", [
+    CircuitSpec(ej=10.0, ec=0.1, phi_ext=0.995 * math.pi, cutoff=6), replace(q_node(), cutoff=6),
+], ids=["single_loop_sector", "node_basis"])
+def test_two_block_engine_works_in_the_direct_sum_of_its_blocks(spec):
+    # Where the parts commute with C*K and P_theta, the engine works in the
+    # direct sum of the two P_theta blocks: h0 and h1 couple no state of one
+    # block to the other, each block of them is that block's F and barrier,
+    # the lift is the blocks' lifts side by side, n1 is real antisymmetric,
+    # and a dense solve is qubit_eigensolution's.
+    parity = 0 if spec.variant is Variant.SINGLE_LOOP else None
+    even, odd = circuit._symmetry_blocks(_parts(spec, 1.0), parity)
+    engine = evolve._CircuitEngine(spec)
+    n = even.lift.shape[1]
+    assert engine.real and engine.dim == n + odd.lift.shape[1]
+    weights = circuit._barrier_weights(spec.with_alpha(1.0))
+    for data, parts in zip(engine._data, ((1.0, 0.0, 0.0), (0.0, *weights))):
+        h = engine._csr(data).toarray()
+        assert not h[:n, n:].any() and not h[n:, :n].any()
+        for block, sub in ((even, h[:n, :n]), (odd, h[n:, n:])):
+            size = block.lift.shape[1]
+            np.testing.assert_array_equal(sub, scipy.sparse.csr_array(
+                (block.data(*parts), block.indices, block.indptr), shape=(size, size)).toarray())
+    lift = np.hstack([even.lift.toarray(), odd.lift.toarray()])
+    np.testing.assert_array_equal(engine.charge_states(np.eye(engine.dim)), lift)
+    n1 = engine.n1.toarray()
+    assert n1.dtype == np.float64 and np.abs(n1 + n1.T).max() < 1e-15
+    charge_n1 = np.diag(build_operator("n1", spec).matrix)[engine.indices]
+    np.testing.assert_allclose(1j * n1, lift.conj().T @ (charge_n1[:, None] * lift),
+                               rtol=0, atol=1e-15)
+    for alpha, k in ((1.0, 2), (0.85, 8)):
+        energies, states = engine.lowest(alpha, k)
+        sol = qubit_eigensolution(spec.with_alpha(alpha), k)
+        assert states.dtype == np.float64
+        assert np.abs(energies - sol.energies).max() < 1e-12
+        assert np.abs(engine.charge_states(states) - sol.states[engine.indices]).max() < 1e-12
+
+
+def test_frame_of_two_block_engines_matches_charge_basis_engines(monkeypatch):
+    # At cg_ratio 0 the coupled node keeps charging scale 1, so each qubit's
+    # parts commute with P_theta and its engine works in two blocks. The
+    # frame's node energies and its gate map match the same frame's with
+    # charge-basis engines, the map up to the phases of the alpha = 1
+    # per-qubit states that label it.
+    q = replace(q_node(), cutoff=6)
+    coupled = CoupledSpec(q, q, cg_ratio=0.0)
+    assert coupled.charging_scale == 1.0
+    settings = PropagationSettings(per_qubit_m=4, subspace_k=8, alpha_grid=5e-3,
+                                   steps_per_ns=50)
+    profile = AlphaProfile.two_qubit(10.0, 2.0)
+    blocked = TwoQubitFrame(coupled, settings)
+    with monkeypatch.context() as m:
+        m.setattr(evolve, "_symmetry_blocks", lambda parts, parity: None)
+        charge = TwoQubitFrame(coupled, settings)
+    (engine,) = blocked.engines.values()
+    assert engine.real and len(circuit._symmetry_blocks(_parts(q, 1.0), None)) == 2
+    assert not any(e.real for e in charge.engines.values())
+    maps = [_computational_block(frame, propagate_subspace_unitary(
+        coupled, profile, settings, frame=frame).final)[0] for frame in (blocked, charge)]
+    assert engine._window is not None and engine.fallbacks == 0
+    assert sorted(blocked._nodes) == sorted(charge._nodes) and len(blocked._nodes) > 10
+    for key, node in blocked._nodes.items():
+        assert np.abs(node["e"] - charge._nodes[key]["e"]).max() < 1e-12
+    top = [frame.node(1.0)["b"][0] for frame in (blocked, charge)]
+    d = np.sum(engine.charge_states(top[0]).conj() * top[1], axis=0)  # <real|charge> per level
+    assert np.abs(np.abs(d) - 1.0).max() < 1e-10
+    phases = np.array([d[a] * d[b] for a in (0, 1) for b in (0, 1)])
+    gauged = phases.conj()[:, None] * maps[0] * phases[None, :]
+    assert np.abs(maps[1] - gauged).max() < 1e-10
 
 
 def test_symmetric_pair_product_hamiltonian_is_real(monkeypatch):
@@ -596,7 +667,7 @@ def test_symmetric_pair_product_hamiltonian_is_real(monkeypatch):
     assert all(n1.dtype == np.complex128 and not n1.real.any() for _, _, n1 in levels)
     # the same H from levels of charge-basis engines, up to the per-level gauge
     with monkeypatch.context() as m:
-        m.setattr(evolve, "_real_blocks", lambda parts, parity: None)
+        m.setattr(evolve, "_symmetry_blocks", lambda parts, parity: None)
         engines = [evolve._CircuitEngine(qq, coupled.charging_scale)
                    for qq in (coupled.qubit1, coupled.qubit2)]
     charge = [evolve._qubit_levels(engine, 0.9, 4) for engine in engines]
@@ -829,14 +900,14 @@ def test_inertia_midpoints_refuse_a_basis_missing_a_level(monkeypatch):
         return proven[-1]
 
     def refused(*args):
-        raise evolve._SparseRefused("refused")
+        raise spectrum._SparseRefused("refused")
 
     monkeypatch.setattr(evolve._CircuitEngine, "_midpoint_proven", recording)
     monkeypatch.setattr(evolve._CircuitEngine, "_dense_lowest", without_ground)
     engine.set_window(lo, hi, k, 1000)
     assert engine._window is None and proven == [False]
     monkeypatch.setattr(evolve._CircuitEngine, "_dense_lowest", dense)
-    monkeypatch.setattr(evolve, "_levels_below", refused)
+    monkeypatch.setattr(spectrum, "_levels_below", refused)
     proven.clear()
     engine.set_window(lo, hi, k, 1000)
     assert engine._window is None and proven == [False]

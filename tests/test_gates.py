@@ -254,7 +254,7 @@ def test_gamma1_rates_from_the_engine_match_dense_solves(monkeypatch, spec, alph
     for real in (False, True):
         with monkeypatch.context() as m:
             if not real:
-                m.setattr(evolve, "_real_blocks", lambda parts, parity: None)
+                m.setattr(evolve, "_symmetry_blocks", lambda parts, parity: None)
             engine = evolve._CircuitEngine(spec, charging_scale)
         assert engine.real is real
         engine.set_window(alpha_lo, 1.0, 8, 1000)
@@ -405,7 +405,7 @@ def test_gate_scores_in_the_charge_basis_gauge_in_either_engine_basis(monkeypatc
 
     real = gates._gate_engine(spec, profile, settings)
     with monkeypatch.context() as m:  # the charge-basis engine of a failed C*K test
-        m.setattr(evolve, "_real_blocks", lambda parts, parity: None)
+        m.setattr(evolve, "_symmetry_blocks", lambda parts, parity: None)
         charge = evolve._CircuitEngine(spec)
     evolve._propagation_window(charge, profile, settings)
     assert real.real and not charge.real

@@ -238,13 +238,13 @@ def test_threads_that_miss_the_cache_together_build_and_map_once(monkeypatch):
     # one set of parts, mapped into blocks once, and the same levels
     spec = CircuitSpec(ej=9.5, ec=0.11, alpha=0.8, phi_ext=0.99 * math.pi, cutoff=6)
     mapped = []
-    map_parts = spectrum._map_parts
+    map_parts = circuit._map_parts
 
     def counted(parts, parity):
         mapped.append(parity)
         return map_parts(parts, parity)
 
-    monkeypatch.setattr(spectrum, "_map_parts", counted)
+    monkeypatch.setattr(circuit, "_map_parts", counted)
     results = [None] * 8
 
     def work(i):
@@ -276,7 +276,7 @@ def test_coupled_node_basis_solves_read_one_map(monkeypatch):
                        phi_ext=0.99 * math.pi, cutoff=6)  # a circuit no other test builds
     scale = 0.8125
     mapped, bases = [], []
-    map_parts, inversion_basis = spectrum._map_parts, circuit.charge_inversion_basis
+    map_parts, inversion_basis = circuit._map_parts, circuit.charge_inversion_basis
 
     def counted(parts, parity):
         mapped.append(parity)
@@ -286,7 +286,7 @@ def test_coupled_node_basis_solves_read_one_map(monkeypatch):
         bases.append(args)
         return inversion_basis(*args)
 
-    monkeypatch.setattr(spectrum, "_map_parts", counted)
+    monkeypatch.setattr(circuit, "_map_parts", counted)
     for module in (circuit, spectrum, evolve):
         monkeypatch.setattr(module, "charge_inversion_basis", recorded, raising=False)
     calls = _record_levels(monkeypatch)
@@ -301,15 +301,43 @@ def test_coupled_node_basis_solves_read_one_map(monkeypatch):
     assert mapped == [None] and bases == [(spec.basis, None)]
     # one real solve of the whole basis per qubit_eigensolution
     assert [(n, dtype) for n, _, dtype in calls if dtype == np.float64] == [(169, np.float64)] * 4
-    blocks = build_hamiltonian(spec, scale)._parts[0].blocks[None]
-    block = blocks.inversion
-    assert blocks.theta is None
-    assert engine.real and engine._basis is block.lift
-    assert engine._indptr is block.indptr and engine._indices is block.indices
-    assert np.shares_memory(engine._data[0], block.parts)
+    # the engine's direct sum of the one block is that block
+    (block,) = build_hamiltonian(spec, scale)._parts[0].blocks[None]
+    assert engine.real and (engine._basis != block.lift).nnz == 0
+    np.testing.assert_array_equal(engine._indptr, block.indptr)
+    np.testing.assert_array_equal(engine._indices, block.indices)
     np.testing.assert_array_equal(engine._data[0], block.parts[0])
     np.testing.assert_array_equal(engine._data[1],
                                   block.data(0.0, *_barrier_weights(spec.with_alpha(1.0))))
+
+
+@pytest.mark.parametrize("variant, scale, parity, blocks", [
+    (Variant.SINGLE_LOOP, 1.0, 0, 2),
+    (Variant.NODE_BASIS, 1.0, None, 2),
+    (Variant.NODE_BASIS, 0.8125, None, 1),
+], ids=["single_loop_sector", "node_basis", "node_basis_coupled_scale"])
+def test_each_circuit_maps_to_one_tuple_of_blocks(monkeypatch, variant, scale, parity, blocks):
+    # Where every part commutes with C*K and P_theta (the single loop's even
+    # sector at cutoff 12, the node basis at cutoff 9 and charging scale 1)
+    # the map is the tuple of the two P_theta blocks, and no block in the
+    # charge-inversion basis S is built beside them; where P_theta fails
+    # (the node basis at the coupled scale) it is the one block in S.
+    spec = CircuitSpec(variant=variant, phi_ext=0.99 * math.pi,
+                       cutoff=12 if variant is Variant.SINGLE_LOOP else 9)
+    lifts = (_theta_blocks(spec.basis, parity) if blocks == 2
+             else (circuit.charge_inversion_basis(spec.basis, parity),))
+    built = []
+    lifted_block = circuit._lifted_block
+
+    def recorded(ops, lift):
+        built.append(lift)
+        return lifted_block(ops, lift)
+
+    monkeypatch.setattr(circuit, "_lifted_block", recorded)
+    mapped = circuit._map_parts(circuit._parts(spec, scale), parity)
+    assert isinstance(mapped, tuple) and len(mapped) == blocks
+    assert all(b.lift is lift for b, lift in zip(mapped, lifts, strict=True))
+    assert len(built) == blocks and all(a is b for a, b in zip(built, lifts))
 
 
 def test_offset_charge_takes_the_complex_route(monkeypatch):

@@ -470,14 +470,25 @@ def test_inversion_test_is_exact_and_matches_its_dense_definition():
     assert s is charge_inversion_basis(spec.basis, 0)
     full = charge_inversion_basis(spec.basis).toarray()
     np.testing.assert_array_equal(s.toarray(), full[np.ix_(idx, idx)])
-    # and its C block of H is S^dag H S, real
-    mapped = _map_parts(_parts(spec, 1.0), 0)
-    assert mapped.inversion.lift is s
-    c, sin = build_hamiltonian(spec)._parts[1]
-    block = scipy.sparse.csr_array((mapped.inversion.data(1.0, c, sin), mapped.inversion.indices,
-                                    mapped.inversion.indptr), shape=(idx.size,) * 2)
-    dense = s.conj().T.toarray() @ h[idx][:, idx].toarray() @ s.toarray()
-    assert np.abs(block.toarray() - dense).max() < 1e-13 * np.abs(dense).max()
+    # and each block of H is L^dag H L, real: the C block S^dag H S, its
+    # lift S, of the node basis at a charging scale that breaks P_theta, and
+    # the two P_theta blocks of the single loop's sector, each lift S times
+    # a real signed lift
+    node, scale = REAL_ROUTE["node_basis"], 0.8125
+    (inversion,) = _map_parts(_parts(node, scale), None)
+    assert inversion.lift is charge_inversion_basis(node.basis, None)
+    theta = _map_parts(_parts(spec, 1.0), 0)
+    assert all(b.lift is lift for b, lift in zip(theta, _theta_blocks(spec.basis, 0), strict=True))
+    for h_op, blocks, sector in ((build_hamiltonian(node, scale), (inversion,), None),
+                                 (build_hamiltonian(spec), theta, idx)):
+        c, sin = h_op._parts[1]
+        m = h_op.csr if sector is None else h_op.csr[sector][:, sector]
+        for b in blocks:
+            n = b.lift.shape[1]
+            block = scipy.sparse.csr_array((b.data(1.0, c, sin), b.indices, b.indptr),
+                                           shape=(n, n))
+            dense = b.lift.conj().T.toarray() @ m.toarray() @ b.lift.toarray()
+            assert np.abs(block.toarray() - dense).max() < 1e-13 * np.abs(dense).max()
 
 
 def test_theta_test_is_exact_and_matches_its_dense_definition():
@@ -511,8 +522,8 @@ def test_theta_test_is_exact_and_matches_its_dense_definition():
             assert _invariant(m[idx][:, idx], perm) == commutes
             mapped = _map_parts(parts, parity)
             assert (mapped is not None) == inversion
-            if inversion:
-                assert (mapped.theta is not None) == commutes
+            if inversion:  # the P_theta pair, or the one block in S
+                assert len(mapped) == (2 if commutes else 1)
 
 
 def test_qubit_pair_shares_its_theta_parity_at_zero_offset_charge():
