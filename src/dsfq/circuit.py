@@ -466,7 +466,7 @@ def _union_pattern(mats, dim: int) -> tuple[np.ndarray, np.ndarray, list]:
 
 
 def _parts(spec: CircuitSpec, charging_scale: float) -> _Parts:
-    """The parts of ``spec``'s circuit, built under a lock so that pool
+    """The parts of ``spec``'s circuit, built under a lock so that
     threads that miss the cache together build them once."""
     with _CACHE_LOCK:
         return _hamiltonian_parts(_circuit_key(spec, charging_scale))
@@ -542,7 +542,7 @@ def _map_parts(parts: _Parts, parity: int | None) -> tuple[_Block, ...] | None:
 
 def _symmetry_blocks(parts: _Parts, parity: int | None) -> tuple[_Block, ...] | None:
     """``_map_parts`` of a circuit's parts and sector parity, mapped once
-    and kept in ``parts.blocks``, under the lock of the parts so that pool
+    and kept in ``parts.blocks``, under the lock of the parts so that
     threads that miss it together map it once. Callers must not modify it."""
     with _CACHE_LOCK:
         if parity not in parts.blocks:

@@ -12,6 +12,10 @@ constants bound the sizes. ``validate_config`` checks each value and
 fills the defaults, and the runners read the filled values. A bad
 config exits with status 2, a numerical failure with status 3.
 
+Each experiment runs its points in order, in the calling thread. The
+``workers`` key, the ``--workers`` flag and ``DSFQ_WORKERS`` (the key's
+default) are checked and accepted, and change no output.
+
 Usage:
     dsfq run <config.json> [--output DIR] [--workers N] [--dry-run]
     dsfq validate <config.json>
@@ -29,7 +33,6 @@ import operator
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields as dc_fields, replace
 from pathlib import Path
 
@@ -177,8 +180,8 @@ def _circuit_from(cfg: dict) -> CircuitSpec:
         raise ConfigError(f"invalid circuit block: {ex}") from ex
 
 
-# Sizes an experiment may ask for. Times are for one worker, measured on a
-# 2-vCPU host with BLAS on one thread.
+# Sizes an experiment may ask for. Times were measured on a 2-vCPU host
+# with BLAS on one thread.
 # A grid point takes 3-20 ms at cutoff 12 (20 ms: gradiometric_dispersion's
 # three 625-state solves) and 30-120 ms at MAX_CUTOFF, so 1001 points take
 # at most 20 s at cutoff 12 and 2 min at MAX_CUTOFF.
@@ -262,7 +265,7 @@ def _text(default):
 _ROOT_PARAMS = {
     "output": _text("results"),
     "seed": _count(0, 0, 2**32 - 1),  # the seeds np.random.seed takes
-    # no upper bound: a pool starts at most one thread per point
+    # accepted for configs that name it; points run in order in one thread
     "workers": _count(1, 1),
 }
 _COMMON_KEYS = {"schema_version", "experiment", "circuit", "params", *_ROOT_PARAMS}
@@ -431,29 +434,29 @@ def _sha256(path: Path) -> str:
 # optional notes for the manifest.
 
 
-def _exp_spectrum_vs_alpha(cfg, spec, pool):
+def _exp_spectrum_vs_alpha(cfg, spec):
     p = cfg["params"]
     alphas = np.linspace(p["alpha_start"], p["alpha_stop"], p["points"])
     def one(a):
         qp = qubit_params(qubit_eigensolution(spec.with_alpha(float(a)), 3))
         return (a, qp.omega_q, qp.anharmonicity)
-    rows = list(pool.map(one, alphas))
+    rows = [one(a) for a in alphas]
     return {"spectrum_vs_alpha.csv": (
         ["alpha", "omega_q_GHz", "anharmonicity_GHz"], rows)}, {}
 
 
-def _exp_flux_dispersion(cfg, spec, pool):
+def _exp_flux_dispersion(cfg, spec):
     p = cfg["params"]
     phis = np.linspace(p["phi_start_pi"], p["phi_stop_pi"], p["points"])
     def one(x):
         qp = qubit_params(qubit_eigensolution(replace(spec, phi_ext=x * math.pi), 3))
         return (x, qp.omega_q, qp.anharmonicity)
-    rows = list(pool.map(one, phis))
+    rows = [one(x) for x in phis]
     return {"flux_dispersion.csv": (
         ["phi_ext_per_pi", "omega_q_GHz", "anharmonicity_GHz"], rows)}, {}
 
 
-def _exp_coherence_vs_alpha(cfg, spec, pool):
+def _exp_coherence_vs_alpha(cfg, spec):
     p = cfg["params"]
     conv = RateConventions(rate_scale=p["rate_convention"])
     alphas = np.linspace(p["alpha_start"], p["alpha_stop"], p["points"])
@@ -462,13 +465,13 @@ def _exp_coherence_vs_alpha(cfg, spec, pool):
         return (a, rep.t1, rep.tphi, rep.t2,
                 rep.gamma1_by_channel.get("dielectric", 0.0),
                 rep.gamma1_by_channel.get("flux_1f", 0.0))
-    rows = list(pool.map(one, alphas))
+    rows = [one(a) for a in alphas]
     return {"coherence_vs_alpha.csv": (
         ["alpha", "t1_us", "tphi_us", "t2_us",
          "gamma1_dielectric_per_ns", "gamma1_flux_per_ns"], rows)}, {}
 
 
-def _exp_gradiometric_dispersion(cfg, spec, pool):
+def _exp_gradiometric_dispersion(cfg, spec):
     p = cfg["params"]
     r = p["asymmetry"]
     us = np.linspace(p["phi_g_start"], p["phi_g_stop"], p["points"])
@@ -480,16 +483,13 @@ def _exp_gradiometric_dispersion(cfg, spec, pool):
     }
     wanted = p["cases"]
     header = ["phi_g_phi0"] + [f"omega_q_GHz_{c}" for c in wanted]
-    def one(point):
-        u, c = point
-        geom, delta = cases[c]
-        return omega_q_at_global_flux(base, geom, u, delta)
-    omegas = iter(pool.map(one, [(u, c) for u in us for c in wanted]))
-    rows = [(u, *(next(omegas) for _ in wanted)) for u in us]
+    rows = [(u, *(omega_q_at_global_flux(base, geom, u, delta)
+                  for geom, delta in (cases[c] for c in wanted)))
+            for u in us]
     return {"gradiometric_dispersion.csv": (header, rows)}, {}
 
 
-def _exp_single_qubit_gate(cfg, spec, pool):
+def _exp_single_qubit_gate(cfg, spec):
     p = cfg["params"]
     plateau = p["plateau_alpha"]
     profile = AlphaProfile.single_qubit(
@@ -544,7 +544,7 @@ def _two_qubit_system(cfg, spec):
     return CoupledSpec(q1, q2, cg_ratio=p["cg_ratio"])
 
 
-def _exp_two_qubit_map(cfg, spec, pool):
+def _exp_two_qubit_map(cfg, spec):
     p = cfg["params"]
     coupled = _two_qubit_system(cfg, spec)
     t_a_values, t_w_values = p["t_a_values"], p["t_w_values"]
@@ -565,20 +565,16 @@ def _exp_two_qubit_map(cfg, spec, pool):
     gamma1 = tuple(Gamma1Interpolator(q, alpha_lo, charging_scale=coupled.charging_scale,
                                       _engine=engine)
                    for q, engine in frame.engines.items())
-    def one(pair):
-        t_a, t_w = pair
+    def one(t_a, t_w):
         rep = run_two_qubit_gate(
             coupled, t_a, t_w, settings, frame=frame, gamma1=gamma1
         )
         return (rep.extras["entangling_power"], rep.fsim[1], rep.fsim[0],
                 rep.coherent_fidelity, rep.t1_limited_fidelity, rep.leakage)
     pairs = [(ta, tw) for ta in t_a_values for tw in t_w_values]
-    results = list(pool.map(one, pairs))
+    results = [one(*pair) for pair in pairs]
     def table(idx):
-        rows = []
-        for (ta, tw), res in zip(pairs, results):
-            rows.append((ta, tw, res[idx]))
-        return rows
+        return [(ta, tw, res[idx]) for (ta, tw), res in zip(pairs, results)]
     return {
         "entangling_power.csv": (
             ["t_a_ns", "t_w_ns", "entangling_power"], table(0)),
@@ -587,29 +583,27 @@ def _exp_two_qubit_map(cfg, spec, pool):
     }, {}
 
 
-def _exp_zz_map(cfg, spec, pool):
+def _exp_zz_map(cfg, spec):
     p = cfg["params"]
     coupled = _two_qubit_system(cfg, spec)
     alphas = p["alpha_values"]
-    pairs = [(a1, a2) for a1 in alphas for a2 in alphas]
     levels = {}  # each qubit's engine and per-alpha levels, shared by the points
-    def one(pair):
-        z, info = zz_strength(coupled, *pair, m=ZZ_LEVELS, _levels=levels)
-        return (z, info["min_overlap"])
-    results = list(pool.map(one, pairs))
-    rows = [(a1, a2, z, q) for (a1, a2), (z, q) in zip(pairs, results)]
+    def one(a1, a2):
+        z, info = zz_strength(coupled, a1, a2, m=ZZ_LEVELS, _levels=levels)
+        return (a1, a2, z, info["min_overlap"])
+    rows = [one(a1, a2) for a1 in alphas for a2 in alphas]
     return {"zz_map.csv": (
         ["alpha1", "alpha2", "zeta_zz_GHz", "assignment_overlap"], rows)}, {}
 
 
-def _exp_dispersive_shift_sweep(cfg, spec, pool):
+def _exp_dispersive_shift_sweep(cfg, spec):
     p = cfg["params"]
     res = ResonatorSpec(omega_r=p["omega_r"], g=p["g"])
     phis = np.linspace(p["phi_start_pi"], p["phi_stop_pi"], p["points"])
     def one(x):
         ds = dispersive_shift(replace(spec, phi_ext=x * math.pi), res, levels=p["levels"])
         return (x, ds.chi, int(ds.valid))
-    rows = list(pool.map(one, phis))
+    rows = [one(x) for x in phis]
     return {"dispersive_shift.csv": (
         ["phi_ext_per_pi", "chi_GHz", "dispersive_valid"], rows)}, {}
 
@@ -634,7 +628,6 @@ def run(cfg: dict, output: str | None = None, workers: int | None = None,
     spec = _circuit_from(cfg)
     if workers is not None:  # the --workers flag, checked as the config's key is
         _filled({"workers": workers}, {"workers": _ROOT_PARAMS["workers"]}, "--workers")
-    n_workers = cfg["workers"] if workers is None else workers
     config_hash = hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()
     ).hexdigest()
@@ -654,9 +647,8 @@ def run(cfg: dict, output: str | None = None, workers: int | None = None,
     np.random.seed(cfg["seed"])
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    pool = ThreadPoolExecutor(max_workers=n_workers)
     try:
-        tables, notes = _RUNNERS[cfg["experiment"]](cfg, spec, pool)
+        tables, notes = _RUNNERS[cfg["experiment"]](cfg, spec)
         manifest["notes"] = notes
         for name, (header, rows) in tables.items():
             t0 = time.monotonic()
@@ -666,7 +658,6 @@ def run(cfg: dict, output: str | None = None, workers: int | None = None,
             manifest["timings_s"][name] = round(time.monotonic() - t0, 6)
         manifest["status"] = "OK"
     finally:
-        pool.shutdown(wait=True)
         manifest["timings_s"]["total"] = round(time.monotonic() - started, 3)
         manifest_path = out_dir / "manifest.json"
         with open(manifest_path, "w", encoding="utf-8") as fh:

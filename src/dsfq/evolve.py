@@ -361,8 +361,8 @@ class _CircuitEngine:
 
     ``expi_apply`` rewrites its generator's data in place and
     ``set_window`` replaces the window, so an engine that does either
-    serves one thread at a time; the ``zz_map`` points share engines that
-    only solve densely.
+    serves one thread at a time. A caller's threads may share an engine
+    that only solves densely, outside a window.
     """
 
     def __init__(self, spec: CircuitSpec, charging_scale: float = 1.0):
@@ -876,6 +876,7 @@ class TwoQubitFrame:
                         for q in dict.fromkeys((coupled.qubit1, coupled.qubit2))}
         self._exchange_blocks = _ExchangeBlock.pair(self.m) if self.identical else None
         self._nodes: dict[int, dict] = {}
+        self._lowest_key = self._node_key(1.0) + 1  # min(self._nodes) once any is built
         self._switches: dict[int, np.ndarray] = {}
 
     def _node_key(self, alpha: float) -> int:
@@ -928,7 +929,7 @@ class TwoQubitFrame:
         self._build_down_to(math.floor(alpha_lo / self.grid))
 
     def _build_down_to(self, key_lo: int) -> None:
-        top = min(self._nodes, default=self._node_key(1.0) + 1) - 1  # highest node to build
+        top = self._lowest_key - 1  # highest node to build
         if top < key_lo:
             return
         for engine in self.engines.values():
@@ -936,6 +937,7 @@ class TwoQubitFrame:
         prev = self._nodes.get(top + 1)
         for key in range(top, key_lo - 1, -1):
             prev = self._nodes[key] = self._build_node(key * self.grid, prev)
+            self._lowest_key = key
 
     def node(self, alpha: float) -> dict:
         key = self._node_key(alpha)

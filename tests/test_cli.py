@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -160,7 +161,7 @@ def test_large_cutoff_rerun_writes_byte_identical_csvs(tmp_path):
     assert _rerun_files(cfg, tmp_path) == ["spectrum_vs_alpha.csv"]
 
 
-def test_gradiometric_points_run_in_the_pool_in_row_order(tmp_path):
+def test_gradiometric_points_run_in_row_order(tmp_path):
     # 2 points x 3 cases of 625 states: the same bytes from 1 and 2 workers,
     # each row holding its own point's three cases
     cfg = {
@@ -381,6 +382,24 @@ def test_bad_workers_flag_exits_2(tmp_path, workers):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("experiment, params", [
+    ("spectrum_vs_alpha", {"points": 3}),
+    ("zz_map", {"alpha_values": [0.8, 1.0]}),
+], ids=["spectrum_vs_alpha", "zz_map"])
+def test_points_run_in_the_calling_thread(tmp_path, monkeypatch, experiment, params):
+    # a worker count is accepted, starts no thread and changes no byte
+    def refuse(thread):
+        raise RuntimeError(f"{thread.name} was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = _config(experiment, **params)
+    for workers in (4, 1):
+        manifest = run({**cfg, "workers": workers}, output=str(tmp_path / str(workers)))
+        assert manifest["status"] == "OK"
+    name = f"{experiment}.csv"
+    assert (tmp_path / "4" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
 @pytest.mark.parametrize("detuning, decompositions, qubit_solves", [(0.0, 1, 3), (0.02, 2, 6)])
 def test_zz_map_solves_each_qubit_and_alpha_once(tmp_path, monkeypatch, detuning,
                                                  decompositions, qubit_solves):
@@ -405,7 +424,7 @@ def test_zz_map_solves_each_qubit_and_alpha_once(tmp_path, monkeypatch, detuning
     monkeypatch.setattr(evolve, "hamiltonian_decomposition", counting("split", split))
     monkeypatch.setattr(evolve, "qubit_eigensolution", counting("qubit", solve))
     monkeypatch.setattr(gates.scipy.linalg, "eigh", counting_eigh)
-    # one worker: points in flight at once may repeat a solve
+    # the points run in order, so each solve is counted once
     cfg = {**_config("zz_map", alpha_values=[0.6, 0.8, 1.0], detuning=detuning), "workers": 1}
     assert run(cfg, output=str(tmp_path))["status"] == "OK"
     assert counts == {"split": decompositions, "qubit": qubit_solves, "coupled": 9}

@@ -731,7 +731,7 @@ def test_frame_matches_a_charge_basis_reference(ng_thetas):
 
 
 def test_frame_switches_shared_by_threads_match_a_serial_run():
-    # The cli pool's threads share one frame, whose switch between two
+    # A caller's threads may share one frame, whose switch between two
     # nodes is formed by whichever gate first crosses them: every gate must
     # get the U of a frame that no other thread touched.
     q = replace(q_node(), cutoff=5)
@@ -755,6 +755,21 @@ def test_frame_switches_shared_by_threads_match_a_serial_run():
     assert sorted(shared._switches) == sorted(serial._switches)
     for final in finals:
         assert np.abs(final - expected).max() < 1e-13
+
+
+def test_frame_keeps_the_key_of_its_lowest_node():
+    # the frame builds downward from the node below its lowest one, which it
+    # keeps rather than taking min over every node on each lookup
+    q = replace(q_node(), cutoff=5)
+    settings = PropagationSettings(per_qubit_m=6, subspace_k=12, alpha_grid=5e-3)
+    frame = TwoQubitFrame(CoupledSpec(q, q, cg_ratio=0.3), settings)
+    frame.ensure_range(0.93)
+    assert frame._lowest_key == min(frame._nodes) == math.floor(0.93 / 5e-3)
+    frame.energies(0.95)  # inside the range: nothing new is built
+    assert frame._lowest_key == min(frame._nodes) == math.floor(0.93 / 5e-3)
+    frame.node(0.9)
+    assert frame._lowest_key == min(frame._nodes) == 180
+    assert sorted(frame._nodes) == list(range(180, 201))
 
 
 def test_computational_projector_is_dressed_basis():
