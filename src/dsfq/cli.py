@@ -10,11 +10,15 @@ workers) or in its experiment's entry of ``_PARAMS``, with its default
 and the type, range or names it may take; the ``MAX_*`` and ``MIN_*``
 constants bound the sizes. ``validate_config`` checks each value and
 fills the defaults, and the runners read the filled values. A bad
-config exits with status 2, a numerical failure with status 3.
+config exits with status 2 and writes nothing. A numerical failure exits
+with status 3 and leaves a manifest whose status is ``FAILED`` and whose
+``error`` holds the exception's type and message.
 
 Each experiment runs its points in order, in the calling thread. The
 ``workers`` key, the ``--workers`` flag and ``DSFQ_WORKERS`` (the key's
-default) are checked and accepted, and change no output.
+default) are checked and accepted, and change no output. So is
+``two_qubit_map``'s ``steps_per_ns``: a two-qubit gate integrates its
+phases in closed form and takes no steps.
 
 Usage:
     dsfq run <config.json> [--output DIR] [--workers N] [--dry-run]
@@ -60,6 +64,7 @@ from .evolve import (
 from .gates import (
     MAX_T_A_NS,
     Gamma1Interpolator,
+    _frame_gamma1,
     _gate_engine,
     calibrate_drive,
     pauli_target,
@@ -194,6 +199,13 @@ MAX_LEVELS = 100
 # gate at 2000 steps/ns takes about 20 s, and 8 times that when it
 # calibrates (857 steps/ns is the shipped value).
 MAX_STEPS_PER_NS = 2000
+# Longest ramp, pulse or two-qubit wait. A single_qubit_gate then lasts at
+# most 300 ns: 600,000 steps at MAX_STEPS_PER_NS, about 4 min at cutoff 12
+# and 8 times that when it calibrates, and its 3001 samples, 0.1 ns apart,
+# keep two charge-basis states each: 60 MB at cutoff 12, 212 MB at
+# MAX_CUTOFF. A two-qubit gate, at most 170 ns, takes no steps and keeps 35
+# k x k samples, 5 ns apart (about 1 MB each).
+MAX_DURATION_NS = 100.0
 # Per-qubit levels of the two-qubit frame: 16 gives a 256-dim product
 # space, and a cutoff-9 frame node then takes 90 ms and up to 1.2 MB.
 MAX_PER_QUBIT_M = 16
@@ -307,9 +319,9 @@ _PARAMS = {
     },
     "single_qubit_gate": {
         "target": _choice("x", ("x", "y", "xy")),
-        "ramp_ns": _number(7.0, above=0.0),
+        "ramp_ns": _number(7.0, above=0.0, hi=MAX_DURATION_NS),
         "plateau_alpha": _number(0.7, lo=ALPHA_MIN_ALLOWED, hi=ALPHA_MAX_ALLOWED),
-        "pulse_ns": _number(11.0, above=0.0),
+        "pulse_ns": _number(11.0, above=0.0, hi=MAX_DURATION_NS),
         "pulse_ramp_ns": _number(1.5, lo=0.0),
         "detuning_ratio": _number(0.979),
         "phase_offset_pi": _number(0.0),
@@ -319,7 +331,8 @@ _PARAMS = {
     "two_qubit_map": {
         **_PAIR,
         "t_a_values": _numbers(np.linspace(20, 65, 12).tolist(), above=0.0, hi=MAX_T_A_NS),
-        "t_w_values": _numbers(np.linspace(0, 22, 12).tolist(), lo=0.0),
+        "t_w_values": _numbers(np.linspace(0, 22, 12).tolist(), lo=0.0, hi=MAX_DURATION_NS),
+        # checked and accepted, and changes no byte: a gate takes no steps
         "steps_per_ns": _count(286, MIN_STEPS_PER_NS, MAX_STEPS_PER_NS),
         # at least the four computational states; at most per_qubit_m**2
         "subspace_k": _count(24, 4, MAX_PER_QUBIT_M**2),
@@ -549,7 +562,6 @@ def _exp_two_qubit_map(cfg, spec):
     coupled = _two_qubit_system(cfg, spec)
     t_a_values, t_w_values = p["t_a_values"], p["t_w_values"]
     settings = PropagationSettings(
-        steps_per_ns=p["steps_per_ns"],
         subspace_k=p["subspace_k"],
         per_qubit_m=p["per_qubit_m"],
         alpha_grid=p["alpha_grid"],
@@ -559,18 +571,12 @@ def _exp_two_qubit_map(cfg, spec):
     # the frame is built down to it
     alpha_lo = AlphaProfile.two_qubit(max(t_a_values), 0.0).alpha_min
     frame = TwoQubitFrame(coupled, settings)
-    frame.ensure_range(alpha_lo)
-    # one interpolator per distinct qubit, shared by every gate of the map and
-    # solved in the window of that qubit's frame engine
-    gamma1 = tuple(Gamma1Interpolator(q, alpha_lo, charging_scale=coupled.charging_scale,
-                                      _engine=engine)
-                   for q, engine in frame.engines.items())
+    gamma1 = _frame_gamma1(frame, alpha_lo)  # shared by every gate of the map
     def one(t_a, t_w):
         rep = run_two_qubit_gate(
             coupled, t_a, t_w, settings, frame=frame, gamma1=gamma1
         )
-        return (rep.extras["entangling_power"], rep.fsim[1], rep.fsim[0],
-                rep.coherent_fidelity, rep.t1_limited_fidelity, rep.leakage)
+        return (rep.extras["entangling_power"], rep.fsim[1], rep.fsim[0])
     pairs = [(ta, tw) for ta in t_a_values for tw in t_w_values]
     results = [one(*pair) for pair in pairs]
     def table(idx):
@@ -657,6 +663,10 @@ def run(cfg: dict, output: str | None = None, workers: int | None = None,
             manifest["files"][name] = _sha256(path)
             manifest["timings_s"][name] = round(time.monotonic() - t0, 6)
         manifest["status"] = "OK"
+    except Exception as ex:
+        manifest["status"] = "FAILED"
+        manifest["error"] = {"type": type(ex).__name__, "message": str(ex)}
+        raise
     finally:
         manifest["timings_s"]["total"] = round(time.monotonic() - started, 3)
         manifest_path = out_dir / "manifest.json"

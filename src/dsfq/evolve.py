@@ -249,8 +249,9 @@ class DrivePulse:
 
 @dataclass(frozen=True)
 class PropagationSettings:
-    """Step and sample grids and truncations; a step of ``propagate_state``
-    is one fourth-order commutator-free Magnus step."""
+    """Step and sample grids and truncations. A step of ``propagate_state``
+    is one fourth-order commutator-free Magnus step; ``propagate_subspace_unitary``
+    takes none, so ``steps_per_ns`` changes none of its results."""
 
     steps_per_ns: int = 857
     subspace_k: int = 24
@@ -263,8 +264,10 @@ class PropagationSettings:
     def __post_init__(self) -> None:
         if self.steps_per_ns < MIN_STEPS_PER_NS:
             raise PropagationError(f"steps_per_ns must be >= {MIN_STEPS_PER_NS}")
-        if not (isinstance(self.alpha_grid, (int, float)) and 0.0 < self.alpha_grid < math.inf):
-            raise PropagationError(f"alpha_grid must be positive, got {self.alpha_grid!r}")
+        for name in ("alpha_grid", "sample_interval_ns"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and 0.0 < value < math.inf):
+                raise PropagationError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass
@@ -850,8 +853,8 @@ class TwoQubitFrame:
     at ng = 0, two P_theta blocks at ``cg_ratio`` 0, else one block in S),
     so for a pair at ng = 0 the per-qubit states, the product Hamiltonian,
     the coupled states W and every frame overlap are float64. The frame
-    switch between two neighbouring nodes is formed once (``switch``),
-    however many gates cross it.
+    switch between two neighbouring nodes is formed once, as the lower of
+    them is built (``switch``), however many gates cross it.
 
     An ``identical`` pair shares one set of levels, so its product
     Hamiltonian commutes exactly with the exchange of the two qubits and
@@ -936,7 +939,10 @@ class TwoQubitFrame:
             engine.set_window(key_lo * self.grid, top * self.grid, self.m, top - key_lo + 1)
         prev = self._nodes.get(top + 1)
         for key in range(top, key_lo - 1, -1):
-            prev = self._nodes[key] = self._build_node(key * self.grid, prev)
+            node = self._nodes[key] = self._build_node(key * self.grid, prev)
+            if prev is not None:  # the switch between this node and the one above
+                self._switches[key] = _unitary_part(self.frame_overlap(node, prev))
+            prev = node
             self._lowest_key = key
 
     def node(self, alpha: float) -> dict:
@@ -963,18 +969,11 @@ class TwoQubitFrame:
     def switch(self, key_old: int, key_new: int) -> np.ndarray:
         """R of the frame switch U <- R U from node ``key_old`` to its
         neighbour ``key_new``: the unitary part of V(new)^dag V(old).
-
-        It is formed once per pair of nodes j, j + 1, as the polar factor
+        ``_build_down_to`` stores it for nodes j, j + 1 as the polar factor
         of V(j)^dag V(j + 1), the switch downward; the switch upward is its
-        adjoint, since polar(M^dag) = polar(M)^dag. Threads that share the
-        frame may both form a pair's factor, from the same nodes, and store
-        the same value.
-        """
+        adjoint, since polar(M^dag) = polar(M)^dag."""
         j = min(key_old, key_new)
-        r = self._switches.get(j)
-        if r is None:
-            r = self._switches[j] = _unitary_part(
-                self.frame_overlap(self.node(j * self.grid), self.node((j + 1) * self.grid)))
+        r = self._switches[j]
         return r if key_new == j else r.conj().T
 
     def computational_projector(self, node: dict) -> np.ndarray:
@@ -1046,14 +1045,11 @@ def propagate_subspace_unitary(
     (``TwoQubitFrame.switch``). Between
     switches the generator is diagonal, 2*pi*E(alpha(t)) with E
     interpolated linearly between nodes, and its phases are integrated
-    in closed form; U therefore does not depend on the step grid, which
-    only places the samples.
+    in closed form, so no step grid is taken: ``steps_per_ns`` changes no
+    result. U is sampled at t_start + j*sample_interval_ns and at the end.
     """
-    settings = settings or PropagationSettings(steps_per_ns=286)
+    settings = settings or PropagationSettings()
     frame = frame or TwoQubitFrame(coupled, settings)
-
-    n_steps, dt, sample_stride = _step_grid(profile, settings)
-    sample_steps = {s for s in range(1, n_steps + 1) if s % sample_stride == 0 or s == n_steps}
     k = settings.subspace_k
 
     u = np.eye(k, dtype=complex)
@@ -1071,7 +1067,10 @@ def propagate_subspace_unitary(
         phase_log.append(phases.copy())
 
     frame.ensure_range(profile.alpha_min)
-    sample_at = {profile.t_start + s * dt for s in sample_steps if s < n_steps}
+    # a sample within 1e-9 intervals of the end is the end's own
+    interval = settings.sample_interval_ns
+    sample_at = {profile.t_start + j * interval
+                 for j in range(1, math.ceil(profile.duration / interval - 1e-9))}
     sample_at.add(profile.segments[-1][1])
     cuts = sorted({*sample_at, *_alpha_breakpoints(profile, frame.grid),
                    *(seg[1] for seg in profile.segments)})

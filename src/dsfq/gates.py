@@ -306,6 +306,16 @@ class Gamma1Interpolator:
         return np.interp(alpha, self.alphas, self.rates)
 
 
+def _frame_gamma1(frame: TwoQubitFrame, alpha_lo: float,
+                  conventions: RateConventions | None = None) -> tuple:
+    """One ``Gamma1Interpolator`` on [alpha_lo, 1] per distinct qubit of the
+    frame, each solved in its qubit's frame engine, built down to alpha_lo."""
+    frame.ensure_range(alpha_lo)
+    return tuple(Gamma1Interpolator(q, alpha_lo, conventions=conventions,
+                                    charging_scale=frame.coupled.charging_scale, _engine=engine)
+                 for q, engine in frame.engines.items())
+
+
 def _t1_limited_fidelity(profile: AlphaProfile, gamma1: tuple) -> float:
     """exp(-integral of Gamma_1(alpha(t)) dt), summed over ``gamma1``, every 0.25 ns."""
     dt = 0.25
@@ -511,7 +521,7 @@ def run_two_qubit_gate(
     integrates Gamma_1 of both qubits along the schedule with the default
     noise channels. ``gamma1``, when given, holds one interpolator per
     distinct qubit (qubit 1's, then qubit 2's if the pair is detuned);
-    when None, they are built here, each through its qubit's frame engine.
+    when None, they are built here (``_frame_gamma1``).
     """
     if t_a > MAX_T_A_NS:
         raise GateError(f"T_a > {MAX_T_A_NS:g} ns lowers alpha below 0.5")
@@ -519,14 +529,11 @@ def run_two_qubit_gate(
     qubits = (coupled.qubit1,) if identical else (coupled.qubit1, coupled.qubit2)
     if gamma1 is not None and len(gamma1) != len(qubits):
         raise GateError(f"gamma1 holds {len(gamma1)} interpolators for {len(qubits)} qubits")
-    settings = settings or PropagationSettings(steps_per_ns=286)
+    settings = settings or PropagationSettings()
     profile = AlphaProfile.two_qubit(t_a, t_w)
     frame = frame or TwoQubitFrame(coupled, settings)
     if gamma1 is None:
-        frame.ensure_range(profile.alpha_min)  # its window then holds the rate grid
-        gamma1 = tuple(Gamma1Interpolator(q, profile.alpha_min, conventions=conventions,
-                                          charging_scale=coupled.charging_scale, _engine=engine)
-                       for q, engine in frame.engines.items())
+        gamma1 = _frame_gamma1(frame, profile.alpha_min, conventions)
     t1_limited = _t1_limited_fidelity(profile, gamma1 * 2 if identical else gamma1)
     traj = propagate_subspace_unitary(coupled, profile, settings, frame=frame)
     # Dynamical phases stay in the map: the single-qubit parts are

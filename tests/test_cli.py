@@ -8,6 +8,7 @@ import pytest
 
 from dsfq.cli import (
     MAX_CUTOFF,
+    MAX_DURATION_NS,
     MAX_GRID_VALUES,
     MAX_LEVELS,
     MAX_PER_QUBIT_M,
@@ -23,6 +24,7 @@ from dsfq.cli import (
 
 from dsfq import coherence, evolve, gates
 from dsfq.circuit import MAX_ALPHA, MIN_ALPHA, Variant
+from dsfq.coherence import RateConventions, coherence_report
 from dsfq.evolve import ALPHA_MAX_ALLOWED, ALPHA_MIN_ALLOWED
 from dsfq.gates import MAX_T_A_NS
 from dsfq.gradiometric import (
@@ -31,6 +33,8 @@ from dsfq.gradiometric import (
     compensation_delta,
     omega_q_at_global_flux,
 )
+from dsfq.readout import ResonatorSpec, dispersive_shift
+from dsfq.spectrum import qubit_eigensolution, qubit_params
 
 EXPERIMENTS_DIR = Path(__file__).resolve().parent.parent / "experiments"
 
@@ -114,6 +118,11 @@ def test_hamiltonian_norm_overflow_is_a_numerical_failure(tmp_path):
     }))
     assert main(["validate", str(path)]) == 0
     assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 3
+    # the manifest says the run failed, and why
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "FAILED"
+    assert manifest["error"]["type"] == "SpectrumError"
+    assert manifest["error"]["message"]
 
 
 def _rerun_files(cfg: dict, tmp_path) -> list[str]:
@@ -189,6 +198,61 @@ def test_gradiometric_points_run_in_row_order(tmp_path):
         assert [float(x) for x in line.split(",")] == pytest.approx([phi_g, *expected], abs=1e-11)
 
 
+def _small_sweep_rows(tmp_path, experiment: str, params: dict) -> tuple[dict, list, list]:
+    """Run a 2-point sweep of a cutoff-5 single loop twice; check that the
+    reruns match byte for byte. Returns the filled config, the header and
+    the rows of its one CSV."""
+    cfg = {
+        "schema_version": 1,
+        "experiment": experiment,
+        "circuit": {"ej": 10.0, "ec": 0.1, "cutoff": 5, "phi_ext": "0.997*pi"},
+        "params": {**params, "points": 2},
+    }
+    (name,) = _rerun_files(cfg, tmp_path)
+    header, *lines = (tmp_path / "a" / name).read_text().splitlines()
+    return validate_config(cfg), header.split(","), [
+        [float(x) for x in line.split(",")] for line in lines]
+
+
+def test_flux_dispersion_rows_are_qubit_params(tmp_path):
+    cfg, header, rows = _small_sweep_rows(tmp_path, "flux_dispersion",
+                                          {"phi_start_pi": 0.98, "phi_stop_pi": 1.01})
+    assert header == ["phi_ext_per_pi", "omega_q_GHz", "anharmonicity_GHz"]
+    assert [row[0] for row in rows] == [0.98, 1.01]
+    spec = _circuit_from(cfg)
+    for x, *values in rows:
+        qp = qubit_params(qubit_eigensolution(replace(spec, phi_ext=x * math.pi), 3))
+        assert values == pytest.approx([qp.omega_q, qp.anharmonicity], rel=1e-11, abs=1e-11)
+
+
+def test_coherence_vs_alpha_rows_are_coherence_reports(tmp_path):
+    cfg, header, rows = _small_sweep_rows(tmp_path, "coherence_vs_alpha",
+                                          {"alpha_start": 1.0, "alpha_stop": 0.8,
+                                           "rate_convention": "si"})
+    assert header == ["alpha", "t1_us", "tphi_us", "t2_us",
+                      "gamma1_dielectric_per_ns", "gamma1_flux_per_ns"]
+    assert [row[0] for row in rows] == [1.0, 0.8]
+    spec = _circuit_from(cfg)
+    for a, *values in rows:
+        rep = coherence_report(spec.with_alpha(a), conventions=RateConventions(rate_scale="si"))
+        expected = [rep.t1, rep.tphi, rep.t2, rep.gamma1_by_channel.get("dielectric", 0.0),
+                    rep.gamma1_by_channel.get("flux_1f", 0.0)]
+        assert values == pytest.approx(expected, rel=1e-11, abs=1e-11)
+
+
+def test_dispersive_shift_sweep_rows_are_dispersive_shifts(tmp_path):
+    cfg, header, rows = _small_sweep_rows(tmp_path, "dispersive_shift_sweep",
+                                          {"phi_start_pi": 1.0, "phi_stop_pi": 1.02,
+                                           "levels": 12})
+    assert header == ["phi_ext_per_pi", "chi_GHz", "dispersive_valid"]
+    assert [row[0] for row in rows] == [1.0, 1.02]
+    spec, resonator = _circuit_from(cfg), ResonatorSpec(omega_r=4.8, g=0.025)
+    for x, chi, valid in rows:
+        ds = dispersive_shift(replace(spec, phi_ext=x * math.pi), resonator, levels=12)
+        assert chi == pytest.approx(ds.chi, rel=1e-11, abs=1e-11)
+        assert valid == int(ds.valid)
+
+
 def _config(experiment: str, **params) -> dict:
     # cutoff 4 keeps every experiment cheap should a bad value get through
     return {
@@ -239,6 +303,9 @@ BAD_VALUES = [
     ("single_qubit_gate", "calibrate", 1, False),
     ("single_qubit_gate", "steps_per_ns", 49, False),
     ("single_qubit_gate", "steps_per_ns", MAX_STEPS_PER_NS + 1, False),
+    ("single_qubit_gate", "ramp_ns", MAX_DURATION_NS + 1e-9, False),
+    ("single_qubit_gate", "ramp_ns", 1e9, False),
+    ("single_qubit_gate", "pulse_ns", MAX_DURATION_NS + 1e-9, False),
     ("dispersive_shift_sweep", "levels", MAX_LEVELS + 1, False),
     ("two_qubit_map", "per_qubit_m", 10**6, False),
     ("two_qubit_map", "per_qubit_m", MAX_PER_QUBIT_M + 1, False),
@@ -247,6 +314,8 @@ BAD_VALUES = [
     ("two_qubit_map", "t_w_values", [1.0] * (MAX_GRID_VALUES + 1), False),
     ("two_qubit_map", "t_w_values", [1.0, float("nan")], False),
     ("two_qubit_map", "t_w_values", None, False),
+    ("two_qubit_map", "t_w_values", [5, MAX_DURATION_NS + 1e-9], False),
+    ("two_qubit_map", "t_w_values", [1e9], False),
     ("zz_map", "alpha_values", [0.8, "1.0"], False),
     # physical ranges, checked before any work instead of failing inside the run
     ("single_qubit_gate", "ramp_ns", -1, True),
@@ -334,6 +403,9 @@ def test_largest_sizes_validate():
     validate_config({**_config("dispersive_shift_sweep", levels=MAX_LEVELS),
                      "circuit": {"ej": 10.0, "ec": 0.1, "cutoff": 12}})
     validate_config(_config("single_qubit_gate", steps_per_ns=MAX_STEPS_PER_NS))
+    validate_config(_config("single_qubit_gate", ramp_ns=MAX_DURATION_NS,
+                            pulse_ns=MAX_DURATION_NS))
+    validate_config(_config("two_qubit_map", t_w_values=[0, MAX_DURATION_NS]))
     validate_config(_config(
         "two_qubit_map", per_qubit_m=MAX_PER_QUBIT_M, subspace_k=MAX_PER_QUBIT_M**2,
         alpha_grid=MIN_ALPHA_GRID, t_a_values=[20] * MAX_GRID_VALUES,

@@ -118,6 +118,9 @@ def test_settings_validation():
     for grid in (None, 0.0, -1e-3, float("nan")):
         with pytest.raises(PropagationError, match="alpha_grid"):
             PropagationSettings(alpha_grid=grid)
+    for interval in (0, -1, float("nan"), float("inf")):
+        with pytest.raises(PropagationError, match="sample_interval_ns"):
+            PropagationSettings(sample_interval_ns=interval)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +438,23 @@ def test_two_qubit_step_doubling(coupled_frame):
     assert np.abs(t1.final - t2.final).max() < 1e-5
 
 
+def test_two_qubit_unitary_takes_no_step_grid():
+    # The phases are integrated in closed form between frame switches, so
+    # the unitary and its samples, at t_start + j * sample_interval_ns and
+    # at the end, are the same bits at any steps_per_ns.
+    q = replace(q_node(), cutoff=5)
+    coupled = CoupledSpec(q, q, cg_ratio=0.3)
+    settings = PropagationSettings(per_qubit_m=6, subspace_k=12, alpha_grid=5e-3,
+                                   sample_interval_ns=5.0)
+    frame = TwoQubitFrame(coupled, settings)
+    profile = AlphaProfile.two_qubit(20.0, 13.3)
+    runs = [propagate_subspace_unitary(coupled, profile, replace(settings, steps_per_ns=steps),
+                                       frame=frame) for steps in (50, 2000)]
+    assert runs[0].times.tolist() == runs[1].times.tolist() == [
+        0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 33.3]
+    assert np.array_equal(runs[0].final, runs[1].final)
+
+
 def test_frame_grid_refinement(coupled_frame):
     # Halving the alpha grid moved the round-trip populations by 1.2e-5
     # when the node-midpoint frame switches came in, 3.0e-6 now.
@@ -732,8 +752,8 @@ def test_frame_matches_a_charge_basis_reference(ng_thetas):
 
 def test_frame_switches_shared_by_threads_match_a_serial_run():
     # A caller's threads may share one frame, whose switch between two
-    # nodes is formed by whichever gate first crosses them: every gate must
-    # get the U of a frame that no other thread touched.
+    # nodes is formed as the lower node is built: every gate must get the U
+    # of a frame that no other thread touched.
     q = replace(q_node(), cutoff=5)
     coupled = CoupledSpec(q, q, cg_ratio=0.3)
     settings = PropagationSettings(steps_per_ns=50, per_qubit_m=6, subspace_k=12,

@@ -9,6 +9,7 @@ import scipy.sparse.linalg
 
 from dsfq import spectrum
 from dsfq.circuit import (
+    ChargeBasis,
     CircuitError,
     CircuitSpec,
     HermitianOperator,
@@ -62,6 +63,23 @@ def test_diagonal_matrix_full_spectrum():
     assert sol.energies[:5] == pytest.approx(
         [0.0, 2 * ec, 2 * ec, 2 * ec, 2 * ec], abs=1e-12
     )
+
+
+def test_degenerate_cluster_is_ordered_by_phi_parity():
+    # d = n_phi^2 + 0.5 n_theta^2 + 0.1 n_theta at cutoff 1: levels 0, 0.4,
+    # 0.6, then |n_phi = +-1, n_theta = 0> at exactly 1, which the solve
+    # rotates to the phi-parity eigenstates, the even one first
+    basis = ChargeBasis(("phi", "theta"), 1)
+    n_phi, n_theta = np.meshgrid(basis.charges(), basis.charges(), indexing="ij")
+    d = (n_phi**2 + 0.5 * n_theta**2 + 0.1 * n_theta).ravel()
+    sol = diagonalize(np.diag(d), 5, basis=basis)
+    assert sol.energies == pytest.approx([0.0, 0.4, 0.6, 1.0, 1.0], abs=1e-12)
+    pair = sol.states[:, 3:5]
+    parities = np.einsum("ij,ij->j", pair.conj(), pair[parity_permutation(basis)]).real
+    assert parities == pytest.approx([1.0, -1.0], abs=1e-12)
+    # each is (|1, 0> +- |-1, 0>)/sqrt(2) up to a phase
+    ends = [basis.dim // 2 - basis.dim_per_mode, basis.dim // 2 + basis.dim_per_mode]
+    assert np.abs(pair[ends]) == pytest.approx(np.full((2, 2), math.sqrt(0.5)), abs=1e-12)
 
 
 def test_qubit_frequency_anchors():
